@@ -223,34 +223,7 @@ int main(int argc, char** argv) {
         "trace-log", "",
         "append one JSON line per job lifecycle event here "
         "(src/obs/trace.h)");
-    const bool rng_batch = cli.flag(
-        "rng-batch",
-        "buffer counter-based RNG draws in blocks of 4 (bit-identical "
-        "sequence); overrides the spec's rng_batch key when set");
-    const bool branchless_events = cli.flag(
-        "branchless-events",
-        "select-based facet/event-distance math in the hot loop "
-        "(bit-identical results); overrides the spec when set");
-    const bool sort_events = cli.flag(
-        "sort-events",
-        "sort particles by pending event between Over Events rounds "
-        "(bit-identical at 1 thread per job); overrides the spec when set");
-    const bool tally_direct = cli.flag(
-        "tally-direct",
-        "non-atomic tally deposits for single-threaded jobs "
-        "(bit-identical; ignored at threads > 1); overrides the spec");
-    const bool fuse_rounds = cli.flag(
-        "fuse-rounds",
-        "fuse the Over Events search and handler kernels into one sweep "
-        "per round (bit-identical); overrides the spec when set");
-    const long pipeline_histories = cli.option_int(
-        "pipeline-histories", 1,
-        "software-pipeline K in-flight histories per thread in the "
-        "over-particles loop (bit-identical tallies; K >= 1); overrides "
-        "the spec when K > 1");
     if (!cli.finish()) return 0;
-    NEUTRAL_REQUIRE(pipeline_histories >= 1,
-                    "--pipeline-histories must be >= 1");
     NEUTRAL_REQUIRE(aging_ms >= 0, "--priority-aging-ms must be >= 0");
     options.policy.priority_aging = std::chrono::milliseconds(aging_ms);
     options.cache.max_bytes =
@@ -282,13 +255,6 @@ int main(int argc, char** argv) {
                       "--queue-capacity, --no-cache, --cache-mb, "
                       "--priority-aging-ms) configure the daemon; set them "
                       "when starting neutrald");
-      NEUTRAL_REQUIRE(!rng_batch && !branchless_events && !sort_events &&
-                          !tally_direct && !fuse_rounds &&
-                          pipeline_histories == 1,
-                      "--connect submits the spec text verbatim; set the "
-                      "rng_batch / branchless_events / sort_events / "
-                      "tally_direct / fuse_rounds / pipeline_histories "
-                      "keys in the spec instead");
       const std::string spec_text =
           spec_path.empty() ? kDefaultSpec : read_file(spec_path);
       return run_remote(connect, spec_text, shards, domains, csv, quiet);
@@ -299,19 +265,8 @@ int main(int argc, char** argv) {
     // wobble in the last bits.
     if (check_serial) options.threads_per_job = 1;
 
-    SweepSpec spec = spec_path.empty() ? parse_sweep(kDefaultSpec)
-                                       : load_sweep(spec_path);
-    // CLI flags can only switch the fast paths on: a spec that named them
-    // keeps them, so recorded sweeps stay self-describing.
-    if (rng_batch) spec.base.rng_batch = true;
-    if (branchless_events) spec.base.branchless_events = true;
-    if (sort_events) spec.base.over_events.sort_events = true;
-    if (tally_direct) spec.base.tally_direct = true;
-    if (fuse_rounds) spec.base.over_events.fuse_rounds = true;
-    if (pipeline_histories > 1) {
-      spec.base.pipeline_histories =
-          static_cast<std::int32_t>(pipeline_histories);
-    }
+    const SweepSpec spec = spec_path.empty() ? parse_sweep(kDefaultSpec)
+                                             : load_sweep(spec_path);
     const std::vector<Job> sweep_jobs = expand_sweep(spec);
     std::unique_ptr<obs::TraceLog> trace;
     if (!trace_log.empty()) {

@@ -43,22 +43,6 @@ void print_report(const SimulationConfig& cfg, const RunResult& r) {
               to_string(cfg.scheme), to_string(cfg.layout),
               to_string(cfg.tally_mode), to_string(cfg.lookup),
               cfg.schedule.name().c_str());
-  if (cfg.rng_batch || cfg.branchless_events || cfg.over_events.sort_events ||
-      cfg.over_events.fuse_rounds || cfg.pipeline_histories > 1 ||
-      cfg.tally_direct) {
-    std::string pipeline;
-    if (cfg.pipeline_histories > 1) {
-      pipeline =
-          " pipeline-histories=" + std::to_string(cfg.pipeline_histories);
-    }
-    std::printf("optimisations  :%s%s%s%s%s%s\n",
-                cfg.rng_batch ? " rng-batch" : "",
-                cfg.branchless_events ? " branchless-events" : "",
-                cfg.over_events.sort_events ? " sort-events" : "",
-                cfg.over_events.fuse_rounds ? " fuse-rounds" : "",
-                pipeline.c_str(),
-                cfg.tally_direct ? " tally-direct" : "");
-  }
   std::printf("wallclock      : %.4f s   (%.3g events/s)\n", r.total_seconds,
               r.events_per_second());
   std::printf("events         : %llu facets (%llu reflections), %llu "
@@ -125,31 +109,9 @@ int main(int argc, char** argv) {
     config.tally_mode = tally_mode_from_string(cli.option(
         "tally", "atomic", "atomic|privatized|merge-step|deferred (§VI-F/G)"));
     config.lookup = lookup_from_string(cli.option(
-        "lookup", "cached", "binary|cached|bucketed|unionised (§VI-A)"));
+        "lookup", "cached", "binary|cached (§VI-A)"));
     config.schedule = schedule_from_string(
         cli.option("schedule", "static", "static|dynamic|guided[,chunk] (§VI-C)"));
-    config.rng_batch = cli.flag(
-        "rng-batch",
-        "batch RNG draws 4 counters per cipher call (bit-identical draws)");
-    config.branchless_events = cli.flag(
-        "branchless-events",
-        "select-based event search/facet math (bit-identical arithmetic)");
-    config.over_events.sort_events = cli.flag(
-        "sort-events",
-        "sort pending events between over-events kernels so each handler "
-        "runs a dense homogeneous list (over-events scheme only)");
-    config.over_events.fuse_rounds = cli.flag(
-        "fuse-rounds",
-        "fuse the over-events search and handler kernels into one sweep "
-        "per round (bit-identical; over-events scheme only)");
-    const long pipeline_histories = cli.option_int(
-        "pipeline-histories", 1,
-        "software-pipeline K in-flight histories per thread in the "
-        "over-particles loop (bit-identical tallies; K >= 1, 1 = off)");
-    config.tally_direct = cli.flag(
-        "tally-direct",
-        "non-atomic tally deposits when running on one thread "
-        "(bit-identical; ignored at threads > 1)");
     config.threads =
         static_cast<std::int32_t>(cli.option_int("threads", 0, "OpenMP threads (0 = default)"));
     config.profile = cli.flag("profile", "enable the §VI-A phase profiler");
@@ -179,19 +141,6 @@ int main(int argc, char** argv) {
         "domain-workers", 0,
         "worker threads for domain-decomposed runs (0 = auto)"));
     if (!cli.finish()) return 0;
-
-    NEUTRAL_REQUIRE(pipeline_histories >= 1,
-                    "--pipeline-histories must be >= 1");
-    config.pipeline_histories = static_cast<std::int32_t>(pipeline_histories);
-    if (config.scheme == Scheme::kOverEvents && config.pipeline_histories > 1) {
-      // The breadth-first scheme has no per-thread history loop to
-      // pipeline; warn instead of failing so sweep scripts can apply one
-      // flag set across both schemes.
-      std::fprintf(stderr,
-                   "neutral: warning: --pipeline-histories applies to the "
-                   "over-particles scheme only; ignoring\n");
-      config.pipeline_histories = 1;
-    }
 
     config.deck = deck_file.empty()
                       ? deck_by_name(problem, mesh_scale, particle_scale)

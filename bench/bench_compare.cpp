@@ -8,9 +8,9 @@
 //     refused outright — the committed baseline was once taken on a
 //     1-logical-CPU container and silently read as "no regression";
 //   * checksums: when two records ran the same problem at 1 thread, their
-//     tally checksums must be bit-identical even if their optimisation
-//     configs differ.  That turns every perf comparison into a correctness
-//     proof for the fast paths, for free.
+//     tally checksums must be bit-identical even if their XS lookups
+//     differ.  That turns every perf comparison into a correctness check,
+//     for free.
 //
 //   $ bench_compare --baseline BENCH_transport.baseline.json
 //                   --candidate BENCH_transport.json    (one command)
@@ -54,7 +54,7 @@ struct Row {
 
 struct Record {
   obs::BenchHostShape shape;
-  std::string config;  ///< short "lookup=... rng_batch=..." description
+  std::string config;  ///< short "lookup=..." description
   std::vector<Row> rows;
 };
 
@@ -84,10 +84,6 @@ Record load_record(const std::string& path) {
   record.shape = obs::read_host_shape(text);
   const obs::JsonValue doc = obs::parse_json(text);
   const obs::JsonValue* run = doc.find("run");
-  auto flag = [&](const char* key) {
-    const obs::JsonValue* v = run->find(key);
-    return v != nullptr && v->boolean ? 1 : 0;
-  };
   // v1 records predate the run-config fields; they all ran the default
   // configuration, so report it as such rather than failing to load.
   const obs::JsonValue* lookup = run->find("lookup");
@@ -95,20 +91,9 @@ Record load_record(const std::string& path) {
       lookup != nullptr && lookup->is(obs::JsonValue::Type::kString)
           ? lookup->string
           : "cached";
-  // fuse_rounds/pipeline_histories are optional even in v2 records;
-  // absence reads as "off", like the other flags in v1 records.
-  const obs::JsonValue* pipeline = run->find("pipeline_histories");
-  const int pipeline_histories =
-      pipeline != nullptr && pipeline->is(obs::JsonValue::Type::kNumber)
-          ? static_cast<int>(pipeline->number)
-          : 1;
-  record.config = "lookup=" + lookup_name +
-                  " rng_batch=" + std::to_string(flag("rng_batch")) +
-                  " branchless=" + std::to_string(flag("branchless_events")) +
-                  " sort=" + std::to_string(flag("sort_events")) +
-                  " tally_direct=" + std::to_string(flag("tally_direct")) +
-                  " fuse=" + std::to_string(flag("fuse_rounds")) +
-                  " pipeline=" + std::to_string(pipeline_histories);
+  // Older records may carry keys of since-retired fast-path flags; they
+  // are ignored, and every record compares on the lookup axis alone.
+  record.config = "lookup=" + lookup_name;
   for (const obs::JsonValue& r : doc.find("results")->array) {
     Row row;
     row.deck = string_field(r, "deck");
@@ -197,8 +182,8 @@ int main(int argc, char** argv) {
                                ? cand->events_per_second /
                                      base.events_per_second
                                : 0.0;
-      // Same problem at 1 thread -> the fast paths promise bit-identical
-      // physics regardless of which optimisations either record enabled.
+      // Same problem at 1 thread -> bit-identical physics whichever XS
+      // lookup either record used.
       std::string checksum_note = "n/a";
       if (base.particles == cand->particles &&
           base.timesteps == cand->timesteps &&

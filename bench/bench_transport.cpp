@@ -6,12 +6,11 @@
 // info.  CI regenerates the document on every push, schema-checks it
 // (`--check`), and uploads it as an artifact — a perf trajectory over the
 // repo's history without gating merges on timing noise.  The paired
-// BENCH_transport.baseline.json (seed-default configuration) is what
-// bench_compare diffs optimisation records against.
+// BENCH_transport.baseline.json (an earlier record of the same default
+// configuration) is what bench_compare diffs later records against.
 //
 //   $ bench_transport                      # 3 decks x 2 schemes x 2 layouts
 //   $ bench_transport --particles 100000 --repeats 5
-//   $ bench_transport --all-opts --out BENCH_transport.json
 //   $ bench_transport --check BENCH_transport.json   # schema + host check
 //
 // Throughput is timed with profiling OFF: the per-phase TSC probes cost
@@ -24,8 +23,7 @@
 // (comparable to the paper's table) and checksums stay bit-exact run to
 // run.  The checksum column doubles as a correctness anchor: for the
 // default particle count it must match across every layout at fixed
-// scheme, like the golden tier proves at small scale — and across every
-// optimisation flag, which is how the record proves the fast paths honest.
+// scheme, like the golden tier proves at small scale.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -160,29 +158,7 @@ int main(int argc, char** argv) {
         "checksums bit-exact)"));
     const std::string lookup_name = cli.option(
         "lookup", "cached",
-        "XS lookup strategy: binary|cached|bucketed|unionised");
-    bool rng_batch = cli.flag(
-        "rng-batch", "batched RNG draws (bit-identical sequence)");
-    bool branchless_events = cli.flag(
-        "branchless-events", "select-based facet/event-distance math");
-    bool sort_events = cli.flag(
-        "sort-events", "event-sorted Over Events traversal");
-    bool tally_direct = cli.flag(
-        "tally-direct",
-        "non-atomic tally deposits at one thread (bit-identical)");
-    bool fuse_rounds = cli.flag(
-        "fuse-rounds",
-        "fused Over Events search+handler sweep (bit-identical)");
-    long pipeline_histories = cli.option_int(
-        "pipeline-histories", 1,
-        "K in-flight histories per thread in the Over Particles loop "
-        "(bit-identical tallies; K >= 1, 1 = off)");
-    const bool all_opts = cli.flag(
-        "all-opts",
-        "shorthand for --lookup unionised --rng-batch --branchless-events "
-        "--sort-events --tally-direct --fuse-rounds "
-        "--pipeline-histories 4 (the configuration the optimised record "
-        "commits)");
+        "XS lookup strategy: binary|cached");
     const bool no_phases = cli.flag(
         "no-phases",
         "skip the separate profiled pass (faster; record has empty phase "
@@ -193,15 +169,7 @@ int main(int argc, char** argv) {
     }
     NEUTRAL_REQUIRE(repeats >= 1, "--repeats must be >= 1");
     NEUTRAL_REQUIRE(particles >= 0, "--particles must be >= 0");
-    XsLookup lookup = lookup_from_string(lookup_name);
-    if (all_opts) {
-      lookup = XsLookup::kUnionised;
-      rng_batch = branchless_events = sort_events = tally_direct = true;
-      fuse_rounds = true;
-      if (pipeline_histories == 1) pipeline_histories = 4;
-    }
-    NEUTRAL_REQUIRE(pipeline_histories >= 1,
-                    "--pipeline-histories must be >= 1");
+    const XsLookup lookup = lookup_from_string(lookup_name);
 
     const HostInfo host = probe_host();
     obs::BenchDocument doc;
@@ -211,12 +179,6 @@ int main(int argc, char** argv) {
     doc.threads = threads;
     doc.repeats = repeats;
     doc.lookup = to_string(lookup);
-    doc.rng_batch = rng_batch;
-    doc.branchless_events = branchless_events;
-    doc.sort_events = sort_events;
-    doc.tally_direct = tally_direct;
-    doc.fuse_rounds = fuse_rounds;
-    doc.pipeline_histories = static_cast<std::int32_t>(pipeline_histories);
 
     const double ghz = PhaseProfiler::tsc_ghz();
     std::printf("# bench_transport — perf trajectory record\n");
@@ -228,13 +190,7 @@ int main(int argc, char** argv) {
                 host.logical_cpus, host.openmp_max_threads);
     std::printf("# particles=%ld repeats=%d threads=%d tsc=%.2f GHz\n",
                 particles, repeats, threads, ghz);
-    std::printf("# config: lookup=%s rng_batch=%d branchless_events=%d "
-                "sort_events=%d tally_direct=%d fuse_rounds=%d "
-                "pipeline_histories=%ld\n",
-                to_string(lookup), rng_batch ? 1 : 0,
-                branchless_events ? 1 : 0, sort_events ? 1 : 0,
-                tally_direct ? 1 : 0, fuse_rounds ? 1 : 0,
-                pipeline_histories);
+    std::printf("# config: lookup=%s\n", to_string(lookup));
 
     ResultTable table("bench_transport",
                       {"deck", "scheme", "layout", "particles", "events",
@@ -254,13 +210,6 @@ int main(int argc, char** argv) {
           config.layout = layout;
           config.threads = threads;
           config.lookup = lookup;
-          config.rng_batch = rng_batch;
-          config.branchless_events = branchless_events;
-          config.over_events.sort_events = sort_events;
-          config.over_events.fuse_rounds = fuse_rounds;
-          config.pipeline_histories =
-              static_cast<std::int32_t>(pipeline_histories);
-          config.tally_direct = tally_direct;
           config.profile = false;  // probes would dilute the timings
           RunResult best;
           std::vector<double> seconds;

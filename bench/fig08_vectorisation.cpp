@@ -12,18 +12,13 @@ using namespace neutral::bench;
 
 namespace {
 
-OverEventsKernelTimes measure(const BenchScale& scale, bool fuse_rounds,
-                              bool simd_search, bool simd_coll,
-                              bool simd_facet) {
+OverEventsKernelTimes measure(const BenchScale& scale, bool simd_search,
+                              bool simd_coll, bool simd_facet) {
   SimulationConfig cfg;
   cfg.deck = scale.deck("csp");
   cfg.scheme = Scheme::kOverEvents;
   cfg.layout = Layout::kSoA;
   cfg.tally_mode = TallyMode::kDeferredAtomic;
-  cfg.over_events.fuse_rounds = fuse_rounds;
-  // The fused sweep only records the per-kernel time split when profiling
-  // (the split costs two TSC reads per event); this figure needs the split.
-  cfg.profile = fuse_rounds;
   cfg.over_events.simd_event_search = simd_search;
   cfg.over_events.simd_collisions = simd_coll;
   cfg.over_events.simd_facets = simd_facet;
@@ -34,20 +29,13 @@ OverEventsKernelTimes measure(const BenchScale& scale, bool fuse_rounds,
 
 int main(int argc, char** argv) {
   CliParser cli(argc, argv);
-  const bool fuse_rounds = cli.flag(
-      "fuse-rounds",
-      "time the fused single-sweep drive instead of the kernel-per-round "
-      "drive (per-kernel times come from the profiled TSC split)");
   BenchScale scale;
   if (!BenchScale::parse(cli, &scale)) return 0;
   const std::string csv =
       banner("fig08_vectorisation", "Fig 8 (Over Events vectorisation)", scale);
-  if (fuse_rounds) std::printf("# drive: fused rounds (--fuse-rounds)\n");
 
-  const OverEventsKernelTimes scalar =
-      measure(scale, fuse_rounds, false, false, false);
-  const OverEventsKernelTimes simd =
-      measure(scale, fuse_rounds, true, true, true);
+  const OverEventsKernelTimes scalar = measure(scale, false, false, false);
+  const OverEventsKernelTimes simd = measure(scale, true, true, true);
 
   ResultTable table("Fig 8 — per-method kernel time, scalar vs simd (csp)",
                     {"method", "scalar [s]", "simd [s]", "speedup"});

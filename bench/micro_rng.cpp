@@ -2,20 +2,18 @@
 //
 // The paper chose Random123's Threefry so the RNG cost measured on every
 // architecture is representative of production Monte Carlo codes.  This
-// compares the two counter-based generators against std::mt19937_64 and
+// compares the counter-based generator against std::mt19937_64 and
 // measures the per-draw samplers the transport loop actually uses.
 #include <benchmark/benchmark.h>
 
 #include <random>
 
-#include "rng/philox.h"
 #include "rng/stream.h"
 #include "rng/threefry.h"
 
 namespace {
 
 using neutral::rng::ParticleStream;
-using neutral::rng::philox4x32;
 using neutral::rng::threefry2x64;
 using neutral::rng::u64x2;
 
@@ -39,17 +37,6 @@ void BM_Threefry2x64Reference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Threefry2x64Reference);
-
-void BM_Philox4x32(benchmark::State& state) {
-  neutral::rng::u32x4 counter{0, 0, 0, 0};
-  const neutral::rng::u32x2 key{42, 7};
-  for (auto _ : state) {
-    ++counter[0];
-    benchmark::DoNotOptimize(philox4x32(counter, key));
-  }
-  state.SetItemsProcessed(state.iterations() * 2);  // 4x32 bits per block
-}
-BENCHMARK(BM_Philox4x32);
 
 void BM_Mt19937_64(benchmark::State& state) {
   std::mt19937_64 gen(42);

@@ -19,12 +19,9 @@ namespace neutral::bench {
 struct SimScale {
   double mesh_scale = 0.064;        ///< 4000 -> 256 cells per axis
   std::int64_t particles = 2048;    ///< simulated histories per config
-  /// Fast paths to model (default: the paper's baseline kernels).  The
-  /// replayed physics is bit-identical either way; only the cost charging
-  /// changes, so figures can compare baseline vs optimised estimates.
+  /// XS lookup to model (default: the paper's cached walk).  The replayed
+  /// physics is bit-identical either way; only the cost charging changes.
   XsLookup lookup = XsLookup::kCachedLinear;
-  bool rng_batch = false;
-  bool branchless_events = false;
 
   static bool parse(CliParser& cli, SimScale* out) {
     out->mesh_scale = cli.option_double(
@@ -34,12 +31,7 @@ struct SimScale {
                                     "histories to replay per configuration");
     out->lookup = lookup_from_string(
         cli.option("lookup", "cached",
-                   "XS lookup to model (binary|cached|bucketed|unionised)"));
-    out->rng_batch =
-        cli.flag("rng-batch", "model the batched counter-based RNG");
-    out->branchless_events = cli.flag(
-        "branchless-events",
-        "model branchless event selection in the Over Events kernels");
+                   "XS lookup to model (binary|cached)"));
     return cli.finish();
   }
 };
@@ -65,8 +57,6 @@ inline simt::SimtConfig sim_config(const simt::DeviceModel& device,
   cfg.deck.xs.points = std::max<std::int32_t>(
       256, static_cast<std::int32_t>(30000 * scale.mesh_scale));
   cfg.lookup = scale.lookup;
-  cfg.rng_batch = scale.rng_batch;
-  cfg.branchless_events = scale.branchless_events;
   cfg.amortize_to_particles = paper_particles(deck_name);
   return cfg;
 }
@@ -91,11 +81,8 @@ inline std::string sim_banner(const std::string& binary_name,
       "# extrapolated to the paper's particle counts (hardware-gated\n"
       "# experiment — see DESIGN.md section 2)\n",
       static_cast<long long>(scale.particles), scale.mesh_scale);
-  if (scale.lookup != XsLookup::kCachedLinear || scale.rng_batch ||
-      scale.branchless_events) {
-    std::printf("# modelled fast paths: lookup=%s%s%s\n",
-                to_string(scale.lookup), scale.rng_batch ? " rng-batch" : "",
-                scale.branchless_events ? " branchless-events" : "");
+  if (scale.lookup != XsLookup::kCachedLinear) {
+    std::printf("# modelled lookup: %s\n", to_string(scale.lookup));
   }
   return binary_name + ".csv";
 }

@@ -11,35 +11,16 @@
 #include <string>
 
 #include "bench_common.h"
-#include "util/error.h"
 
 using namespace neutral;
 using namespace neutral::bench;
 
 int main(int argc, char** argv) {
   CliParser cli(argc, argv);
-  const std::int64_t pipeline_histories = cli.option_int(
-      "pipeline-histories", 1,
-      "in-flight histories per thread for the profiled Over Particles "
-      "runs (grind attribution is unchanged; only the drive overlaps)");
-  const bool fuse_rounds = cli.flag(
-      "fuse-rounds",
-      "run the Over Events tally-share row with the fused single-sweep "
-      "drive (kernel shares come from the profiled TSC split)");
   BenchScale scale;
   if (!BenchScale::parse(cli, &scale)) return 0;
-  NEUTRAL_REQUIRE(pipeline_histories >= 1,
-                  "--pipeline-histories must be >= 1");
   const std::string csv =
       banner("tab_event_grind", "§VI-A grind times / tally fraction", scale);
-  if (pipeline_histories > 1 || fuse_rounds) {
-    std::printf("# drive:%s%s\n",
-                pipeline_histories > 1
-                    ? (" pipeline-histories=" + std::to_string(pipeline_histories))
-                          .c_str()
-                    : "",
-                fuse_rounds ? " fuse-rounds" : "");
-  }
 
   ResultTable grind("§VI-A — event grind times (Over Particles, profiled)",
                     {"problem", "event", "count", "ns/event (node)",
@@ -49,7 +30,6 @@ int main(int argc, char** argv) {
     SimulationConfig cfg;
     cfg.deck = scale.deck(name);
     cfg.profile = true;
-    cfg.pipeline_histories = static_cast<std::int32_t>(pipeline_histories);
     Simulation sim(cfg);
     const RunResult r = sim.run();
     const auto report = sim.profiler()->report();
@@ -78,7 +58,6 @@ int main(int argc, char** argv) {
     SimulationConfig cfg;
     cfg.deck = scale.deck("csp");
     cfg.profile = true;
-    cfg.pipeline_histories = static_cast<std::int32_t>(pipeline_histories);
     Simulation sim(cfg);
     sim.run();
     share.add_row({"over-particles",
@@ -91,10 +70,6 @@ int main(int argc, char** argv) {
     cfg.scheme = Scheme::kOverEvents;
     cfg.layout = Layout::kSoA;
     cfg.tally_mode = TallyMode::kDeferredAtomic;
-    cfg.over_events.fuse_rounds = fuse_rounds;
-    // The fused sweep only splits kernel times when profiling (the split
-    // costs two TSC reads per event); the share below needs that split.
-    cfg.profile = fuse_rounds;
     const RunResult r = run_sim(cfg);
     share.add_row(
         {"over-events (tally kernel)",

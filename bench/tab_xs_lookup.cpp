@@ -1,10 +1,10 @@
 // §VI-A in-text: the cached linear cross-section search bought 1.3x over a
-// binary search on csp.  All four lookup strategies are swept over the
+// binary search on csp.  Both lookup strategies are swept over the
 // problems (the effect concentrates where collisions are frequent), and a
 // microbench isolates the lookup itself: ns per capture+scatter pair and
 // search steps per lookup, on the correlated energy walk collisions
 // actually produce (§VI-A: energy changes slowly, so the cached walk stays
-// short — and the unionised grid fuses both table searches into one).
+// short).
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -13,7 +13,6 @@
 #include "bench_common.h"
 #include "core/world.h"
 #include "rng/stream.h"
-#include "xs/union_grid.h"
 
 using namespace neutral;
 using namespace neutral::bench;
@@ -54,18 +53,9 @@ MicroResult micro_lookup(const World& world, XsLookup mode,
     std::int32_t idx_s = 0;
     double sum = 0.0;
     const auto t0 = std::chrono::steady_clock::now();
-    if (mode == XsLookup::kUnionised) {
-      for (const double e : energies) {
-        double a = 0.0;
-        double s = 0.0;
-        world.xs_union.microscopic_pair(e, idx_a, a, s);
-        sum += a + s;
-      }
-    } else {
-      for (const double e : energies) {
-        sum += world.xs_capture.microscopic(e, mode, idx_a);
-        sum += world.xs_scatter.microscopic(e, mode, idx_s);
-      }
+    for (const double e : energies) {
+      sum += world.xs_capture.microscopic(e, mode, idx_a);
+      sum += world.xs_scatter.microscopic(e, mode, idx_s);
     }
     const auto t1 = std::chrono::steady_clock::now();
     const double ns =
@@ -78,15 +68,11 @@ MicroResult micro_lookup(const World& world, XsLookup mode,
 
   // Steps are deterministic — count them once, outside the timed loop.
   // Both tables share one energy grid, so the capture-side count is the
-  // per-table story; the unionised grid only searches once per pair.
+  // per-table story.
   std::int64_t steps = 0;
   std::int32_t idx = 0;
   for (const double e : energies) {
-    if (mode == XsLookup::kUnionised) {
-      (void)world.xs_union.find_bin_counted(e, steps);
-    } else {
-      (void)world.xs_capture.find_bin_counted(e, mode, idx, steps);
-    }
+    (void)world.xs_capture.find_bin_counted(e, mode, idx, steps);
   }
   out.steps_per_lookup =
       static_cast<double>(steps) / static_cast<double>(energies.size());
@@ -104,9 +90,7 @@ int main(int argc, char** argv) {
       banner("tab_xs_lookup", "§VI-A XS lookup strategies", scale);
 
   constexpr XsLookup kModes[] = {XsLookup::kBinarySearch,
-                                 XsLookup::kCachedLinear,
-                                 XsLookup::kBucketedIndex,
-                                 XsLookup::kUnionised};
+                                 XsLookup::kCachedLinear};
 
   ResultTable table("§VI-A — cross-section lookup strategy (Over Particles)",
                     {"problem", "strategy", "seconds", "binary/this"});
@@ -146,7 +130,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper: cached linear search 1.3x faster than binary search on csp\n"
       "(collisions change energy slowly, so the walk stays in cache).\n"
-      "The checksum column must agree across all four strategies — the\n"
-      "fast paths are bit-identical, not approximations.\n");
+      "The checksum column must agree across both strategies — they\n"
+      "locate the same bin, so the interpolated values are bit-identical.\n");
   return 0;
 }

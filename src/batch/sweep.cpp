@@ -194,29 +194,6 @@ SweepSpec parse_sweep(const std::string& text) {
       need(1);
       spec.base.threads =
           static_cast<std::int32_t>(parse_int(args[0], line_no));
-    } else if (key == "rng_batch") {
-      need(1);
-      spec.base.rng_batch = parse_int(args[0], line_no) != 0;
-    } else if (key == "branchless_events") {
-      need(1);
-      spec.base.branchless_events = parse_int(args[0], line_no) != 0;
-    } else if (key == "sort_events") {
-      need(1);
-      spec.base.over_events.sort_events = parse_int(args[0], line_no) != 0;
-    } else if (key == "tally_direct") {
-      need(1);
-      spec.base.tally_direct = parse_int(args[0], line_no) != 0;
-    } else if (key == "fuse_rounds") {
-      need(1);
-      spec.base.over_events.fuse_rounds = parse_int(args[0], line_no) != 0;
-    } else if (key == "pipeline_histories") {
-      need(1);
-      const std::int64_t k = parse_int(args[0], line_no);
-      if (k < 1) {
-        throw Error("sweep line " + std::to_string(line_no) +
-                    ": pipeline_histories must be >= 1");
-      }
-      spec.base.pipeline_histories = static_cast<std::int32_t>(k);
     } else if (key == "timesteps") {
       need(1);
       timesteps = parse_int(args[0], line_no);

@@ -24,12 +24,6 @@
 //   particle_scale <f>          base particle scale for named decks
 //   scheme/layout/tally/lookup/schedule <name>   base config knobs
 //   threads <n>                 per-job OpenMP threads (0 = engine budget)
-//   rng_batch <0|1>             batched RNG draws (bit-identical sequence)
-//   branchless_events <0|1>     select-based event search/facet math
-//   sort_events <0|1>           event-sorted over-events traversal
-//   tally_direct <0|1>          non-atomic deposits on 1-thread jobs
-//   fuse_rounds <0|1>           fused over-events search+handler sweep
-//   pipeline_histories <k>      K in-flight histories per thread (>= 1)
 //   timesteps/particles/seed <n>  deck overrides
 //   batch_seed <n>              per-job substream derivation (see above)
 //   priority <n>                queue priority for every expanded job

@@ -12,7 +12,6 @@
 namespace neutral {
 
 class PhaseProfiler;
-class UnionisedXsGrid;
 
 /// Bundles the mesh, fields, nuclear data and run policies.  All pointers
 /// are non-owning; the Simulation facade guarantees their lifetimes.
@@ -24,17 +23,6 @@ struct TransportContext {
   EnergyTally* tally = nullptr;
 
   XsLookup lookup = XsLookup::kCachedLinear;
-  /// Per-World unionised energy grid serving XsLookup::kUnionised (one
-  /// fused search for both tables).  Null for hand-built contexts: the
-  /// lookup then degrades to the table's bucketed index, same bin.
-  const UnionisedXsGrid* xs_union = nullptr;
-
-  /// Batched RNG draws in the collision handler (rng::BatchedStream):
-  /// bit-identical draw sequence, ~one interleaved cipher call per 4 draws.
-  bool rng_batch = false;
-  /// Select-based (branch-light) event search and facet math: identical
-  /// floating-point arithmetic, no direction-sign branch mispredicts.
-  bool branchless_events = false;
 
   double molar_mass_g_mol = 1.0;
   double mass_number = 100.0;

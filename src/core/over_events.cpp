@@ -2,8 +2,6 @@
 
 #include <omp.h>
 
-#include <vector>
-
 #include "core/step.h"
 #include "core/tally.h"
 #include "runtime/timer.h"
@@ -40,14 +38,16 @@ void OverEventsWorkspace::resize(std::size_t n_particles) {
   facet_axis_.resize(n_particles);
   facet_step_.resize(n_particles);
   facet_boundary_.resize(n_particles);
-  event_order_.resize(n_particles);
-  candidate_.resize(n_particles);
 }
 
 std::uint64_t OverEventsWorkspace::footprint_bytes() const {
-  const std::size_t n = size();
-  return n * (8 * sizeof(double) + sizeof(std::int64_t) + 3 + 2 +
-              sizeof(double) + 2 * sizeof(std::int32_t));
+  const auto bytes = [](const auto& a) {
+    return static_cast<std::uint64_t>(a.size() * sizeof(a[0]));
+  };
+  return bytes(micro_a_) + bytes(micro_s_) + bytes(number_density_) +
+         bytes(sigma_a_) + bytes(sigma_t_) + bytes(speed_) + bytes(pending_) +
+         bytes(flat_cell_) + bytes(next_event_) + bytes(facet_distance_) +
+         bytes(facet_axis_) + bytes(facet_step_) + bytes(facet_boundary_);
 }
 
 namespace {
@@ -140,26 +140,6 @@ EventCounters drive(const View& v, const TransportContext& ctx, double dt_s,
   aligned_vector<Padded<EventCounters>> counters(
       static_cast<std::size_t>(max_threads));
 
-  // Event-sorted traversal: run a handler over a dense slice of
-  // ws.event_order_ instead of masking across the whole population.
-  // Indices ascend within each slice, so per-thread execution order
-  // matches the masked sweep's.
-  const auto segment_foreach = [&](std::size_t begin, std::size_t count,
-                                   auto&& body) {
-#pragma omp parallel
-    {
-      const std::int32_t t = omp_get_thread_num();
-      EventCounters& ec = counters[static_cast<std::size_t>(t)].value;
-      auto hooks = make_hooks(t);
-#pragma omp for schedule(static)
-      for (std::int64_t k = 0; k < static_cast<std::int64_t>(count); ++k) {
-        body(static_cast<std::int64_t>(
-                 ws.event_order_[begin + static_cast<std::size_t>(k)]),
-             ec, t, hooks);
-      }
-    }
-  };
-
   // Wake survivors and (re)build their streamed flight state.  Resume
   // rounds (wake_census false — domain decomposition) leave census
   // residents parked and re-stream only the already-alive immigrants.
@@ -182,8 +162,6 @@ EventCounters drive(const View& v, const TransportContext& ctx, double dt_s,
       ws.next_event_[static_cast<std::size_t>(i)] = kNoEvent;
     }
   }
-
-  // Kernel bodies shared by the masked and sorted traversals.
 
   // Kernel 1: event search — compute times-to-event, select, move.
   auto search = [&](std::int64_t i, EventCounters& ec, std::int32_t,
@@ -243,336 +221,6 @@ EventCounters drive(const View& v, const TransportContext& ctx, double dt_s,
     handle_census(v, u, ctx, fs, ec, t, hooks);
     store_fs(ws, u, fs);
   };
-
-  // Sorted-mode kernel variants.  The dense segments make the per-particle
-  // event-kind recheck redundant, and two kernels touch only a slice of
-  // the streamed flight state: the event search reads speed/sigma_t/
-  // sigma_a and mutates only the deposit register, census only flushes —
-  // so they load and store exactly those fields instead of round-tripping
-  // all eight.  Untouched fields keep their stored values, and the fields
-  // that are read carry the same bits, so the arithmetic is unchanged.
-  auto search_slim = [&](std::int64_t i, EventCounters& ec, std::int32_t,
-                         auto& hooks) {
-    const auto u = static_cast<std::size_t>(i);
-    if (v.state(u) != ParticleState::kAlive) {
-      ws.next_event_[u] = kNoEvent;
-      return;
-    }
-    FlightState fs;
-    fs.speed = ws.speed_[u];
-    fs.sigma_a = ws.sigma_a_[u];
-    fs.sigma_t = ws.sigma_t_[u];
-    fs.pending_deposit = ws.pending_[u];
-    const EventSelection sel = select_and_move(v, u, ctx, fs, ec, hooks);
-    ws.next_event_[u] = static_cast<std::uint8_t>(sel.event);
-    ws.facet_distance_[u] = sel.facet.distance;
-    ws.facet_axis_[u] = sel.facet.axis;
-    ws.facet_step_[u] = sel.facet.step;
-    ws.facet_boundary_[u] = sel.facet.at_boundary ? 1 : 0;
-    ws.pending_[u] = fs.pending_deposit;
-  };
-
-  auto collide_sorted = [&](std::int64_t i, EventCounters& ec,
-                            std::int32_t t, auto& hooks) {
-    const auto u = static_cast<std::size_t>(i);
-    FlightState fs = load_fs<View>(ws, u);
-    handle_collision(v, u, ctx, fs, ec, t, hooks);
-    store_fs(ws, u, fs);
-  };
-
-  auto cross_sorted = [&](std::int64_t i, EventCounters& ec, std::int32_t t,
-                          auto& hooks) {
-    const auto u = static_cast<std::size_t>(i);
-    FlightState fs = load_fs<View>(ws, u);
-    FacetIntersection facet;
-    facet.distance = ws.facet_distance_[u];
-    facet.axis = ws.facet_axis_[u];
-    facet.step = ws.facet_step_[u];
-    facet.at_boundary = ws.facet_boundary_[u] != 0;
-    handle_facet(v, u, ctx, facet, fs, ec, t, hooks);
-    store_fs(ws, u, fs);
-  };
-
-  auto census_slim = [&](std::int64_t i, EventCounters& ec, std::int32_t t,
-                         auto& hooks) {
-    const auto u = static_cast<std::size_t>(i);
-    FlightState fs;
-    fs.pending_deposit = ws.pending_[u];
-    fs.flat_cell = ws.flat_cell_[u];
-    handle_census(v, u, ctx, fs, ec, t, hooks);
-    ws.pending_[u] = fs.pending_deposit;
-  };
-
-  if (opt.fuse_rounds) {
-    // Fused traversal: one sweep per round runs search -> handler per
-    // candidate with the FlightState still in registers, eliminating the
-    // store/reload of the eight streamed arrays between the search and
-    // handler kernels (and the counting sort between them).  Correctness
-    // rests on two facts:
-    //
-    //   * Handlers only mutate their own particle, the tally, and the
-    //     per-thread counters, so candidate B's search reads exactly the
-    //     state it would have read had all searches run before any
-    //     handler — fusion cannot change any sampled value.
-    //   * Tally deposit ORDER does change (handlers now interleave with
-    //     searches), and FP accumulation is order-sensitive.  So each
-    //     thread redirects its deposits into three per-event-kind lanes
-    //     (EnergyTally::set_deposit_sink) and replays them after the sweep
-    //     in the canonical [collisions | facets | censuses] segment order
-    //     the unfused kernels produce.  At one thread the replayed
-    //     sequence is identical deposit for deposit, so every checksum is
-    //     bit-identical (the same single-thread contract sort_events
-    //     documents; multi-thread atomic interleaving wobbles in either
-    //     mode).
-    //
-    // The per-thread EventCounters doubles need no such buffering: each
-    // field's addend sequence is already order-preserved under fusion
-    // (path_heating comes only from searches, the collision-energy fields
-    // only from collision handlers — both visit candidates ascending).
-    //
-    // Kernel-time attribution (the documented charging rule): a TSC read
-    // at the select_and_move return splits each candidate's cycles into
-    // event_search and its handler kind; the candidate compaction charges
-    // to event_search and the deposit replay + drain to tally.  The split
-    // costs two TSC reads per event, so it is gated on record_kernel_times
-    // (masked with `profile` by the Simulation layer for fused runs).
-    std::size_t n_cand = 0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (v.state(static_cast<std::size_t>(i)) == ParticleState::kAlive) {
-        ws.candidate_[n_cand++] = static_cast<std::int32_t>(i);
-      }
-    }
-    struct DepositLanes {
-      std::vector<PendingDeposit> lane[3];  // indexed by EventType
-    };
-    std::vector<Padded<DepositLanes>> lanes(
-        static_cast<std::size_t>(max_threads));
-    struct FusedCycles {
-      std::uint64_t by_kind[3] = {0, 0, 0};  // collision, facet, census
-      std::uint64_t search = 0;
-    };
-    std::vector<Padded<FusedCycles>> cycles(
-        static_cast<std::size_t>(max_threads));
-    const bool split_cycles = opt.record_kernel_times && times != nullptr;
-    double sweep_wall = 0.0;
-
-    while (n_cand != 0) {
-      WallTimer sweep_timer;
-#pragma omp parallel
-      {
-        const std::int32_t t = omp_get_thread_num();
-        EventCounters& ec = counters[static_cast<std::size_t>(t)].value;
-        auto hooks = make_hooks(t);
-        DepositLanes& dl = lanes[static_cast<std::size_t>(t)].value;
-        FusedCycles& fc = cycles[static_cast<std::size_t>(t)].value;
-#pragma omp for schedule(static)
-        for (std::int64_t k = 0; k < static_cast<std::int64_t>(n_cand); ++k) {
-          const auto u = static_cast<std::size_t>(
-              ws.candidate_[static_cast<std::size_t>(k)]);
-          // Candidates are alive by construction: the initial list filters
-          // on state, and the rebuild below drops anything a handler
-          // retired (death, census, migration).
-          const std::uint64_t c0 = split_cycles ? read_cycles() : 0;
-          FlightState fs = load_fs<View>(ws, u);
-          const EventSelection sel = select_and_move(v, u, ctx, fs, ec, hooks);
-          const std::uint64_t c1 = split_cycles ? read_cycles() : 0;
-          const auto kind = static_cast<std::size_t>(sel.event);
-          ctx.tally->set_deposit_sink(t, &dl.lane[kind]);
-          switch (sel.event) {
-            case EventType::kCollision:
-              handle_collision(v, u, ctx, fs, ec, t, hooks);
-              break;
-            case EventType::kFacet:
-              handle_facet(v, u, ctx, sel.facet, fs, ec, t, hooks);
-              break;
-            case EventType::kCensus:
-              handle_census(v, u, ctx, fs, ec, t, hooks);
-              break;
-          }
-          ctx.tally->set_deposit_sink(t, nullptr);
-          store_fs(ws, u, fs);
-          if (split_cycles) {
-            const std::uint64_t c2 = read_cycles();
-            fc.search += c1 - c0;
-            fc.by_kind[kind] += c2 - c1;
-          }
-        }
-      }
-
-      sweep_wall += sweep_timer.seconds();
-
-      // Replay the captured deposits in the canonical segment order, then
-      // run the separate tally drain (§VI-G) as usual.
-      WallTimer timer;
-#pragma omp parallel
-      {
-        const std::int32_t t = omp_get_thread_num();
-        DepositLanes& dl = lanes[static_cast<std::size_t>(t)].value;
-        for (auto& lane : dl.lane) {
-          ctx.tally->replay_deposits(lane, t);
-          lane.clear();
-        }
-      }
-      ctx.tally->drain_deferred();
-      if (times != nullptr) times->tally += timer.seconds();
-
-      // Next round's candidates: the survivors, in the same ascending
-      // order.  Serial compaction, charged to the search phase like the
-      // sorted mode's counting sort.
-      timer.restart();
-      std::size_t out = 0;
-      for (std::size_t k = 0; k < n_cand; ++k) {
-        const std::int32_t i = ws.candidate_[k];
-        if (v.state(static_cast<std::size_t>(i)) == ParticleState::kAlive) {
-          ws.candidate_[out++] = i;
-        }
-      }
-      n_cand = out;
-      if (times != nullptr) {
-        times->event_search += timer.seconds();
-        ++times->iterations;
-      }
-    }
-
-    if (split_cycles) {
-      // Apportion the measured sweep WALL time across the four phases by
-      // the per-candidate cycle split (per-thread TSC totals summed across
-      // threads would report CPU seconds, not wall seconds, at >1 thread;
-      // the ratio is thread-count invariant).  total() then still matches
-      // what a stopwatch would see, phase for phase, at any thread count.
-      FusedCycles sum;
-      for (const auto& c : cycles) {
-        sum.search += c.value.search;
-        for (int e = 0; e < 3; ++e) sum.by_kind[e] += c.value.by_kind[e];
-      }
-      const std::uint64_t total_cycles =
-          sum.search + sum.by_kind[0] + sum.by_kind[1] + sum.by_kind[2];
-      if (total_cycles > 0) {
-        const double per_cycle = sweep_wall / static_cast<double>(total_cycles);
-        times->event_search += static_cast<double>(sum.search) * per_cycle;
-        times->collisions += static_cast<double>(sum.by_kind[0]) * per_cycle;
-        times->facets += static_cast<double>(sum.by_kind[1]) * per_cycle;
-        times->census += static_cast<double>(sum.by_kind[2]) * per_cycle;
-      }
-    }
-
-    EventCounters total;
-    for (const auto& tc : counters) total += tc.value;
-    return total;
-  }
-
-  if (opt.sort_events) {
-    // Sorted + compacted traversal.  A live-candidate list — initially the
-    // alive particles, thereafter the merge of the previous round's
-    // collision and facet segments — replaces every full-population scan:
-    // search, the counting sort, and the handler kernels all touch only
-    // particles that can still do work.  Census, death and migration drop
-    // a particle from the list permanently, so late rounds cost O(alive),
-    // not O(bank).  The candidate list stays ascending (the two merged
-    // segments are each ascending), so every alive particle is visited in
-    // exactly the order the masked sweeps would use — the bit-identity
-    // contract holds by construction.
-    std::size_t n_cand = 0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (v.state(static_cast<std::size_t>(i)) == ParticleState::kAlive) {
-        ws.candidate_[n_cand++] = static_cast<std::int32_t>(i);
-      }
-    }
-    constexpr auto kColl = static_cast<std::uint8_t>(EventType::kCollision);
-    constexpr auto kFacet = static_cast<std::uint8_t>(EventType::kFacet);
-    constexpr auto kCensus = static_cast<std::uint8_t>(EventType::kCensus);
-    while (n_cand != 0) {
-      WallTimer timer;
-#pragma omp parallel
-      {
-        const std::int32_t t = omp_get_thread_num();
-        EventCounters& ec = counters[static_cast<std::size_t>(t)].value;
-        auto hooks = make_hooks(t);
-#pragma omp for schedule(static)
-        for (std::int64_t k = 0; k < static_cast<std::int64_t>(n_cand); ++k) {
-          search_slim(static_cast<std::int64_t>(
-                          ws.candidate_[static_cast<std::size_t>(k)]),
-                      ec, t, hooks);
-        }
-      }
-
-      // Counting sort over the candidates: group the pending indices
-      // [collisions | facets | censuses].  Stable (candidates ascend), so
-      // the handler order at one thread — and with it the golden checksum —
-      // is identical to the masked sweeps'.  Charged to the search phase.
-      std::size_t n_coll = 0;
-      std::size_t n_facet = 0;
-      std::size_t n_census = 0;
-      for (std::size_t k = 0; k < n_cand; ++k) {
-        const std::uint8_t e =
-            ws.next_event_[static_cast<std::size_t>(ws.candidate_[k])];
-        n_coll += e == kColl;
-        n_facet += e == kFacet;
-        n_census += e == kCensus;
-      }
-      std::size_t at_coll = 0;
-      std::size_t at_facet = n_coll;
-      std::size_t at_census = n_coll + n_facet;
-      for (std::size_t k = 0; k < n_cand; ++k) {
-        const std::int32_t i = ws.candidate_[k];
-        const std::uint8_t e = ws.next_event_[static_cast<std::size_t>(i)];
-        if (e == kColl) {
-          ws.event_order_[at_coll++] = i;
-        } else if (e == kFacet) {
-          ws.event_order_[at_facet++] = i;
-        } else if (e == kCensus) {
-          ws.event_order_[at_census++] = i;
-        }
-      }
-      if (times != nullptr) {
-        times->event_search += timer.seconds();
-        ++times->iterations;
-      }
-      if (n_coll + n_facet + n_census == 0) break;
-
-      timer.restart();
-      segment_foreach(0, n_coll, collide_sorted);
-      if (times != nullptr) times->collisions += timer.seconds();
-
-      timer.restart();
-      segment_foreach(n_coll, n_facet, cross_sorted);
-      if (times != nullptr) times->facets += timer.seconds();
-
-      timer.restart();
-      segment_foreach(n_coll + n_facet, n_census, census_slim);
-      if (times != nullptr) times->census += timer.seconds();
-
-      timer.restart();
-      ctx.tally->drain_deferred();
-      if (times != nullptr) times->tally += timer.seconds();
-
-      // Next round's candidates: merge the two ascending segments that can
-      // still be alive.  Particles that died or migrated inside a handler
-      // stay in the list one extra round — the search early-out retires
-      // them (kNoEvent) and the sort then drops them for good.
-      std::size_t a = 0;
-      std::size_t b = n_coll;
-      const std::size_t b_end = n_coll + n_facet;
-      std::size_t out = 0;
-      while (a < n_coll && b < b_end) {
-        const std::int32_t ia = ws.event_order_[a];
-        const std::int32_t ib = ws.event_order_[b];
-        if (ia < ib) {
-          ws.candidate_[out++] = ia;
-          ++a;
-        } else {
-          ws.candidate_[out++] = ib;
-          ++b;
-        }
-      }
-      while (a < n_coll) ws.candidate_[out++] = ws.event_order_[a++];
-      while (b < b_end) ws.candidate_[out++] = ws.event_order_[b++];
-      n_cand = out;
-    }
-    EventCounters total;
-    for (const auto& tc : counters) total += tc.value;
-    return total;
-  }
 
   // Breadth-first main loop: one iteration advances the whole population by
   // a single event (Listing 2).

@@ -35,42 +35,6 @@ struct OverEventsOptions {
   bool simd_facets = true;
   /// §VI-A phase accounting via per-kernel wall timers.
   bool record_kernel_times = true;
-  /// Sort the pending-event index lists between the search and handler
-  /// kernels (counting sort, stable in particle index): each handler then
-  /// runs over a dense, homogeneous list instead of masking its way across
-  /// the whole population — the event-sorting optimisation the MC/DC line
-  /// of work attributes most of its throughput win to.  The sorted
-  /// traversal also compacts: a live-candidate list carried between rounds
-  /// means search, sort and handlers all skip particles that already hit
-  /// census or died, so per-round cost tracks the surviving population
-  /// instead of the full bank.  Handler execution order at one thread is
-  /// identical to the masked sweeps' (ascending index), so checksums are
-  /// bit-identical; default off to preserve the seed traversal.
-  bool sort_events = false;
-  /// Fuse the event-search and event-handler kernels into one sweep per
-  /// round (the second half of the MC/DC-style traversal work started by
-  /// sort_events): each round runs search -> handler per candidate with the
-  /// flight state still in registers, instead of re-streaming it through
-  /// the workspace arrays between the two passes.  The sweep visits the
-  /// compacted candidate list in ascending index order, and deposits are
-  /// captured per thread into per-event-kind lanes that replay in the
-  /// canonical [collisions | facets | censuses] order before the tally
-  /// drain — so the accumulation order, and with it every checksum, is
-  /// bit-identical to the unfused traversal (single-thread contract, as
-  /// for sort_events).  Takes precedence over sort_events when both are
-  /// set.  Default off to preserve the seed traversal.
-  ///
-  /// Phase/kernel attribution under fusion (the documented charging rule):
-  /// each round's sweep wall time is apportioned between event_search and
-  /// the three handler kinds by a per-candidate TSC split taken at the
-  /// select_and_move return; candidate compaction bookkeeping charges to
-  /// event_search, and the deposit replay + drain charge to tally.  RunResult::phases uses the
-  /// step.h probe boundaries (select_and_move = event_search, handle_facet
-  /// = facet, ...) unchanged, so --profile tables stay comparable across
-  /// the flag.  The per-candidate split costs two extra TSC reads per
-  /// event, so it only runs when record_kernel_times is set — the
-  /// Simulation layer masks that with the profile flag for fused runs.
-  bool fuse_rounds = false;
   /// Drive the step.h phase probes with per-thread TimingHooks (requires
   /// ctx.profiler) so RunResult::phases covers the breadth-first scheme
   /// too.  Set by the Simulation layer from SimulationConfig::profile.
@@ -124,16 +88,6 @@ class OverEventsWorkspace {
   aligned_vector<double> facet_distance_;
   aligned_vector<std::int8_t> facet_axis_, facet_step_;
   aligned_vector<std::uint8_t> facet_boundary_;
-  // Event-sorted traversal (OverEventsOptions::sort_events): particle
-  // indices grouped [collisions | facets | censuses], ascending within
-  // each group, rebuilt after every search kernel.
-  aligned_vector<std::int32_t> event_order_;
-  // Compacted live-candidate list for the sorted traversal: the merge of
-  // the previous round's collision and facet segments (ascending), i.e.
-  // every particle that could still be alive this round.  Census, death
-  // and migration drop a particle out of the list permanently, so late
-  // rounds touch only the surviving tail instead of the whole population.
-  aligned_vector<std::int32_t> candidate_;
 };
 
 inline constexpr std::uint8_t kNoEvent = 255;

@@ -2,12 +2,8 @@
 
 #include <omp.h>
 
-#include <vector>
-
 #include "core/step.h"
-#include "core/tally.h"
 #include "perf/profiler.h"
-#include "rng/stream.h"
 #include "util/aligned.h"
 #include "util/error.h"
 
@@ -18,18 +14,8 @@ namespace {
 /// is the OpenMP loop; schedule(runtime) lets the Fig 4 experiment flip the
 /// scheduling clause without recompiling.
 template <class View, class Hooks, class MakeHooks>
-EventCounters drive(const View& v, const TransportContext& ctx_in, double dt_s,
+EventCounters drive(const View& v, const TransportContext& ctx, double dt_s,
                     const OverParticlesOptions& opt, MakeHooks make_hooks) {
-  // Branch-light event selection exists to kill the mispredicts of
-  // breadth-first sweeps, where consecutive loop iterations are unrelated
-  // particles.  Here the per-history loop keeps one particle's direction
-  // and state in registers, the same branches repeat until the next
-  // collision or reflection and predict almost perfectly, and the select
-  // chains would only add dependency latency.  Both forms produce
-  // bit-identical results (facet.h), so scope the option to the Over
-  // Events kernels and run the branchy form unconditionally here.
-  TransportContext ctx = ctx_in;
-  ctx.branchless_events = false;
   apply_schedule(opt.schedule);
   const auto n = static_cast<std::int64_t>(v.size());
   const std::int32_t max_threads = omp_get_max_threads();
@@ -48,80 +34,14 @@ EventCounters drive(const View& v, const TransportContext& ctx_in, double dt_s,
     }
   }
 
-  const std::int32_t depth = opt.pipeline_histories;
 #pragma omp parallel
   {
     const std::int32_t thread = omp_get_thread_num();
     EventCounters& ec = thread_counters[static_cast<std::size_t>(thread)].value;
     Hooks hooks = make_hooks(thread);
-    if (depth <= 1) {
 #pragma omp for schedule(runtime)
-      for (std::int64_t i = 0; i < n; ++i) {
-        run_history(v, static_cast<std::size_t>(i), ctx, ec, thread, hooks);
-      }
-    } else {
-      // Software pipeline (--pipeline-histories K): a per-thread ring of K
-      // in-flight histories advanced round-robin, one event each, so the
-      // out-of-order window sees K independent event computations back to
-      // back — one history's divide/sqrt chain overlaps another's XS
-      // lookup and facet math.  Histories are independent (each event
-      // touches only its own particle, the tally, and the thread-local
-      // counters), so interleaving them cannot change any sampled value;
-      // each slot carries its own FlightState and (when batching) its own
-      // counter-positioned BatchedStream.  Deposits are captured into the
-      // slot's buffer and replayed at strictly in-order retirement, so the
-      // tally sees exactly the sequential order and stays bit-identical.
-      struct Slot {
-        std::int64_t idx = -1;
-        FlightState fs;
-        rng::BatchedStream stream;
-        std::vector<PendingDeposit> deposits;
-      };
-      std::vector<Slot> slots(static_cast<std::size_t>(depth));
-      std::int32_t head = 0;  // oldest in-flight slot (retires first)
-      std::int32_t live = 0;
-
-      const auto advance_round = [&] {
-        for (std::int32_t k = 0; k < live; ++k) {
-          Slot& s = slots[static_cast<std::size_t>((head + k) % depth)];
-          const auto u = static_cast<std::size_t>(s.idx);
-          if (v.state(u) != ParticleState::kAlive) continue;
-          ctx.tally->set_deposit_sink(thread, &s.deposits);
-          advance_one_event(v, u, ctx, s.fs, ec, thread, hooks,
-                            ctx.rng_batch ? &s.stream : nullptr);
-          ctx.tally->set_deposit_sink(thread, nullptr);
-        }
-        // In-order retirement: only the head may leave, so the deposit
-        // replay happens in exactly the order histories were issued —
-        // which is the order the unpipelined loop runs them.
-        while (live > 0 &&
-               v.state(static_cast<std::size_t>(slots[static_cast<std::size_t>(
-                   head)].idx)) != ParticleState::kAlive) {
-          Slot& s = slots[static_cast<std::size_t>(head)];
-          ctx.tally->replay_deposits(s.deposits, thread);
-          s.deposits.clear();
-          head = (head + 1) % depth;
-          --live;
-        }
-      };
-
-      // nowait: each thread drains its own ring as soon as it exhausts its
-      // share of the index space; the parallel region's closing barrier
-      // still orders the drain before any tally merge.
-#pragma omp for schedule(runtime) nowait
-      for (std::int64_t i = 0; i < n; ++i) {
-        const auto u = static_cast<std::size_t>(i);
-        if (v.state(u) != ParticleState::kAlive) continue;
-        while (live == depth) advance_round();
-        Slot& s = slots[static_cast<std::size_t>((head + live) % depth)];
-        s.idx = i;
-        load_flight_state(v, u, ctx, s.fs, ec, hooks);
-        if (ctx.rng_batch) {
-          s.stream = rng::BatchedStream(ctx.seed, v.id(u), v.rng_counter(u));
-        }
-        ++live;
-      }
-      while (live > 0) advance_round();
+    for (std::int64_t i = 0; i < n; ++i) {
+      run_history(v, static_cast<std::size_t>(i), ctx, ec, thread, hooks);
     }
   }
 

@@ -20,21 +20,6 @@ struct OverParticlesOptions {
   SchedulePolicy schedule = SchedulePolicy::statics();
   /// Enable §VI-A phase profiling (requires ctx.profiler != nullptr).
   bool profile = false;
-  /// Software pipeline depth (--pipeline-histories): histories kept in
-  /// flight per thread.  1 (the default) is the paper's Listing 1 loop —
-  /// one history runs to census before the next starts.  K > 1 advances K
-  /// histories round-robin, one event each, so the dependent divide/sqrt
-  /// chain of one history's collision overlaps the XS lookup and facet
-  /// math of its neighbours in the out-of-order window.  Sampling is
-  /// untouched (every draw is counter-based per particle, and batched RNG
-  /// buffers are kept per in-flight history), and tally deposits are
-  /// captured per history and replayed at strictly in-order retirement, so
-  /// each cell sees its deposits in exactly the unpipelined order — tally
-  /// checksums and every integer counter are bit-identical.  Only the
-  /// per-thread EventCounters energy doubles (path_heating & co) sum their
-  /// addends in interleaved order and may differ by reassociation ulps;
-  /// those feed the 1e-9 conservation gate, never a bit-equality check.
-  std::int32_t pipeline_histories = 1;
   /// Flip kCensus particles to kAlive (with a fresh dt) before transport —
   /// the start of a timestep.  Domain-decomposition resume rounds set this
   /// false so only freshly injected mid-flight immigrants (already kAlive)

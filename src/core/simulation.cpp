@@ -50,11 +50,7 @@ TallyMode tally_mode_from_string(const std::string& s) {
 XsLookup lookup_from_string(const std::string& s) {
   if (s == "binary") return XsLookup::kBinarySearch;
   if (s == "cached") return XsLookup::kCachedLinear;
-  if (s == "bucketed") return XsLookup::kBucketedIndex;
-  if (s == "unionised" || s == "unionized" || s == "union") {
-    return XsLookup::kUnionised;
-  }
-  throw Error("unknown lookup '" + s + "' (binary|cached|bucketed|unionised)");
+  throw Error("unknown lookup '" + s + "' (binary|cached)");
 }
 
 SchedulePolicy schedule_from_string(const std::string& s) {
@@ -105,12 +101,9 @@ Simulation::Simulation(SimulationConfig config,
       tally_(window_.num_cells(),
              config_.tally_mode,
              config_.threads > 0 ? config_.threads : omp_get_max_threads(),
-             config_.compensated_tally,
-             config_.tally_direct),
+             config_.compensated_tally),
       bank_(config_.layout) {
   NEUTRAL_REQUIRE(config_.deck.n_particles > 0, "deck must define particles");
-  NEUTRAL_REQUIRE(config_.pipeline_histories >= 1,
-                  "pipeline-histories must be >= 1");
   NEUTRAL_REQUIRE(span_.first_id >= 0 && span_.count > 0 &&
                       span_.first_id + span_.count <= config_.deck.n_particles,
                   "particle span must be a non-empty slice of the deck bank");
@@ -139,9 +132,6 @@ Simulation::Simulation(SimulationConfig config,
   ctx_.xs_scatter = &world_->xs_scatter;
   ctx_.tally = &tally_;
   ctx_.lookup = config_.lookup;
-  ctx_.xs_union = &world_->xs_union;
-  ctx_.rng_batch = config_.rng_batch;
-  ctx_.branchless_events = config_.branchless_events;
   ctx_.molar_mass_g_mol = config_.deck.molar_mass_g_mol;
   ctx_.mass_number = config_.deck.mass_number;
   ctx_.min_energy_ev = config_.deck.min_energy_ev;
@@ -217,7 +207,6 @@ StepResult Simulation::step_transport(bool wake_census) {
     OverParticlesOptions opt;
     opt.schedule = config_.schedule;
     opt.profile = config_.profile;
-    opt.pipeline_histories = config_.pipeline_histories;
     opt.wake_census = wake_census;
     result.counters = bank_.with_view([&](const auto& view) {
       return over_particles_step(view, ctx_, config_.deck.dt_s, opt);
@@ -235,12 +224,6 @@ StepResult Simulation::step_transport(bool wake_census) {
     OverEventsOptions opt = config_.over_events;
     opt.wake_census = wake_census;
     opt.profile = config_.profile;
-    if (opt.fuse_rounds) {
-      // The fused sweep's kernel-time split costs two TSC reads per event
-      // (the unfused kernels pay two per KERNEL), so only record it when
-      // the run is profiling anyway; unprofiled fused runs stay untaxed.
-      opt.record_kernel_times = opt.record_kernel_times && config_.profile;
-    }
     result.counters = bank_.with_view([&](const auto& view) {
       return over_events_step(view, ctx_, config_.deck.dt_s, opt,
                               *workspace_, &result.kernel_times);

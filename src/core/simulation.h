@@ -86,27 +86,6 @@ struct SimulationConfig {
   /// Enable §VI-A phase profiling (Over Particles only).
   bool profile = false;
   OverEventsOptions over_events;
-  /// Batched RNG draws in the collision handler (rng::BatchedStream): the
-  /// identical draw sequence computed 4 counters per interleaved cipher
-  /// call, so checksums cannot move.  Off by default (seed behaviour).
-  bool rng_batch = false;
-  /// Select-based (branch-light) event search and facet math: identical
-  /// floating-point arithmetic with the per-particle direction/event
-  /// branches turned into conditional moves.  Off by default.
-  bool branchless_events = false;
-  /// Over Particles software pipeline depth (--pipeline-histories): K > 1
-  /// keeps K histories in flight per thread, overlapping one history's
-  /// divide/sqrt latency chain with another's XS/facet math.  Checksums,
-  /// tallies and integer counters are bit-identical to K = 1 (see
-  /// OverParticlesOptions::pipeline_histories); must be >= 1; ignored (with
-  /// a CLI warning) by the Over Events scheme, whose breadth-first sweeps
-  /// already interleave histories.
-  std::int32_t pipeline_histories = 1;
-  /// Single-thread tally fast path: plain (non-atomic) deposits when the
-  /// run uses exactly one thread — same deposits, same per-cell order, so
-  /// bit-identical; ignored (deposits stay atomic) at threads > 1.  Off by
-  /// default (seed behaviour pays the lock prefix even single-threaded).
-  bool tally_direct = false;
   /// Particle-id slice this run sources (default: the whole deck bank).
   ParticleSpan span;
   /// Carry a Neumaier error term per tally cell so each cell rounds once —

@@ -25,7 +25,6 @@
 #include "mesh/facet.h"
 #include "rng/stream.h"
 #include "util/numeric.h"
-#include "xs/union_grid.h"
 
 namespace neutral {
 
@@ -67,28 +66,14 @@ inline void refresh_cross_sections(const View& v, std::size_t i,
   std::int32_t idx = v.xs_index(i);
   const std::int32_t before = idx;
   const double e = v.energy(i);
-  if (ctx.lookup == XsLookup::kUnionised && ctx.xs_union != nullptr) {
-    // Fused path: one O(1) direct-index search serves both reactions, and
-    // the interpolation reads one interleaved 32-byte run instead of two
-    // tables.  Bit-identical to the two calls below (union_grid.h).
-    ctx.xs_union->microscopic_pair(e, idx, fs.micro_a, fs.micro_s);
-  } else {
-    fs.micro_a = ctx.xs_capture->microscopic(e, ctx.lookup, idx);
-    fs.micro_s = ctx.xs_scatter->microscopic(e, ctx.lookup, idx);
-  }
+  fs.micro_a = ctx.xs_capture->microscopic(e, ctx.lookup, idx);
+  fs.micro_s = ctx.xs_scatter->microscopic(e, ctx.lookup, idx);
   v.xs_index(i) = idx;
   ec.xs_lookups += 2;
   if constexpr (Hooks::kTracing) {
-    if (ctx.lookup == XsLookup::kUnionised && ctx.xs_union != nullptr) {
-      // Fused grid: one O(1) direct-index load, then a walk of at most one
-      // step (union_grid.h), serving both reactions — there is no
-      // hint-relative walk and no second-table pass to charge.
-      hooks.xs_walk(idx != before ? 1 : 0, idx);
-    } else {
-      const std::int32_t steps = idx > before ? idx - before : before - idx;
-      hooks.xs_walk(steps, idx);
-      hooks.xs_walk(steps > 0 ? 1 : 0, idx);  // second table: warm walk
-    }
+    const std::int32_t steps = idx > before ? idx - before : before - idx;
+    hooks.xs_walk(steps, idx);
+    hooks.xs_walk(steps > 0 ? 1 : 0, idx);  // second table: warm walk
   }
   detail::refresh_macroscopic(fs);
   fs.speed = detail::speed_from_energy(e);
@@ -163,25 +148,15 @@ inline void kill_particle(const View& v, std::size_t i,
 
 }  // namespace detail
 
-namespace detail {
-
-/// Collision body, templated on the stream class so the RNG batching
-/// option swaps rng::ParticleStream for rng::BatchedStream without a
-/// second copy of the physics.  Both classes consume the identical
-/// (counter, 0)/word-0 draw sequence, so the choice can never move a
-/// checksum — only how many cipher rounds the draws cost.
-///
-/// The stream is passed in by the caller: per-collision construction for
-/// the breadth-first kernels, or a history-lifetime BatchedStream from the
-/// Over Particles loop whose buffered block survives across collisions.
-/// The caller must hand over a stream positioned at v.rng_counter(i) —
-/// counter-based draws depend only on the counter, never on buffer
-/// alignment, so both call shapes sample identical values.
-template <class Stream, class View, class Hooks>
-inline void handle_collision_with(Stream& stream, const View& v, std::size_t i,
-                                  const TransportContext& ctx, FlightState& fs,
-                                  EventCounters& ec, std::int32_t thread,
-                                  Hooks& hooks) {
+/// Handle a collision event (§IV-A): implicit-capture absorption or elastic
+/// scatter off a nucleus of mass number A, then draw the mean-free-paths to
+/// the next collision.  The particle is already at the collision site.
+template <class View, class Hooks>
+inline void handle_collision(const View& v, std::size_t i,
+                             const TransportContext& ctx, FlightState& fs,
+                             EventCounters& ec, std::int32_t thread,
+                             Hooks& hooks) {
+  rng::ParticleStream stream(ctx.seed, v.id(i), v.rng_counter(i));
   hooks.phase_start(Phase::kCollision);
   ++ec.collisions;
   const std::uint64_t counter_before = v.rng_counter(i);
@@ -279,34 +254,6 @@ inline void handle_collision_with(Stream& stream, const View& v, std::size_t i,
   hooks.phase_stop(Phase::kCollision);
 }
 
-template <class Stream, class View, class Hooks>
-inline void handle_collision_impl(const View& v, std::size_t i,
-                                  const TransportContext& ctx, FlightState& fs,
-                                  EventCounters& ec, std::int32_t thread,
-                                  Hooks& hooks) {
-  Stream stream(ctx.seed, v.id(i), v.rng_counter(i));
-  handle_collision_with(stream, v, i, ctx, fs, ec, thread, hooks);
-}
-
-}  // namespace detail
-
-/// Handle a collision event (§IV-A): implicit-capture absorption or elastic
-/// scatter off a nucleus of mass number A, then draw the mean-free-paths to
-/// the next collision.  The particle is already at the collision site.
-template <class View, class Hooks>
-inline void handle_collision(const View& v, std::size_t i,
-                             const TransportContext& ctx, FlightState& fs,
-                             EventCounters& ec, std::int32_t thread,
-                             Hooks& hooks) {
-  if (ctx.rng_batch) {
-    detail::handle_collision_impl<rng::BatchedStream>(v, i, ctx, fs, ec,
-                                                      thread, hooks);
-  } else {
-    detail::handle_collision_impl<rng::ParticleStream>(v, i, ctx, fs, ec,
-                                                       thread, hooks);
-  }
-}
-
 /// Handle a facet encounter (§IV-A): flush the tally register for the cell
 /// being left, then either step into the neighbour cell (reloading the
 /// cached density) or reflect off the domain boundary (§IV-C).
@@ -383,28 +330,12 @@ inline EventSelection select_and_move(const View& v, std::size_t i,
   const double dist_collision =
       fs.sigma_t > 0.0 ? v.mfp_to_collision(i) / fs.sigma_t : kInf;
   EventSelection sel;
-  sel.facet = ctx.branchless_events
-                  ? nearest_facet_branchless(*ctx.mesh, v.x(i), v.y(i),
-                                             v.omega_x(i), v.omega_y(i),
-                                             {v.cellx(i), v.celly(i)})
-                  : nearest_facet(*ctx.mesh, v.x(i), v.y(i), v.omega_x(i),
-                                  v.omega_y(i), {v.cellx(i), v.celly(i)});
+  sel.facet = nearest_facet(*ctx.mesh, v.x(i), v.y(i), v.omega_x(i),
+                            v.omega_y(i), {v.cellx(i), v.celly(i)});
   hooks.flops(12);
 
   double dist;
-  if (ctx.branchless_events) {
-    // Same comparisons and tie-break priority as the chain below, written
-    // as selects: the event outcome is data-dependent per particle, so the
-    // chain's two branches mispredict across a breadth-first sweep.
-    const bool coll =
-        dist_collision <= sel.facet.distance && dist_collision <= dist_census;
-    const bool facet = sel.facet.distance <= dist_census;
-    sel.event = coll ? EventType::kCollision
-                     : (facet ? EventType::kFacet : EventType::kCensus);
-    dist = coll ? dist_collision
-                : (facet ? sel.facet.distance : dist_census);
-  } else if (dist_collision <= sel.facet.distance &&
-             dist_collision <= dist_census) {
+  if (dist_collision <= sel.facet.distance && dist_collision <= dist_census) {
     sel.event = EventType::kCollision;
     dist = dist_collision;
   } else if (sel.facet.distance <= dist_census) {
@@ -435,26 +366,15 @@ inline EventSelection select_and_move(const View& v, std::size_t i,
 
 /// Advance one particle by exactly one event: search + move + handler.
 /// Returns the event type executed.
-///
-/// `carried` (optional) is a history-lifetime batched RNG stream positioned
-/// at the particle's counter; when present, collisions draw from it instead
-/// of constructing a stream per collision, so one 4-draw refill serves
-/// consecutive collisions of the same history.
 template <class View, class Hooks>
 inline EventType advance_one_event(const View& v, std::size_t i,
                                    const TransportContext& ctx,
                                    FlightState& fs, EventCounters& ec,
-                                   std::int32_t thread, Hooks& hooks,
-                                   rng::BatchedStream* carried = nullptr) {
+                                   std::int32_t thread, Hooks& hooks) {
   const EventSelection sel = select_and_move(v, i, ctx, fs, ec, hooks);
   switch (sel.event) {
     case EventType::kCollision:
-      if (carried != nullptr) {
-        detail::handle_collision_with(*carried, v, i, ctx, fs, ec, thread,
-                                      hooks);
-      } else {
-        handle_collision(v, i, ctx, fs, ec, thread, hooks);
-      }
+      handle_collision(v, i, ctx, fs, ec, thread, hooks);
       break;
     case EventType::kFacet:
       handle_facet(v, i, ctx, sel.facet, fs, ec, thread, hooks);
@@ -475,18 +395,8 @@ inline void run_history(const View& v, std::size_t i,
   if (v.state(i) != ParticleState::kAlive) return;
   FlightState fs;
   load_flight_state(v, i, ctx, fs, ec, hooks);
-  if (ctx.rng_batch) {
-    // One batched buffer for the whole history: consecutive collisions
-    // drain the same 4-draw block, so the interleaved refill amortises
-    // across events instead of being paid once per collision.
-    rng::BatchedStream stream(ctx.seed, v.id(i), v.rng_counter(i));
-    while (v.state(i) == ParticleState::kAlive) {
-      advance_one_event(v, i, ctx, fs, ec, thread, hooks, &stream);
-    }
-  } else {
-    while (v.state(i) == ParticleState::kAlive) {
-      advance_one_event(v, i, ctx, fs, ec, thread, hooks);
-    }
+  while (v.state(i) == ParticleState::kAlive) {
+    advance_one_event(v, i, ctx, fs, ec, thread, hooks);
   }
 }
 

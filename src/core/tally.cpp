@@ -15,10 +15,10 @@ const char* to_string(TallyMode mode) {
 }
 
 EnergyTally::EnergyTally(std::int64_t cells, TallyMode mode,
-                         std::int32_t threads, bool compensated, bool direct)
+                         std::int32_t threads, bool compensated)
     : mode_(mode),
       compensated_(compensated),
-      direct_(direct && threads == 1 && !compensated) {
+      direct_(threads == 1 && !compensated) {
   NEUTRAL_REQUIRE(cells > 0, "tally needs at least one cell");
   NEUTRAL_REQUIRE(threads >= 1, "tally needs at least one thread slot");
   NEUTRAL_REQUIRE(!(compensated && mode == TallyMode::kAtomic && threads > 1),
@@ -39,9 +39,6 @@ EnergyTally::EnergyTally(std::int64_t cells, TallyMode mode,
   } else if (mode == TallyMode::kDeferredAtomic) {
     deferred_.resize(static_cast<std::size_t>(threads));
   }
-  // One redirection slot per thread, all detached (Padded value-initialises
-  // the pointer to nullptr), so deposit() can test its slot unconditionally.
-  sinks_.resize(static_cast<std::size_t>(threads));
 }
 
 void EnergyTally::drain_deferred() {

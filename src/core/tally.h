@@ -44,10 +44,8 @@ enum class TallyMode : std::uint8_t {
 
 const char* to_string(TallyMode mode);
 
-/// One buffered deposit: the flat cell index and the amount.  Public so the
-/// gated traversal fast paths (over-events round fusion, the over-particles
-/// history pipeline) can capture deposits into their own buffers via
-/// set_deposit_sink() and replay them later in the canonical order.
+/// One buffered deposit (kDeferredAtomic): the flat cell index and the
+/// amount.
 struct PendingDeposit {
   std::int64_t cell;
   double amount;
@@ -72,27 +70,19 @@ class EnergyTally {
   /// update cannot be a single atomic), so that combination requires
   /// `threads == 1`; use a privatized mode for compensated multi-threading.
   ///
-  /// `direct` requests the single-thread deposit fast path: with exactly
-  /// one thread there is nothing to be atomic against, so a kAtomic
-  /// deposit can be a plain load/add/store instead of a `lock cmpxchg`
-  /// retry loop (x86 has no atomic double add, so the `omp atomic` form
-  /// costs tens of cycles per flush).  The deposits, their values and
-  /// their per-cell order are unchanged — bit-identical by construction —
-  /// and the request is ignored unless `threads == 1`.
+  /// A plain tally built for exactly one thread deposits directly: with
+  /// nothing to be atomic against, a kAtomic deposit is a plain
+  /// load/add/store instead of a `lock cmpxchg` retry loop (x86 has no
+  /// atomic double add, so the `omp atomic` form costs tens of cycles per
+  /// flush).  The deposits, their values and their per-cell order are
+  /// unchanged, so the result is bit-identical to the atomic form.  As
+  /// with the per-thread privatized and deferred slots, `threads` bounds
+  /// the OpenMP team that may deposit into the tally.
   EnergyTally(std::int64_t cells, TallyMode mode, std::int32_t threads,
-              bool compensated = false, bool direct = false);
+              bool compensated = false);
 
   /// Hot path: deposit `e` into flat cell index `flat` from `thread`.
   void deposit(std::int64_t flat, double e, std::int32_t thread) {
-    if (std::vector<PendingDeposit>* sink =
-            sinks_[static_cast<std::size_t>(thread)].value;
-        sink != nullptr) {
-      // A traversal fast path has redirected this thread's deposits into
-      // its own buffer (see set_deposit_sink); it will replay them through
-      // this function — sink detached — in the canonical order.
-      sink->push_back({flat, e});
-      return;
-    }
     const auto f = static_cast<std::size_t>(flat);
     switch (mode_) {
       case TallyMode::kAtomic: {
@@ -118,30 +108,6 @@ class EnergyTally {
           privates_[t][f] += e;
         }
       }
-    }
-  }
-
-  /// Redirect `thread`'s subsequent deposits into `sink` (append-only);
-  /// nullptr restores the normal paths.  Each thread may only set its own
-  /// slot (the slots are cache-line padded, so concurrent per-thread
-  /// switching inside a parallel region is race-free).  The traversal fast
-  /// paths use this to decouple *when* a deposit is computed from *where in
-  /// the accumulation order* it lands: capture out-of-order, then replay in
-  /// the canonical order so every checksum is bit-identical.
-  void set_deposit_sink(std::int32_t thread,
-                        std::vector<PendingDeposit>* sink) {
-    sinks_[static_cast<std::size_t>(thread)].value = sink;
-  }
-
-  /// Apply captured deposits through the normal deposit() switch, as
-  /// `thread`.  The thread's sink must be detached first, or the replay
-  /// would feed back into the buffer.
-  void replay_deposits(const std::vector<PendingDeposit>& buffered,
-                       std::int32_t thread) {
-    NEUTRAL_REQUIRE(sinks_[static_cast<std::size_t>(thread)].value == nullptr,
-                    "detach the deposit sink before replaying into it");
-    for (const PendingDeposit& d : buffered) {
-      deposit(d.cell, d.amount, thread);
     }
   }
 
@@ -227,15 +193,12 @@ class EnergyTally {
 
   TallyMode mode_;
   bool compensated_ = false;
-  bool direct_ = false;  ///< single-thread non-atomic deposits (see ctor)
+  bool direct_ = false;  ///< single-thread plain deposits (see ctor)
   aligned_vector<double> global_;
   aligned_vector<double> comp_;  ///< per-cell error terms (compensated only)
   std::vector<aligned_vector<double>> privates_;
   std::vector<aligned_vector<double>> privates_comp_;
   std::vector<Padded<std::vector<PendingDeposit>>> deferred_;
-  /// Per-thread deposit redirection slots (nullptr = normal path); sized to
-  /// the thread count in the constructor so deposit() can index blindly.
-  std::vector<Padded<std::vector<PendingDeposit>*>> sinks_;
 };
 
 }  // namespace neutral

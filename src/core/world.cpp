@@ -57,7 +57,6 @@ World::World(const ProblemDeck& deck, const DomainWindow& slab)
       density(make_density(mesh, window, deck)),
       xs_capture(make_capture_table(deck.xs)),
       xs_scatter(make_scatter_table(deck.xs)),
-      xs_union(xs_capture, xs_scatter),
       fingerprint(domain_world_fingerprint(deck, window)) {
   NEUTRAL_REQUIRE(window.within(mesh), "domain window must fit the mesh");
   // The per-particle cached bin index is shared by both tables, which is
@@ -81,7 +80,7 @@ std::uint64_t World::footprint_bytes() const {
            static_cast<std::uint64_t>(t.size()) * sizeof(std::int32_t);
   };
   return sizeof(World) + mesh_bytes + density_bytes + xs_bytes(xs_capture) +
-         xs_bytes(xs_scatter) + xs_union.footprint_bytes();
+         xs_bytes(xs_scatter);
 }
 
 std::shared_ptr<const World> build_world(const ProblemDeck& deck) {

@@ -21,7 +21,6 @@
 #include "mesh/mesh2d.h"
 #include "mesh/window.h"
 #include "xs/table.h"
-#include "xs/union_grid.h"
 
 namespace neutral {
 
@@ -44,10 +43,6 @@ struct World {
   DensityField density;
   CrossSectionTable xs_capture;
   CrossSectionTable xs_scatter;
-  /// Unionised energy grid over both tables (XsLookup::kUnionised).  Built
-  /// once here so the WorldCache amortises it across every job sharing the
-  /// geometry; ~1.5x the tables' own footprint (counted below).
-  UnionisedXsGrid xs_union;
 
   /// Fingerprint of the deck fields this world was built from (see
   /// world_fingerprint); lets caches detect reuse without keeping the deck.

@@ -76,49 +76,6 @@ inline FacetIntersection nearest_facet(const StructuredMesh2D& mesh, double x,
   return out;
 }
 
-/// Branch-light variant of nearest_facet: identical floating-point
-/// operands, operations and results — the direction-sign branches (taken
-/// essentially at random across a particle population, so mispredicted in
-/// the Over Events kernels' breadth-first sweeps) become select-style
-/// conditional moves the compiler can turn into cmov/blend, and the body
-/// becomes a single straight-line block that autovectorises.  Selected at
-/// runtime by TransportContext::branchless_events; bit-identity with
-/// nearest_facet is enforced by the golden tier.
-inline FacetIntersection nearest_facet_branchless(const StructuredMesh2D& mesh,
-                                                  double x, double y,
-                                                  double omega_x,
-                                                  double omega_y, CellIndex c) {
-  const bool pos_x = omega_x > 0.0;
-  const bool neg_x = omega_x < 0.0;
-  // The selected edge is exactly the one the branchy version divides by;
-  // when omega_x == 0 the division is skipped (same kInf result), and the
-  // loaded edge value is simply unused.
-  const double edge_x = mesh.edge_x(pos_x ? c.x + 1 : c.x);
-  const double dist_x = (pos_x || neg_x) ? (edge_x - x) / omega_x : kInf;
-  const std::int8_t step_x = pos_x ? std::int8_t{1}
-                                   : (neg_x ? std::int8_t{-1} : std::int8_t{0});
-
-  const bool pos_y = omega_y > 0.0;
-  const bool neg_y = omega_y < 0.0;
-  const double edge_y = mesh.edge_y(pos_y ? c.y + 1 : c.y);
-  const double dist_y = (pos_y || neg_y) ? (edge_y - y) / omega_y : kInf;
-  const std::int8_t step_y = pos_y ? std::int8_t{1}
-                                   : (neg_y ? std::int8_t{-1} : std::int8_t{0});
-
-  const bool take_x = dist_x <= dist_y;
-  FacetIntersection out;
-  out.distance = take_x ? dist_x : dist_y;
-  out.axis = take_x ? std::int8_t{0} : std::int8_t{1};
-  out.step = take_x ? step_x : step_y;
-  const bool boundary_x =
-      (step_x > 0 && c.x + 1 == mesh.nx()) || (step_x < 0 && c.x == 0);
-  const bool boundary_y =
-      (step_y > 0 && c.y + 1 == mesh.ny()) || (step_y < 0 && c.y == 0);
-  out.at_boundary = take_x ? boundary_x : boundary_y;
-  if (out.distance < 0.0) out.distance = 0.0;
-  return out;
-}
-
 /// Apply a facet crossing to the cell index / direction.
 ///
 /// Interior facet: the index steps into the neighbour cell.  Boundary

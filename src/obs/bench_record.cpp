@@ -42,39 +42,6 @@ void check_string(const JsonValue& obj, const char* key,
   }
 }
 
-void check_bool(const JsonValue& obj, const char* key,
-                const std::string& where,
-                std::vector<std::string>& problems) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is(JsonValue::Type::kBool)) {
-    problems.push_back(where + ": missing or non-boolean field '" +
-                       std::string(key) + "'");
-  }
-}
-
-/// Optional fields added after the v2 schema shipped: absence is fine
-/// (reads as the default), but a present field must still be well-typed.
-void check_optional_bool(const JsonValue& obj, const char* key,
-                         const std::string& where,
-                         std::vector<std::string>& problems) {
-  const JsonValue* v = obj.find(key);
-  if (v != nullptr && !v->is(JsonValue::Type::kBool)) {
-    problems.push_back(where + ": non-boolean field '" + std::string(key) +
-                       "'");
-  }
-}
-
-void check_optional_min(const JsonValue& obj, const char* key, double min,
-                        const std::string& where,
-                        std::vector<std::string>& problems) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return;
-  if (!v->is(JsonValue::Type::kNumber) || v->number < min) {
-    problems.push_back(where + ": field '" + std::string(key) +
-                       "' must be a number >= " + std::to_string(min));
-  }
-}
-
 }  // namespace
 
 std::string BenchDocument::to_json() const {
@@ -88,19 +55,7 @@ std::string BenchDocument::to_json() const {
   out += "  \"run\": {\n";
   out += "    \"threads\": " + std::to_string(threads) + ",\n";
   out += "    \"repeats\": " + std::to_string(repeats) + ",\n";
-  out += "    \"lookup\": " + quoted(lookup) + ",\n";
-  out += "    \"rng_batch\": " + std::string(rng_batch ? "true" : "false") +
-         ",\n";
-  out += "    \"branchless_events\": " +
-         std::string(branchless_events ? "true" : "false") + ",\n";
-  out += "    \"sort_events\": " +
-         std::string(sort_events ? "true" : "false") + ",\n";
-  out += "    \"tally_direct\": " +
-         std::string(tally_direct ? "true" : "false") + ",\n";
-  out += "    \"fuse_rounds\": " +
-         std::string(fuse_rounds ? "true" : "false") + ",\n";
-  out += "    \"pipeline_histories\": " + std::to_string(pipeline_histories) +
-         "\n  },\n";
+  out += "    \"lookup\": " + quoted(lookup) + "\n  },\n";
   out += "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
@@ -177,15 +132,7 @@ std::vector<std::string> validate_bench_record(const std::string& json_text) {
   } else {
     check_number(*run, "threads", "run", false, problems);
     check_number(*run, "repeats", "run", false, problems);
-    if (!v1) {
-      check_string(*run, "lookup", "run", problems);
-      check_bool(*run, "rng_batch", "run", problems);
-      check_bool(*run, "branchless_events", "run", problems);
-      check_bool(*run, "sort_events", "run", problems);
-      check_bool(*run, "tally_direct", "run", problems);
-    }
-    check_optional_bool(*run, "fuse_rounds", "run", problems);
-    check_optional_min(*run, "pipeline_histories", 1.0, "run", problems);
+    if (!v1) check_string(*run, "lookup", "run", problems);
   }
   const JsonValue* results = doc.find("results");
   if (results == nullptr || !results->is(JsonValue::Type::kArray)) {

@@ -56,19 +56,11 @@ struct BenchDocument {
   std::int32_t openmp_max_threads = 1;
   std::int32_t threads = 1;  ///< OpenMP threads the bench ran with
   std::int32_t repeats = 1;  ///< timing repeats (best-of)
-  /// Run configuration (v2): which fast paths the record timed.  Two
-  /// records are only comparable when bench_compare can see what each ran.
+  /// Run configuration (v2): the XS lookup the record timed.  Two records
+  /// are only comparable when bench_compare can see what each ran.  Older
+  /// records may still carry the keys of since-retired fast-path flags;
+  /// the validator ignores them.
   std::string lookup = "cached";  ///< XS lookup strategy name
-  bool rng_batch = false;
-  bool branchless_events = false;
-  bool sort_events = false;
-  bool tally_direct = false;
-  /// Round-fusion / history-pipeline knobs.  OPTIONAL in the v2 schema —
-  /// records written before these existed validate unchanged and read as
-  /// "off" (fuse_rounds=false, pipeline_histories=1), so the committed
-  /// perf trajectory keeps diffing across the repo's history.
-  bool fuse_rounds = false;
-  std::int32_t pipeline_histories = 1;
   std::vector<BenchResult> results;
 
   [[nodiscard]] std::string to_json() const;

@@ -94,68 +94,6 @@ class ParticleStream {
   std::uint64_t counter_ = 0;
 };
 
-/// ParticleStream with a small block buffer — the RNG batching fast path.
-///
-/// Consumes the *identical* (counter, 0)/word-0 sequence as ParticleStream:
-/// draw k still burns counter k and yields threefry({k, 0}, key)[0], so the
-/// two classes are interchangeable draw for draw and a run flipped between
-/// them reproduces bit-identical histories.  The difference is purely
-/// mechanical: a refill computes kBatch consecutive blocks in one
-/// interleaved cipher call (threefry2x64x4_first), so subsequent draws are
-/// buffer loads instead of full serial cipher rounds.  Resumable at any
-/// counter like ParticleStream; unconsumed buffered words are discarded on
-/// persistence (the counter alone is the state of record).
-class BatchedStream {
- public:
-  static constexpr std::uint64_t kBatch = 4;
-
-  BatchedStream() = default;
-
-  /// Key the stream with (master seed, particle id).
-  BatchedStream(std::uint64_t seed, std::uint64_t particle_id)
-      : key_{seed, particle_id} {}
-
-  /// Resume a stream mid-history from a persisted counter.
-  BatchedStream(std::uint64_t seed, std::uint64_t particle_id,
-                std::uint64_t counter)
-      : key_{seed, particle_id}, counter_(counter) {}
-
-  /// Next uniform double on [0, 1).
-  double next() { return u01(next_bits()); }
-
-  /// Exponentially distributed deviate with unit mean.
-  double next_exponential() {
-    return -std::log(u01_open_below(next_bits()));
-  }
-
-  /// Uniform on [lo, hi).
-  double next_range(double lo, double hi) { return lo + (hi - lo) * next(); }
-
-  [[nodiscard]] std::uint64_t counter() const { return counter_; }
-  [[nodiscard]] std::uint64_t draws() const { return counter_; }
-  [[nodiscard]] std::uint64_t seed() const { return key_[0]; }
-  [[nodiscard]] std::uint64_t particle_id() const { return key_[1]; }
-
- private:
-  std::uint64_t next_bits() {
-    if (remaining_ == 0) {
-      block_ = threefry2x64x4_first(counter_, key_);
-      block_base_ = counter_;
-      remaining_ = kBatch;
-    }
-    const std::uint64_t bits = block_[counter_ - block_base_];
-    ++counter_;
-    --remaining_;
-    return bits;
-  }
-
-  u64x2 key_{0, 0};
-  std::uint64_t counter_ = 0;
-  std::uint64_t block_base_ = 0;
-  std::uint64_t remaining_ = 0;
-  std::array<std::uint64_t, kBatch> block_{};
-};
-
 /// Bulk stream for initialisation-time sampling (source positions etc.):
 /// uses both words of each block for full throughput.  Not resumable at
 /// draw granularity — only used where the whole sequence is drawn at once.

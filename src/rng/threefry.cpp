@@ -68,49 +68,4 @@ u64x2 threefry2x64(const u64x2& counter, const u64x2& key) {
   return {x0, x1};
 }
 
-std::array<std::uint64_t, 4> threefry2x64x4_first(std::uint64_t counter0,
-                                                  const u64x2& key) {
-  const std::uint64_t ks0 = key[0];
-  const std::uint64_t ks1 = key[1];
-  const std::uint64_t ks2 = kParity ^ key[0] ^ key[1];
-
-  // Lane l runs the exact threefry2x64({counter0 + l, 0}, key) schedule;
-  // the fixed-trip lane loops unroll (and on wide cores vectorise), which
-  // is the whole point: four serial round chains in flight at once.
-  std::uint64_t x0[4];
-  std::uint64_t x1[4];
-  for (int l = 0; l < 4; ++l) {
-    x0[l] = counter0 + static_cast<std::uint64_t>(l) + ks0;
-    x1[l] = ks1;  // counter word 1 is always 0 on the draw path
-  }
-
-#define NEUTRAL_TF4_ROUND(R)                \
-  for (int l = 0; l < 4; ++l) {             \
-    x0[l] += x1[l];                         \
-    x1[l] = rotl64(x1[l], kRot[(R) % 8]);   \
-    x1[l] ^= x0[l];                         \
-  }
-#define NEUTRAL_TF4_INJECT(KA, KB, J)       \
-  for (int l = 0; l < 4; ++l) {             \
-    x0[l] += (KA);                          \
-    x1[l] += (KB) + (J);                    \
-  }
-
-  NEUTRAL_TF4_ROUND(0) NEUTRAL_TF4_ROUND(1) NEUTRAL_TF4_ROUND(2) NEUTRAL_TF4_ROUND(3)
-  NEUTRAL_TF4_INJECT(ks1, ks2, 1)
-  NEUTRAL_TF4_ROUND(4) NEUTRAL_TF4_ROUND(5) NEUTRAL_TF4_ROUND(6) NEUTRAL_TF4_ROUND(7)
-  NEUTRAL_TF4_INJECT(ks2, ks0, 2)
-  NEUTRAL_TF4_ROUND(8) NEUTRAL_TF4_ROUND(9) NEUTRAL_TF4_ROUND(10) NEUTRAL_TF4_ROUND(11)
-  NEUTRAL_TF4_INJECT(ks0, ks1, 3)
-  NEUTRAL_TF4_ROUND(12) NEUTRAL_TF4_ROUND(13) NEUTRAL_TF4_ROUND(14) NEUTRAL_TF4_ROUND(15)
-  NEUTRAL_TF4_INJECT(ks1, ks2, 4)
-  NEUTRAL_TF4_ROUND(16) NEUTRAL_TF4_ROUND(17) NEUTRAL_TF4_ROUND(18) NEUTRAL_TF4_ROUND(19)
-  NEUTRAL_TF4_INJECT(ks2, ks0, 5)
-
-#undef NEUTRAL_TF4_INJECT
-#undef NEUTRAL_TF4_ROUND
-
-  return {x0[0], x0[1], x0[2], x0[3]};
-}
-
 }  // namespace neutral::rng

@@ -34,18 +34,6 @@ inline constexpr int kThreefryRounds = 20;
 /// Production (fully unrolled) Threefry2x64-20.
 u64x2 threefry2x64(const u64x2& counter, const u64x2& key);
 
-/// First words of four consecutive blocks in one call:
-///   out[k] == threefry2x64({counter0 + k, 0}, key)[0]   for k in 0..3.
-///
-/// The four blocks are independent, so their 20-round add/rotate/xor
-/// dependency chains — strictly serial within one block — are interleaved
-/// lane-wise and overlap in the core's pipelines (or vectorise outright).
-/// This is the cipher side of the RNG batching optimisation: BatchedStream
-/// buffers the four words so a typical 2-4 draw collision pays roughly one
-/// chain latency instead of one per draw.
-std::array<std::uint64_t, 4> threefry2x64x4_first(std::uint64_t counter0,
-                                                  const u64x2& key);
-
 /// Reference implementation: identical mathematics written as a plain
 /// round-loop.  Exists so that tests can detect transcription slips in the
 /// unrolled version; also accepts a round-count override for diffusion

@@ -10,7 +10,6 @@
 #include "simt/cache.h"
 #include "util/error.h"
 #include "xs/synthetic.h"
-#include "xs/union_grid.h"
 
 namespace neutral::simt {
 namespace {
@@ -22,15 +21,7 @@ namespace {
 // and every event carries bookkeeping beyond its recorded FLOPs.
 // ---------------------------------------------------------------------------
 constexpr double kEventBaseCycles = 60.0;  ///< branchy scalar pipeline work
-/// Branchless event selection (--branchless-events) trades the breadth-first
-/// sweep's mispredicting compare-and-branch ladder for select chains: the
-/// ~12-cycle mispredict tax per event mostly disappears, the selects
-/// themselves are nearly free on the vector units.
-constexpr double kEventBaseCyclesBranchless = 48.0;
 constexpr double kRngCyclesPerDraw = 16.0;
-/// Batched RNG (--rng-batch): one Threefry block yields four draws, so the
-/// ~16-cycle block cost amortises to ~4 plus a buffer load/rotate.
-constexpr double kRngCyclesPerDrawBatched = 5.0;
 constexpr double kXsStepCycles = 3.0;
 constexpr double kMaskCheckCycles = 2.0;
 /// Issue cost of one gathered/scattered lane in the Over Events kernels —
@@ -96,13 +87,7 @@ class CostEngine {
         cache_(scaled_cache_bytes(cfg), cfg.device.memory.line_bytes),
         units_(units_used),
         contexts_(contexts),
-        ledgers_(static_cast<std::size_t>(units_used)),
-        rng_cycles_per_draw_(cfg.rng_batch ? kRngCyclesPerDrawBatched
-                                           : kRngCyclesPerDraw),
-        oe_event_base_cycles_(cfg.branchless_events
-                                  ? kEventBaseCyclesBranchless
-                                  : kEventBaseCycles),
-        unionised_(cfg.lookup == XsLookup::kUnionised) {
+        ledgers_(static_cast<std::size_t>(units_used)) {
     if (cfg.amortize_to_particles > 0) {
       fixed_cost_scale_ =
           std::min(1.0, static_cast<double>(cfg.deck.n_particles) /
@@ -148,7 +133,7 @@ class CostEngine {
       const int p = static_cast<int>(r.event);
       path_present[p] = true;
       const double alu = kEventBaseCycles + r.flops +
-                         rng_cycles_per_draw_ * r.rng +
+                         kRngCyclesPerDraw * r.rng +
                          kXsStepCycles * r.xs_steps;
       path_max[p] = std::max(path_max[p], alu);
     }
@@ -215,8 +200,8 @@ class CostEngine {
       if (!r.active) continue;
       ++active;
       if (r.density_flat >= 0 || r.xs_index >= 0) ++gather_lanes;
-      const double alu = oe_event_base_cycles_ + r.flops +
-                         rng_cycles_per_draw_ * r.rng +
+      const double alu = kEventBaseCycles + r.flops +
+                         kRngCyclesPerDraw * r.rng +
                          kXsStepCycles * r.xs_steps;
       alu_max = std::max(alu_max, alu);
     }
@@ -329,21 +314,12 @@ class CostEngine {
   }
 
  private:
-  /// Collect the table lines one lane's XS lookup touches.  The default
-  /// tables read an energy line and a value line per reaction walk; the
-  /// unionised grid reads one energy line plus one interleaved
-  /// (capture, scatter) run — 16 bytes per grid point, so one value line
-  /// serves both reactions — and its <=1-step walk never spills into
-  /// extra table lines.
+  /// Collect the table lines one lane's XS lookup touches: an energy line
+  /// and a value line per reaction walk.
   void push_xs_lines(const LaneRecord& r, bool include_walk_lines) {
     if (r.xs_index < 0) return;
     const auto off = static_cast<std::uint64_t>(r.xs_index) * 8;
     push_line(make_address(Region::kXsEnergy, off));
-    if (unionised_) {
-      push_line(make_address(Region::kXsValue,
-                             static_cast<std::uint64_t>(r.xs_index) * 16));
-      return;
-    }
     push_line(make_address(Region::kXsValue, off));
     if (!include_walk_lines) return;
     // A long cached-linear walk touches extra table lines.
@@ -441,9 +417,6 @@ class CostEngine {
   std::int32_t units_;
   std::int32_t contexts_;
   std::vector<UnitLedger> ledgers_;
-  double rng_cycles_per_draw_ = kRngCyclesPerDraw;
-  double oe_event_base_cycles_ = kEventBaseCycles;
-  bool unionised_ = false;
   std::uint64_t dram_bytes_ = 0;
   double spill_bytes_per_event_ = 0.0;
   double fixed_cost_scale_ = 1.0;
@@ -467,7 +440,6 @@ struct SimWorld {
         density(mesh, cfg.deck.base_density_kg_m3),
         capture(make_capture_table(cfg.deck.xs)),
         scatter(make_scatter_table(cfg.deck.xs)),
-        xs_union(capture, scatter),
         tally(mesh.num_cells(), TallyMode::kAtomic, 1),
         particles(static_cast<std::size_t>(cfg.deck.n_particles)),
         flight(static_cast<std::size_t>(cfg.deck.n_particles)) {
@@ -478,15 +450,8 @@ struct SimWorld {
     ctx.density = &density;
     ctx.xs_capture = &capture;
     ctx.xs_scatter = &scatter;
-    ctx.xs_union = &xs_union;
     ctx.tally = &tally;
     ctx.lookup = cfg.lookup;
-    // The replayed physics honours the same fast-path gates as the native
-    // drives: the batched stream resumes from the particle counter
-    // (bit-identical draws) and the branchless selection is bit-identical
-    // per facet.h, so flipping these can never move the 1e-9 gate.
-    ctx.rng_batch = cfg.rng_batch;
-    ctx.branchless_events = cfg.branchless_events;
     ctx.molar_mass_g_mol = cfg.deck.molar_mass_g_mol;
     ctx.mass_number = cfg.deck.mass_number;
     ctx.min_energy_ev = cfg.deck.min_energy_ev;
@@ -500,7 +465,6 @@ struct SimWorld {
   DensityField density;
   CrossSectionTable capture;
   CrossSectionTable scatter;
-  UnionisedXsGrid xs_union;
   EnergyTally tally;
   std::vector<Particle> particles;
   std::vector<FlightState> flight;
@@ -529,9 +493,6 @@ void resolve_parallelism(const SimtConfig& cfg, std::int32_t* units_used,
 
 SimtEstimate simulate_over_particles(const SimtConfig& cfg) {
   SimWorld world(cfg);
-  // The native per-history drive runs the branchy selection unconditionally
-  // (over_particles.cpp); the replay must match it event for event.
-  world.ctx.branchless_events = false;
   std::int32_t units_used = 1, contexts = 1;
   resolve_parallelism(cfg, &units_used, &contexts);
   CostEngine engine(cfg, units_used, contexts);

@@ -37,17 +37,6 @@ struct SimtConfig {
   Scheme scheme = Scheme::kOverParticles;
   ProblemDeck deck;
   XsLookup lookup = XsLookup::kCachedLinear;
-  /// Model the batched counter-based RNG (--rng-batch): four Threefry
-  /// draws per keystream call amortise the block cost, so each draw costs
-  /// a fraction of the standalone block.  Physics is bit-identical (the
-  /// batched stream replays the same counter sequence); only the cycle
-  /// charge changes.
-  bool rng_batch = false;
-  /// Model branchless event selection (--branchless-events) in the Over
-  /// Events kernels: select chains replace the mispredicting branches of
-  /// breadth-first sweeps.  Ignored (forced off) for Over Particles,
-  /// exactly as the native scheme does.  Physics stays bit-identical.
-  bool branchless_events = false;
   /// Registers per thread for the occupancy model; 0 = device default.
   std::int32_t regs_per_thread = 0;
   /// Threads to run (CPU devices); 0 = all contexts of all units.

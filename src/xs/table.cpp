@@ -19,8 +19,6 @@ const char* to_string(XsLookup mode) {
   switch (mode) {
     case XsLookup::kBinarySearch: return "binary";
     case XsLookup::kCachedLinear: return "cached-linear";
-    case XsLookup::kBucketedIndex: return "bucketed";
-    case XsLookup::kUnionised: return "unionised";
   }
   return "?";
 }
@@ -106,10 +104,6 @@ std::int32_t CrossSectionTable::find_bin(double ev, XsLookup mode,
   switch (mode) {
     case XsLookup::kBinarySearch: i = find_binary(ev); break;
     case XsLookup::kCachedLinear: i = find_cached(ev, cached_index); break;
-    case XsLookup::kBucketedIndex: i = find_bucketed(ev); break;
-    // The fused unionised path lives on UnionisedXsGrid; a bare table
-    // degrades to the other O(1) index, which locates the same bin.
-    case XsLookup::kUnionised: i = find_bucketed(ev); break;
   }
   cached_index = i;
   return i;
@@ -180,10 +174,6 @@ std::int32_t CrossSectionTable::find_bin_counted(double ev, XsLookup mode,
       if (reseeded) i = bucketed_counted();
       break;
     }
-    case XsLookup::kBucketedIndex:
-    case XsLookup::kUnionised:
-      i = bucketed_counted();
-      break;
   }
   cached_index = i;
   return i;

@@ -6,19 +6,14 @@
 // nuclide and are a well-known cache bottleneck [Siegel et al. 2014]; the
 // synthetic tables here (synthetic.h) reproduce that footprint.
 //
-// Four bin-search strategies are provided because the paper measures their
+// Two bin-search strategies are provided because the paper measures their
 // effect (§VI-A: the cached linear search bought 1.3x on csp):
 //   * BinarySearch  — stateless O(log n) baseline.
 //   * CachedLinear  — walk linearly from the particle's previous index;
 //     collisions change energy slowly, so the walk is usually 0-2 steps and
-//     stays in the cache lines already resident.
-//   * BucketedIndex — O(1) via a precomputed log-uniform bucket -> index
-//     acceleration grid (the "hash" option real codes use).
-//   * Unionised     — O(1) via the per-World unionised energy grid
-//     (xs/union_grid.h): one fused search serves both reaction tables.
-//     The fused path lives on UnionisedXsGrid; a bare table asked for
-//     kUnionised degrades to the bucketed index (same bin, same values),
-//     which is what hand-built contexts without a World get.
+//     stays in the cache lines already resident.  A walk that runs long (a
+//     cold hint, a hard down-scatter) reseeds from an O(1) log-uniform
+//     bucket -> index acceleration grid.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +25,6 @@ namespace neutral {
 enum class XsLookup : std::uint8_t {
   kBinarySearch = 0,
   kCachedLinear = 1,
-  kBucketedIndex = 2,
-  kUnionised = 3,
 };
 
 const char* to_string(XsLookup mode);

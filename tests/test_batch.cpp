@@ -958,68 +958,6 @@ TEST(CliExitStatus, HealthySweepStillExitsZero) {
   std::remove(csv.c_str());
 }
 
-TEST(CliExitStatus, BatchRejectsNonPositivePipelineDepth) {
-  // Fails at option validation, before any sweep work starts.
-  EXPECT_NE(run_cli("--pipeline-histories 0"), 0);
-  EXPECT_NE(run_cli("--pipeline-histories -2"), 0);
-}
-
-#ifdef NEUTRAL_MAIN_BIN
-
-/// Spawn the `neutral` driver binary, stderr captured to `stderr_file`.
-int run_main_cli(const std::string& args, const std::string& stderr_file) {
-  const std::string cmd = std::string(NEUTRAL_MAIN_BIN) + " " + args +
-                          " > /dev/null 2> " + stderr_file;
-  const int rc = std::system(cmd.c_str());
-  return rc < 0 ? rc : WEXITSTATUS(rc);
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-const char* const kTinyRun =
-    "--problem stream --mesh-scale 0.02 --particle-scale 0.001 --timesteps 1 "
-    "--threads 1 ";
-
-TEST(CliPipelineHistories, RejectsNonPositiveDepth) {
-  const std::string err = scratch("pipeline_reject.stderr");
-  EXPECT_NE(run_main_cli(std::string(kTinyRun) + "--pipeline-histories 0", err),
-            0);
-  EXPECT_NE(
-      run_main_cli(std::string(kTinyRun) + "--pipeline-histories -3", err), 0);
-  EXPECT_NE(slurp(err).find("--pipeline-histories must be >= 1"),
-            std::string::npos);
-  std::remove(err.c_str());
-}
-
-TEST(CliPipelineHistories, WarnsAndIgnoresForOverEvents) {
-  // The breadth-first scheme has no history loop to pipeline: the run must
-  // still succeed, with a warning on stderr, not fail or silently differ.
-  const std::string err = scratch("pipeline_warn.stderr");
-  EXPECT_EQ(run_main_cli(std::string(kTinyRun) +
-                             "--scheme events --pipeline-histories 4",
-                         err),
-            0);
-  const std::string text = slurp(err);
-  EXPECT_NE(text.find("--pipeline-histories"), std::string::npos);
-  EXPECT_NE(text.find("ignoring"), std::string::npos);
-  std::remove(err.c_str());
-}
-
-TEST(CliPipelineHistories, AcceptsDepthForOverParticles) {
-  const std::string err = scratch("pipeline_ok.stderr");
-  EXPECT_EQ(run_main_cli(std::string(kTinyRun) +
-                             "--scheme particles --pipeline-histories 4",
-                         err),
-            0);
-  EXPECT_EQ(slurp(err).find("warning"), std::string::npos);
-  std::remove(err.c_str());
-}
-
-#endif  // NEUTRAL_MAIN_BIN
-
 #endif  // NEUTRAL_BATCH_BIN
 
 }  // namespace

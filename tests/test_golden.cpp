@@ -171,85 +171,44 @@ TEST_P(GoldenSchemes, DomainDecompositionPreservesEverySchemeAndLayout) {
   }
 }
 
-TEST_P(GoldenSchemes, FastPathsPreserveChecksumsExactly) {
-  // The perf-pass contract: every fast path — unionised XS grid, batched
-  // RNG, branchless event search, event-sorted traversal, direct tally
-  // deposits, over-events round fusion, multi-history pipelining — is a
-  // mechanical rearrangement, not an approximation.  The full cross
-  // product of scheme x layout x lookup x rng_batch x branchless x sort x
-  // fuse x pipeline x tally_direct must reproduce the default path's
-  // outputs bit for bit (atomic tally, one thread: zero legitimate
-  // wobble, so EXPECT_EQ on doubles is correct).
+TEST_P(GoldenSchemes, StudyAxesMatchRecordedBaselines) {
+  // The paper's study axes — scheme x layout x XS lookup x tally strategy
+  // — replayed at one thread against the recorded baselines, which the
+  // atomic Over Particles path wrote.  A one-thread tally deposits with
+  // plain adds (tally.h), so this also pins those to the atomic adds they
+  // replace.  Event counts and population are exact everywhere.  Neither
+  // layout nor lookup can move a deposit (same histories, same bins), so
+  // wherever a cell sees its deposits in the baseline's order — the Over
+  // Particles history loop with one final fold — the tally is exact too.
+  // Over Events deposits in kernel order, and merge-step folds each
+  // timestep separately: both reassociate, so they agree to 1e-12.
   const std::string name = GetParam();
+  const ExpectedResults expected = load_results(baseline_path(name));
   for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
     for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
-      SimulationConfig ref_cfg = golden_config(name);
-      ref_cfg.scheme = scheme;
-      ref_cfg.layout = layout;
-      Simulation ref_sim(ref_cfg);
-      const RunResult reference = ref_sim.run();
-
-      // Round fusion only exists in the Over Events scheme (and must
-      // compose with — taking precedence over — the sorted traversal);
-      // the history pipeline only exists in Over Particles.
-      const std::vector<bool> fuse_values =
-          scheme == Scheme::kOverEvents ? std::vector<bool>{false, true}
-                                        : std::vector<bool>{false};
-      const std::vector<std::int32_t> pipeline_values =
-          scheme == Scheme::kOverParticles ? std::vector<std::int32_t>{1, 4}
-                                           : std::vector<std::int32_t>{1};
       for (const XsLookup lookup :
-           {XsLookup::kBinarySearch, XsLookup::kCachedLinear,
-            XsLookup::kBucketedIndex, XsLookup::kUnionised}) {
-        for (const bool rng_batch : {false, true}) {
-          for (const bool branchless : {false, true}) {
-            // Event sorting only exists in the Over Events scheme.  A
-            // named vector, not a ternary over initializer_lists: the
-            // backing array of the not-chosen list is a temporary whose
-            // lifetime gcc 12 (correctly) refuses to extend through the
-            // conditional into the loop (-Wdangling-pointer).
-            const std::vector<bool> sort_values =
-                scheme == Scheme::kOverEvents ? std::vector<bool>{false, true}
-                                              : std::vector<bool>{false};
-            for (const bool sort : sort_values) {
-              for (const bool fuse : fuse_values) {
-                for (const std::int32_t pipeline : pipeline_values) {
-                  for (const bool direct : {false, true}) {
-                    SimulationConfig cfg = ref_cfg;
-                    cfg.lookup = lookup;
-                    cfg.rng_batch = rng_batch;
-                    cfg.branchless_events = branchless;
-                    cfg.over_events.sort_events = sort;
-                    cfg.over_events.fuse_rounds = fuse;
-                    cfg.pipeline_histories = pipeline;
-                    cfg.tally_direct = direct;
-                    Simulation sim(std::move(cfg));
-                    const RunResult result = sim.run();
-                    SCOPED_TRACE(std::string(to_string(scheme)) + "/" +
-                                 to_string(layout) + "/" + to_string(lookup) +
-                                 (rng_batch ? "/rng-batch" : "") +
-                                 (branchless ? "/branchless" : "") +
-                                 (sort ? "/sorted" : "") +
-                                 (fuse ? "/fused" : "") +
-                                 (pipeline > 1 ? "/pipelined" : "") +
-                                 (direct ? "/tally-direct" : ""));
-                    EXPECT_EQ(result.tally_checksum, reference.tally_checksum);
-                    EXPECT_EQ(result.budget.tally_total,
-                              reference.budget.tally_total);
-                    EXPECT_EQ(result.population, reference.population);
-                    EXPECT_EQ(result.counters.facets,
-                              reference.counters.facets);
-                    EXPECT_EQ(result.counters.collisions,
-                              reference.counters.collisions);
-                    EXPECT_EQ(result.counters.censuses,
-                              reference.counters.censuses);
-                    EXPECT_EQ(result.counters.rng_draws,
-                              reference.counters.rng_draws);
-                  }
-                }
-              }
-            }
-          }
+           {XsLookup::kBinarySearch, XsLookup::kCachedLinear}) {
+        for (const TallyMode mode :
+             {TallyMode::kAtomic, TallyMode::kPrivatized,
+              TallyMode::kPrivatizedMergeEveryStep,
+              TallyMode::kDeferredAtomic}) {
+          SimulationConfig cfg = golden_config(name);
+          cfg.scheme = scheme;
+          cfg.layout = layout;
+          cfg.lookup = lookup;
+          cfg.tally_mode = mode;
+          Simulation sim(cfg);
+          const RunResult result = sim.run();
+          SCOPED_TRACE(std::string(to_string(scheme)) + "/" +
+                       to_string(layout) + "/" + to_string(lookup) + "/" +
+                       to_string(mode));
+          const bool baseline_order =
+              scheme == Scheme::kOverParticles &&
+              mode != TallyMode::kPrivatizedMergeEveryStep;
+          const ResultsCheck check = verify_results(
+              expected, cfg, result, baseline_order ? 0.0 : 1e-12);
+          EXPECT_TRUE(check.passed) << check.detail;
+          EXPECT_EQ(result.counters.censuses, expected.censuses);
         }
       }
     }
@@ -267,18 +226,15 @@ TEST_P(GoldenSchemes, MachineModelAgreesWithinDocumentedTolerance) {
   sc.deck = golden_config(name).deck;
   sc.threads = 1;
 
-  // The modelled fast paths (unionised lookup, batched RNG, branchless
-  // events) change the machine model's cost charging, never its physics:
-  // the replayed kernels must stay inside the documented tolerance with
-  // every optimisation on, for both schemes.
-  for (const bool fast_paths : {false, true}) {
-    sc.lookup = fast_paths ? XsLookup::kUnionised : XsLookup::kCachedLinear;
-    sc.rng_batch = fast_paths;
-    sc.branchless_events = fast_paths;
+  // The modelled lookup changes the machine model's cost charging, never
+  // its physics: the replayed kernels must stay inside the documented
+  // tolerance with either lookup, for both schemes.
+  for (const XsLookup lookup :
+       {XsLookup::kBinarySearch, XsLookup::kCachedLinear}) {
+    sc.lookup = lookup;
     for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
       sc.scheme = scheme;
-      SCOPED_TRACE(std::string(to_string(scheme)) +
-                   (fast_paths ? "/fast-paths" : "/default"));
+      SCOPED_TRACE(std::string(to_string(scheme)) + "/" + to_string(lookup));
       const simt::SimtEstimate est = simt::simulate_transport(sc);
 
       // Identical physics, independent tally accumulation: integers exact,

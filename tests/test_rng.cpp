@@ -12,7 +12,6 @@
 #include <set>
 #include <vector>
 
-#include "rng/philox.h"
 #include "rng/stream.h"
 #include "rng/threefry.h"
 
@@ -106,47 +105,6 @@ TEST(Threefry, ReducedRoundsDiverge) {
 TEST(Threefry, RejectsBadRoundCounts) {
   EXPECT_THROW(threefry2x64_reference({0, 0}, {0, 0}, -1), std::exception);
   EXPECT_THROW(threefry2x64_reference({0, 0}, {0, 0}, 33), std::exception);
-}
-
-// ---------------------------------------------------------------------------
-// Philox
-// ---------------------------------------------------------------------------
-
-class PhiloxAgreement : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(PhiloxAgreement, UnrolledMatchesReference) {
-  const std::uint32_t base = GetParam();
-  for (std::uint32_t c = 0; c < 8; ++c) {
-    const u32x4 counter{base + c, base ^ 0xFFFFFFFFu, base * 7919u, c};
-    const u32x2 key{base, base + 0x9E3779B9u};
-    EXPECT_EQ(philox4x32(counter, key), philox4x32_reference(counter, key));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Grid, PhiloxAgreement,
-                         ::testing::Values(0u, 1u, 0xFFu, 0xFFFFu,
-                                           0xFFFFFFFFu, 0x12345678u,
-                                           0x80000000u, 0xDEADBEEFu));
-
-TEST(Philox, IsDeterministic) {
-  const u32x4 counter{1, 2, 3, 4};
-  const u32x2 key{5, 6};
-  EXPECT_EQ(philox4x32(counter, key), philox4x32(counter, key));
-}
-
-TEST(Philox, CounterWordsAllMatter) {
-  const u32x2 key{11, 22};
-  const u32x4 base{0, 0, 0, 0};
-  const auto r0 = philox4x32(base, key);
-  for (int w = 0; w < 4; ++w) {
-    u32x4 c = base;
-    c[static_cast<std::size_t>(w)] = 1;
-    EXPECT_NE(philox4x32(c, key), r0) << "counter word " << w;
-  }
-}
-
-TEST(Philox, RejectsBadRoundCounts) {
-  EXPECT_THROW(philox4x32_reference({0, 0, 0, 0}, {0, 0}, 17), std::exception);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,65 +304,6 @@ TEST(BulkStream, UniformRange) {
     EXPECT_GE(v, 0.0);
     EXPECT_LT(v, 1.0);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Batched stream (the hot-loop RNG fast path)
-// ---------------------------------------------------------------------------
-
-TEST(Threefry, BatchOfFourFirstWordsMatchesSingleCalls) {
-  for (const std::uint64_t seed : {0ull, 1ull, 42ull, ~0ull}) {
-    for (const std::uint64_t base :
-         {0ull, 1ull, 2ull, 3ull, 1000ull, ~0ull - 7}) {
-      const u64x2 key{seed, 0xDEADBEEFull ^ seed};
-      const std::array<std::uint64_t, 4> batch =
-          threefry2x64x4_first(base, key);
-      for (std::uint64_t k = 0; k < 4; ++k) {
-        const u64x2 counter{base + k, 0};
-        EXPECT_EQ(batch[k], threefry2x64(counter, key)[0])
-            << "seed=" << seed << " base=" << base << " lane=" << k;
-      }
-    }
-  }
-}
-
-TEST(BatchedStream, IdenticalSequenceToParticleStream) {
-  for (const std::uint64_t seed : {1ull, 7ull, 0xABCDEFull}) {
-    ParticleStream plain(seed, 17);
-    BatchedStream batched(seed, 17);
-    for (int i = 0; i < 1000; ++i) {
-      // Bit identity (not EXPECT_DOUBLE_EQ closeness) is the contract the
-      // golden checksums rest on.
-      ASSERT_EQ(plain.next(), batched.next()) << "draw " << i;
-    }
-    EXPECT_EQ(plain.counter(), batched.counter());
-    EXPECT_EQ(plain.draws(), batched.draws());
-  }
-}
-
-TEST(BatchedStream, ResumeMidHistoryAtAnyPoint) {
-  // The per-event RNG accounting resumes streams at arbitrary counters —
-  // including mid-block offsets the batch buffer must not round away.
-  ParticleStream reference(3, 5);
-  std::vector<double> draws(64);
-  for (double& d : draws) d = reference.next();
-  for (std::uint64_t at = 0; at < 64; ++at) {
-    BatchedStream resumed(3, 5, at);
-    EXPECT_EQ(resumed.counter(), at);
-    for (std::uint64_t i = at; i < 64; ++i) {
-      ASSERT_EQ(draws[i], resumed.next()) << "resume at " << at;
-    }
-  }
-}
-
-TEST(BatchedStream, ExponentialAndRangeMatchParticleStream) {
-  ParticleStream plain(11, 23);
-  BatchedStream batched(11, 23);
-  for (int i = 0; i < 256; ++i) {
-    ASSERT_EQ(plain.next_exponential(), batched.next_exponential());
-    ASSERT_EQ(plain.next_range(-2.5, 7.5), batched.next_range(-2.5, 7.5));
-  }
-  EXPECT_EQ(plain.counter(), batched.counter());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the cross-section substrate: table validation, interpolation,
-// the three lookup strategies (§VI-A), macroscopic scaling, and the
+// the two lookup strategies (§VI-A), macroscopic scaling, and the
 // synthetic nuclear-data generators (§IV-D).
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "util/error.h"
 #include "xs/synthetic.h"
 #include "xs/table.h"
-#include "xs/union_grid.h"
 
 namespace neutral {
 namespace {
@@ -94,14 +93,9 @@ TEST_P(LookupAgreement, AllStrategiesReturnIdenticalValues) {
     std::int32_t bin_idx = 0;
     const double binary = t.microscopic(ev, XsLookup::kBinarySearch, bin_idx);
     const double linear = t.microscopic(ev, XsLookup::kCachedLinear, cached);
-    std::int32_t bucket_idx = 0;
-    const double bucket =
-        t.microscopic(ev, XsLookup::kBucketedIndex, bucket_idx);
     EXPECT_DOUBLE_EQ(binary, linear) << "ev=" << ev;
-    EXPECT_DOUBLE_EQ(binary, bucket) << "ev=" << ev;
-    // All strategies must report the same bin.
+    // Both strategies must report the same bin.
     EXPECT_EQ(bin_idx, cached);
-    EXPECT_EQ(bin_idx, bucket_idx);
   }
 }
 
@@ -131,12 +125,10 @@ TEST(XsLookup, CachedLinearToleratesOutOfRangeHints) {
 TEST(XsLookup, NamesAreStable) {
   EXPECT_STREQ(to_string(XsLookup::kBinarySearch), "binary");
   EXPECT_STREQ(to_string(XsLookup::kCachedLinear), "cached-linear");
-  EXPECT_STREQ(to_string(XsLookup::kBucketedIndex), "bucketed");
-  EXPECT_STREQ(to_string(XsLookup::kUnionised), "unionised");
 }
 
 // ---------------------------------------------------------------------------
-// Unionised grid: all four strategies bit-identical (§VI-A tentpole)
+// Both strategies bit-identical over a fuzzed sweep (§VI-A)
 // ---------------------------------------------------------------------------
 
 /// Fuzzed energy sweep shared by the matrix tests: log-uniform randoms,
@@ -163,92 +155,52 @@ std::vector<double> fuzzed_energies(const CrossSectionTable& t,
   return energies;
 }
 
-TEST(UnionisedGrid, AllFourStrategiesBitIdenticalOverFuzzedSweep) {
+TEST(XsLookup, BothStrategiesBitIdenticalOverFuzzedSweep) {
   SyntheticXsConfig cfg;
   cfg.points = 3000;
   const auto capture = make_capture_table(cfg);
   const auto scatter = make_scatter_table(cfg);
-  const UnionisedXsGrid grid(capture, scatter);
-  ASSERT_TRUE(grid.active());
-  ASSERT_EQ(grid.size(), capture.size());
 
   std::int32_t cached_a = 0;
   std::int32_t cached_s = 0;
   for (const double ev : fuzzed_energies(capture, 99)) {
+    // The sweep's large jumps push the cached walk past its step bound,
+    // so the bucketed reseed is covered too.
     std::int32_t bin_idx = 0;
-    std::int32_t bucket_idx = 0;
-    std::int32_t bare_union_idx = 0;
     const double binary_a =
         capture.microscopic(ev, XsLookup::kBinarySearch, bin_idx);
     const double linear_a =
         capture.microscopic(ev, XsLookup::kCachedLinear, cached_a);
-    const double bucket_a =
-        capture.microscopic(ev, XsLookup::kBucketedIndex, bucket_idx);
-    // A bare table asked for kUnionised degrades to the bucketed index.
-    const double bare_union_a =
-        capture.microscopic(ev, XsLookup::kUnionised, bare_union_idx);
-    std::int32_t union_idx = 0;
-    double union_a = 0.0;
-    double union_s = 0.0;
-    grid.microscopic_pair(ev, union_idx, union_a, union_s);
-
-    // Bit identity, not closeness: the fast paths must be exact.
+    // Bit identity, not closeness: both strategies locate the same bin.
     EXPECT_EQ(binary_a, linear_a) << "ev=" << ev;
-    EXPECT_EQ(binary_a, bucket_a) << "ev=" << ev;
-    EXPECT_EQ(binary_a, bare_union_a) << "ev=" << ev;
-    EXPECT_EQ(binary_a, union_a) << "ev=" << ev;
-    EXPECT_EQ(bin_idx, union_idx) << "ev=" << ev;
     EXPECT_EQ(bin_idx, cached_a) << "ev=" << ev;
-    EXPECT_EQ(bin_idx, bucket_idx) << "ev=" << ev;
 
     const double binary_s =
         scatter.microscopic(ev, XsLookup::kBinarySearch, bin_idx);
     const double linear_s =
         scatter.microscopic(ev, XsLookup::kCachedLinear, cached_s);
     EXPECT_EQ(binary_s, linear_s) << "ev=" << ev;
-    EXPECT_EQ(binary_s, union_s) << "ev=" << ev;
   }
 }
 
-TEST(UnionisedGrid, RejectsMismatchedEnergyGrids) {
-  aligned_vector<double> e1{1.0, 2.0, 4.0, 8.0};
-  aligned_vector<double> e2{1.0, 2.0, 4.5, 8.0};
-  aligned_vector<double> v{1.0, 2.0, 3.0, 4.0};
-  const CrossSectionTable a(std::move(e1), aligned_vector<double>(v));
-  const CrossSectionTable b(std::move(e2), aligned_vector<double>(v));
-  EXPECT_THROW(UnionisedXsGrid(a, b), Error);
-
-  aligned_vector<double> e3{1.0, 2.0, 4.0};
-  aligned_vector<double> v3{1.0, 2.0, 3.0};
-  const CrossSectionTable c(std::move(e3), std::move(v3));
-  EXPECT_THROW(UnionisedXsGrid(a, c), Error);
-}
-
-TEST(UnionisedGrid, CountedFindBinMatchesPlainFindBin) {
+TEST(XsLookup, CountedFindBinMatchesPlainFindBin) {
   SyntheticXsConfig cfg;
   cfg.points = 500;
   const auto capture = make_capture_table(cfg);
-  const auto scatter = make_scatter_table(cfg);
-  const UnionisedXsGrid grid(capture, scatter);
-  std::int64_t union_steps = 0;
-  std::int64_t table_steps = 0;
-  std::int64_t lookups = 0;
-  for (const double ev : fuzzed_energies(capture, 7)) {
+  for (const XsLookup mode :
+       {XsLookup::kBinarySearch, XsLookup::kCachedLinear}) {
     std::int32_t hint = 0;
-    const std::int32_t plain = capture.find_bin(
-        std::clamp(ev, capture.min_energy(), capture.max_energy()),
-        XsLookup::kBinarySearch, hint);
-    EXPECT_EQ(grid.find_bin_counted(ev, union_steps), plain) << "ev=" << ev;
-    std::int32_t idx = 0;
-    EXPECT_EQ(capture.find_bin_counted(ev, XsLookup::kBucketedIndex, idx,
-                                       table_steps),
-              plain)
-        << "ev=" << ev;
-    ++lookups;
+    std::int32_t counted_hint = 0;
+    std::int64_t steps = 0;
+    for (const double ev : fuzzed_energies(capture, 7)) {
+      const double e =
+          std::clamp(ev, capture.min_energy(), capture.max_energy());
+      const std::int32_t plain = capture.find_bin(e, mode, hint);
+      EXPECT_EQ(capture.find_bin_counted(ev, mode, counted_hint, steps), plain)
+          << "mode=" << to_string(mode) << " ev=" << ev;
+    }
+    EXPECT_GT(steps, 0) << to_string(mode);
   }
-  // The direct-index table is fine enough that the residual walk averages
-  // well under one step per lookup.
-  EXPECT_LT(static_cast<double>(union_steps), static_cast<double>(lookups));
 }
 
 // ---------------------------------------------------------------------------
