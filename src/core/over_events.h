@@ -33,8 +33,6 @@ struct OverEventsOptions {
   bool simd_event_search = true;
   bool simd_collisions = true;
   bool simd_facets = true;
-  /// §VI-A phase accounting via per-kernel wall timers.
-  bool record_kernel_times = true;
   /// Drive the step.h phase probes with per-thread TimingHooks (requires
   /// ctx.profiler) so RunResult::phases covers the breadth-first scheme
   /// too.  Set by the Simulation layer from SimulationConfig::profile.

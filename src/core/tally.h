@@ -26,6 +26,7 @@
 // keep the paper's measured accumulation behaviour.
 #pragma once
 
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -89,6 +90,7 @@ class EnergyTally {
         if (compensated_) {
           two_sum_add(global_[f], comp_[f], e);  // single-thread only
         } else if (direct_) {
+          assert(thread == 0 && "team wider than the tally was built for");
           global_[f] += e;  // single-thread fast path: no lock prefix
         } else {
           double& slot = global_[f];
