@@ -27,11 +27,14 @@
 // cpus; both knobs derive sensible defaults from the host (see
 // batch/engine.h).
 //
-// --shards N splits every sweep job into N concurrent shard jobs and
-// reduces each group deterministically (src/batch/shard.h): the merged
-// checksum and population are bit-identical for any N >= 1 at any worker
-// count.  (Sharded runs use compensated tallies, so their checksums are
-// comparable across shard counts but not with the plain unsharded path.)
+// --shards N / --domains RxC spread every sweep job over the pool through
+// batch::run_sweep (src/batch/executor.h), which reduces each job back to
+// one row: the merged checksum and population are bit-identical for any
+// N >= 1 and any grid at any worker count.  (Decomposed runs use
+// compensated tallies, so their checksums compare across decompositions
+// but not with the plain path.)  Every mode prints the same table: the
+// plain columns, then the decomposition columns, `-` where a mode has
+// none.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -39,9 +42,8 @@
 #include <sstream>
 #include <string>
 
-#include "batch/domain.h"
 #include "batch/engine.h"
-#include "batch/shard.h"
+#include "batch/executor.h"
 #include "batch/sweep.h"
 #include "core/simulation.h"
 #include "io/results_io.h"
@@ -69,9 +71,10 @@ constexpr const char* kDefaultSpec =
     "axis scheme particles events\n"
     "axis layout aos soa\n";
 
-/// Re-run one outcome's exact config serially and compare checksums.
+/// Re-run one row's exact config serially and compare checksums.
 /// Bit-exact by construction when the job ran with threads=1 (counter-based
-/// RNG + one OpenMP thread leave no reassociation freedom).
+/// RNG + one OpenMP thread leave no reassociation freedom) and for any
+/// decomposed row (its config is the whole deck, compensated).
 bool check_against_serial(const JobOutcome& outcome) {
   Simulation sim(outcome.config);
   const RunResult serial = sim.run();
@@ -94,22 +97,61 @@ std::string read_file(const std::string& path) {
   return text.str();
 }
 
-/// The plain result table's column set — identical for local and remote
-/// runs, so their CSVs diff column-for-column (CI pins the checksum and
-/// population columns across the loopback boundary).
+/// The one result table's column set — identical for every mode, local
+/// or remote, so any two CSVs diff column-for-column (CI pins the
+/// checksum and population columns, f8 and f9, across decompositions and
+/// across the loopback boundary).
 std::vector<std::string> result_columns() {
-  return {"job", "label", "particles", "tally", "events", "events/s",
-          "solve [s]", "tally checksum", "population", "world", "worker",
-          "status"};
+  return {"job",        "label",           "particles",      "tally",
+          "events",     "events/s",        "solve [s]",      "tally checksum",
+          "population", "world",           "worker",         "status",
+          "shards",     "imbalance",       "grid",           "migrations",
+          "rounds",     "peak slab [MiB]", "peak bank [MiB]"};
 }
 
-/// FAIL/TIMEOUT/CANCELLED prefixes keep the three non-ok outcomes
-/// distinguishable in the table and CSV.
-std::string outcome_cell(const JobOutcome& outcome) {
-  if (outcome.ok) return "ok";
-  if (outcome.timed_out) return "TIMEOUT: " + outcome.error;
-  if (outcome.cancelled) return "CANCELLED: " + outcome.error;
-  return "FAIL: " + outcome.error;
+std::string mib(std::uint64_t bytes) {
+  return ResultTable::cell(static_cast<double>(bytes) / (1 << 20), 3);
+}
+
+/// One row of the table from one run_sweep row.
+std::vector<std::string> result_cells(const JobOutcome& row) {
+  const SplitStats& split = row.split;
+  const bool grid = split.grid_rows > 0;
+  const std::string none = "-";
+  std::string status = "ok";
+  if (row.timed_out) {
+    status = "TIMEOUT: " + row.error;
+  } else if (row.cancelled) {
+    status = "CANCELLED: " + row.error;
+  } else if (!row.ok) {
+    status = "FAIL: " + row.error;
+  }
+  return {std::to_string(row.job_id),
+          row.label,
+          ResultTable::cell(static_cast<long>(row.config.deck.n_particles)),
+          to_string(row.config.tally_mode),
+          ResultTable::cell(static_cast<unsigned long long>(
+              row.result.counters.total_events())),
+          ResultTable::cell(row.result.events_per_second(), 3),
+          ResultTable::cell(row.seconds, 3),
+          ResultTable::cell_full(row.result.tally_checksum),
+          ResultTable::cell(static_cast<long>(row.result.population)),
+          split.shards > 0 || grid ? none
+          : row.world_cache_hit    ? "cached"
+                                   : "built",
+          row.worker >= 0 ? std::to_string(row.worker) : none,
+          status,
+          split.shards > 0 ? std::to_string(split.shards) : none,
+          split.imbalance > 0.0 ? ResultTable::cell(split.imbalance, 2) : none,
+          grid ? std::to_string(split.grid_rows) + "x" +
+                     std::to_string(split.grid_cols)
+               : none,
+          grid ? ResultTable::cell(
+                     static_cast<unsigned long long>(split.migrations))
+               : none,
+          grid ? std::to_string(split.rounds) : none,
+          grid ? mib(row.result.peak_mesh_bytes) : none,
+          grid ? mib(row.result.peak_bank_bytes) : none};
 }
 
 /// `--connect`: submit the sweep to a neutrald and render its rows through
@@ -121,7 +163,7 @@ int run_remote(const std::string& endpoint, const std::string& spec_text,
   net::NeutralClient client(host, port);
   net::SubmitRequest request;
   request.spec_text = spec_text;
-  request.shards = shards > 0 ? shards : 0;
+  request.shards = shards;
   request.domains = domains;
   const std::uint64_t id = client.submit(request);
   std::printf("# neutral_batch --connect %s (submission #%llu)\n",
@@ -142,19 +184,24 @@ int run_remote(const std::string& endpoint, const std::string& spec_text,
   for (std::size_t i = 0; i < result.rows.size(); ++i) {
     const net::RemoteRow& row = result.rows[i];
     if (row.status != "ok") ok = false;
-    table.add_row(
-        {std::to_string(i), row.label,
-         ResultTable::cell(static_cast<long>(row.particles)), row.tally,
-         ResultTable::cell(static_cast<unsigned long long>(row.events)),
-         ResultTable::cell(row.seconds > 0.0
-                               ? static_cast<double>(row.events) / row.seconds
-                               : 0.0,
-                           3),
-         ResultTable::cell(row.seconds, 3),
-         ResultTable::cell_full(row.checksum),
-         ResultTable::cell(static_cast<long>(row.population)), "remote",
-         "-",
-         row.status == "ok" ? "ok" : row.status + ": " + row.error});
+    std::vector<std::string> cells = {
+        std::to_string(i),
+        row.label,
+        ResultTable::cell(static_cast<long>(row.particles)),
+        row.tally,
+        ResultTable::cell(static_cast<unsigned long long>(row.events)),
+        ResultTable::cell(row.seconds > 0.0
+                              ? static_cast<double>(row.events) / row.seconds
+                              : 0.0,
+                          3),
+        ResultTable::cell(row.seconds, 3),
+        ResultTable::cell_full(row.checksum),
+        ResultTable::cell(static_cast<long>(row.population)),
+        "remote",
+        "-",
+        row.status == "ok" ? "ok" : row.status + ": " + row.error};
+    cells.resize(result_columns().size(), "-");
+    table.add_row(cells);
   }
   table.print();
   table.write_csv(csv);
@@ -185,13 +232,16 @@ int main(int argc, char** argv) {
     const std::string csv =
         cli.option("csv", "neutral_batch.csv", "results CSV path");
     const std::string record_dir = cli.option(
-        "record-dir", "", "write a .results regression record per job");
+        "record-dir", "",
+        "write a .results regression record per sweep job (decomposed "
+        "jobs record their merged whole-deck result)");
     const std::string write_spec = cli.option(
         "write-spec", "", "write the default sweep spec here and exit");
     const bool check_serial = cli.flag(
         "check-serial",
         "re-run each job serially and compare checksums (pins jobs to 1 "
-        "thread: atomic tallies only reproduce bit-exactly single-threaded)");
+        "thread: atomic tallies only reproduce bit-exactly single-threaded; "
+        "a decomposed job re-runs as one compensated solve)");
     const bool quiet = cli.flag("quiet", "suppress per-job progress lines");
     const auto shards = static_cast<std::int32_t>(cli.option_int(
         "shards", 0,
@@ -224,6 +274,7 @@ int main(int argc, char** argv) {
         "append one JSON line per job lifecycle event here "
         "(src/obs/trace.h)");
     if (!cli.finish()) return 0;
+    const Decomposition how = Decomposition::parse(shards, domains);
     NEUTRAL_REQUIRE(aging_ms >= 0, "--priority-aging-ms must be >= 0");
     options.policy.priority_aging = std::chrono::milliseconds(aging_ms);
     options.cache.max_bytes =
@@ -267,7 +318,7 @@ int main(int argc, char** argv) {
 
     const SweepSpec spec = spec_path.empty() ? parse_sweep(kDefaultSpec)
                                              : load_sweep(spec_path);
-    const std::vector<Job> sweep_jobs = expand_sweep(spec);
+    std::vector<Job> sweep_jobs = expand_sweep(spec, how.domains());
     std::unique_ptr<obs::TraceLog> trace;
     if (!trace_log.empty()) {
       trace = std::make_unique<obs::TraceLog>(trace_log);
@@ -275,156 +326,14 @@ int main(int argc, char** argv) {
     }
     BatchEngine engine(options);
 
-    // --domains: run every sweep job through the mesh decomposition and
-    // reduce each to one bit-identical row.  Decks run one after another
-    // (each solve is itself a fork-join over the pool), so this path has
-    // its own table and exits here.
-    if (!domains.empty()) {
-      NEUTRAL_REQUIRE(!check_serial,
-                      "--check-serial compares the plain pipeline; domain "
-                      "runs use compensated tallies (use the 1x1-vs-RxC "
-                      "CSV diff instead)");
-      NEUTRAL_REQUIRE(record_dir.empty(),
-                      "--record-dir is not supported with --domains");
-      const auto [rows, cols] = parse_domain_grid(domains);
-      const std::string shard_note =
-          shards > 1 ? " x " + std::to_string(shards) + " bank shards" : "";
-      std::printf("# neutral_batch (%s)\n", host_banner().c_str());
-      std::printf("# %zu sweep jobs, each decomposed over a %dx%d domain "
-                  "grid%s (sweep scheme/layout respected)\n",
-                  sweep_jobs.size(), rows, cols, shard_note.c_str());
-      ResultTable table(
-          "neutral_batch — " + std::to_string(sweep_jobs.size()) +
-              " jobs x " + domains + " domains",
-          {"job", "label", "particles", "tally", "grid", "shards", "events",
-           "migrations", "rounds", "peak slab [MiB]", "peak bank [MiB]",
-           "tally checksum", "population", "status"});
-      bool domains_ok = true;
-      PhaseProfiler::Report sweep_phases;
-      for (const Job& job : sweep_jobs) {
-        SimulationConfig config = job.config;
-        // Domain jobs carry custom work closures, so the engine's profile
-        // stamp never reaches them — bake the flag into the base config
-        // run_domains propagates to every subdomain Simulation.
-        if (options.profile) config.profile = true;
-        // Domains compose with every scheme x layout now, so the sweep's
-        // axes run as declared.  The tally mode DEFAULTS to atomic — the
-        // deferred mode expand_sweep defaults over-events jobs to buffers
-        // deposits per thread, which would dwarf the slab (the very
-        // footprint --domains exists to shrink) and make identical
-        // physics report different peak bytes per row; run_domains forces
-        // compensation, so atomic is exact for both schemes.  A mode the
-        // spec NAMED is an explicit experimental choice and is kept, per
-        // the SweepSpec::tally_mode_named contract.
-        if (!spec.tally_mode_named) config.tally_mode = TallyMode::kAtomic;
-        DomainOptions domain_options;
-        domain_options.rows = rows;
-        domain_options.cols = cols;
-        domain_options.shards = shards > 0 ? shards : 1;
-        domain_options.group = job.id + 1;
-        domain_options.threads_per_domain =
-            options.threads_per_job > 0 ? options.threads_per_job : 1;
-        const DomainRunReport report =
-            run_domains(engine, config, domain_options);
-        if (report.ok) sweep_phases += report.merged.phases;
-        if (!quiet) {
-          std::printf("done %-44s %s\n", job.label.c_str(),
-                      report.ok ? "ok" : report.error.c_str());
-        }
-        if (!report.ok) {
-          domains_ok = false;
-          table.add_row({std::to_string(job.id), job.label,
-                         ResultTable::cell(
-                             static_cast<long>(config.deck.n_particles)),
-                         to_string(config.tally_mode), domains, "-", "-",
-                         "-", "-", "-", "-", "-", "-",
-                         (report.timed_out ? "TIMEOUT: " : "FAIL: ") +
-                             report.error});
-          continue;
-        }
-        const bool conserved = report.merged.budget.conserved(1e-9);
-        if (!conserved) domains_ok = false;  // never bury it in the CSV
-        table.add_row(
-            {std::to_string(job.id), job.label,
-             ResultTable::cell(static_cast<long>(config.deck.n_particles)),
-             to_string(config.tally_mode),
-             std::to_string(report.grid.rows) + "x" +
-                 std::to_string(report.grid.cols),
-             std::to_string(report.shards),
-             ResultTable::cell(static_cast<unsigned long long>(
-                 report.merged.counters.total_events())),
-             ResultTable::cell(
-                 static_cast<unsigned long long>(report.migrations)),
-             std::to_string(report.rounds),
-             ResultTable::cell(
-                 static_cast<double>(report.peak_mesh_bytes) / (1 << 20),
-                 3),
-             ResultTable::cell(
-                 static_cast<double>(report.merged.peak_bank_bytes) /
-                     (1 << 20),
-                 3),
-             ResultTable::cell_full(report.merged.tally_checksum),
-             ResultTable::cell(static_cast<long>(report.merged.population)),
-             conserved ? "ok" : "NOT CONSERVED"});
-      }
-      table.print();
-      table.write_csv(csv);
-      std::printf("wrote %s\n", csv.c_str());
-      if (options.profile) {
-        std::fputs(
-            format_grind_table(sweep_phases, PhaseProfiler::tsc_ghz())
-                .c_str(),
-            stdout);
-      }
-      return domains_ok ? 0 : 1;
-    }
-
-    // --shards: every sweep job becomes a fork-join group of shard jobs;
-    // groups are reduced back to one row each after the run.
-    std::vector<Job> jobs;
-    if (shards >= 1) {
-      // An explicit --threads-per-job must pass through the engine's
-      // oversubscription clamp before it is baked into shard configs —
-      // make_shard_jobs pins config.threads, which the worker loop then
-      // honours as given.
-      const std::int32_t threads_per_shard =
-          options.threads_per_job > 0
-              ? engine
-                    .thread_budget(sweep_jobs.size() *
-                                   static_cast<std::size_t>(shards))
-                    .second
-              : 0;
-      jobs.reserve(sweep_jobs.size() * static_cast<std::size_t>(shards));
-      for (const Job& job : sweep_jobs) {
-        ShardOptions shard_options;
-        shard_options.shards = shards;
-        shard_options.threads_per_shard = threads_per_shard;
-        shard_options.priority = job.priority;
-        shard_options.group = job.id + 1;  // non-zero, unique per group
-        std::vector<Job> group = make_shard_jobs(
-            job.config, shard_options,
-            job.id * static_cast<std::uint64_t>(shards), job.label + "/");
-        for (Job& shard_job : group) jobs.push_back(std::move(shard_job));
-      }
-    } else {
-      jobs = sweep_jobs;
-    }
-    const auto [workers, threads_per_job] =
-        engine.thread_budget(jobs.size());
+    const std::size_t n_jobs = sweep_jobs.size();
     std::printf("# neutral_batch (%s)\n", host_banner().c_str());
-    std::printf("# %zu jobs on %d workers x %d threads/job (queue %zu, "
-                "world cache %s)\n",
-                jobs.size(), workers, threads_per_job,
-                engine.queue_depth(workers),
-                options.reuse_worlds ? "on" : "off");
-    if (shards >= 1) {
-      std::printf("# sharding: %zu sweep jobs x %d shards, deterministic "
-                  "reduction\n",
-                  sweep_jobs.size(), shards);
-    }
+    std::printf("# %zu sweep jobs, %s (world cache %s)\n", n_jobs,
+                how.describe().c_str(), options.reuse_worlds ? "on" : "off");
 
-    const BatchReport report = engine.run(
-        std::move(jobs), [&](const JobOutcome& outcome) {
+    const BatchReport report = run_sweep(
+        engine, std::move(sweep_jobs), how, /*cancel=*/nullptr,
+        [&](const JobOutcome& outcome) {
           if (quiet) return;
           if (outcome.ok) {
             std::printf("[worker %d] done %-44s %8.3fs  %10.3g ev/s%s\n",
@@ -438,83 +347,13 @@ int main(int argc, char** argv) {
           }
         });
 
-    bool tables_ok = true;  // any non-ok row must fail the exit status
-    if (shards >= 1) {
-      // Reduce each contiguous fork-join group back to one sweep row.
-      // plan_shards clamps tiny decks, so group sizes can differ.
-      ResultTable table(
-          "neutral_batch — " + std::to_string(sweep_jobs.size()) +
-              " sweep jobs x " + std::to_string(shards) + " shards",
-          {"job", "label", "particles", "tally", "shards", "events",
-           "max shard [s]", "imbalance", "tally checksum", "population",
-           "status"});
-      std::size_t next = 0;
-      for (const Job& job : sweep_jobs) {
-        const std::size_t group_size = std::min<std::size_t>(
-            static_cast<std::size_t>(shards),
-            static_cast<std::size_t>(job.config.deck.n_particles));
-        const batch::GroupReduction group =
-            batch::reduce_outcome_group(&report.jobs.at(next), group_size);
-        next += group_size;
-
-        if (!group.ok) {
-          tables_ok = false;
-          table.add_row({std::to_string(job.id), job.label,
-                         ResultTable::cell(
-                             static_cast<long>(job.config.deck.n_particles)),
-                         to_string(job.config.tally_mode),
-                         std::to_string(group_size), "-", "-", "-", "-", "-",
-                         (group.timed_out ? "TIMEOUT: " : "FAIL: ") +
-                             group.error});
-          continue;
-        }
-        const bool conserved = group.merged.budget.conserved(1e-9);
-        if (!conserved) tables_ok = false;
-        table.add_row(
-            {std::to_string(job.id), job.label,
-             ResultTable::cell(static_cast<long>(job.config.deck.n_particles)),
-             to_string(job.config.tally_mode),
-             std::to_string(group_size),
-             ResultTable::cell(static_cast<unsigned long long>(
-                 group.merged.counters.total_events())),
-             ResultTable::cell(group.max_shard_seconds, 3),
-             ResultTable::cell(group.imbalance(), 2),
-             ResultTable::cell_full(group.merged.tally_checksum),
-             ResultTable::cell(static_cast<long>(group.merged.population)),
-             conserved ? "ok" : "NOT CONSERVED"});
-      }
-      table.print();
-      table.write_csv(csv);
-      std::printf("wrote %s\n", csv.c_str());
-      if (!tables_ok) {
-        std::printf("sharding       : at least one group failed to reduce\n");
-      }
-    } else {
-      ResultTable table(
-          "neutral_batch — " + std::to_string(report.jobs.size()) + " jobs",
-          result_columns());
-      for (const JobOutcome& j : report.jobs) {
-        const bool conserved =
-            !j.ok || j.result.budget.conserved(1e-9);
-        if (!conserved) tables_ok = false;
-        table.add_row(
-            {std::to_string(j.job_id), j.label,
-             ResultTable::cell(static_cast<long>(j.config.deck.n_particles)),
-             to_string(j.config.tally_mode),
-             ResultTable::cell(static_cast<unsigned long long>(
-                 j.result.counters.total_events())),
-             ResultTable::cell(j.result.events_per_second(), 3),
-             ResultTable::cell(j.seconds, 3),
-             ResultTable::cell_full(j.result.tally_checksum),
-             ResultTable::cell(static_cast<long>(j.result.population)),
-             j.world_cache_hit ? "cached" : "built",
-             std::to_string(j.worker),
-             conserved ? outcome_cell(j) : "NOT CONSERVED"});
-      }
-      table.print();
-      table.write_csv(csv);
-      std::printf("wrote %s\n", csv.c_str());
-    }
+    ResultTable table("neutral_batch — " + std::to_string(n_jobs) +
+                          " jobs, " + how.describe(),
+                      result_columns());
+    for (const JobOutcome& row : report.jobs) table.add_row(result_cells(row));
+    table.print();
+    table.write_csv(csv);
+    std::printf("wrote %s\n", csv.c_str());
 
     std::printf("\n== batch report ==\n");
     std::printf("jobs           : %zu completed, %zu failed (%zu cancelled, "
@@ -541,12 +380,13 @@ int main(int argc, char** argv) {
                  stdout);
     }
 
-    bool ok = report.failed() == 0 && tables_ok;
+    bool ok = report.failed() == 0;
     if (!record_dir.empty()) {
-      for (const JobOutcome& j : report.jobs) {
-        if (!j.ok) continue;
-        save_results(make_expected(j.config, j.result),
-                     record_dir + "/job_" + std::to_string(j.job_id) +
+      // One record per row, from the (merged) whole-deck result.
+      for (const JobOutcome& row : report.jobs) {
+        if (!row.ok) continue;
+        save_results(make_expected(row.config, row.result),
+                     record_dir + "/job_" + std::to_string(row.job_id) +
                          ".results");
       }
       std::printf("records        : wrote %zu .results files to %s\n",
@@ -554,8 +394,8 @@ int main(int argc, char** argv) {
     }
     if (check_serial) {
       std::size_t matched = 0;
-      for (const JobOutcome& j : report.jobs) {
-        if (j.ok && check_against_serial(j)) ++matched;
+      for (const JobOutcome& row : report.jobs) {
+        if (row.ok && check_against_serial(row)) ++matched;
       }
       const bool all = matched == report.completed();
       std::printf("serial check   : %zu/%zu jobs bit-identical to serial "

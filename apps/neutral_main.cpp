@@ -14,10 +14,11 @@
 //   $ neutral --problem csp --domains 2x2 --shards 2 --scheme events
 //       --layout soa  (one command; the full cross-product)
 #include <cstdio>
+#include <optional>
 #include <string>
 
-#include "batch/domain.h"
-#include "batch/shard.h"
+#include "batch/executor.h"
+#include "batch/sweep.h"
 #include "core/simulation.h"
 #include "io/deck_io.h"
 #include "io/results_io.h"
@@ -106,8 +107,10 @@ int main(int argc, char** argv) {
     config.scheme = scheme_from_string(
         cli.option("scheme", "particles", "particles|events (§V)"));
     config.layout = layout_from_string(cli.option("layout", "aos", "aos|soa (§VI-D)"));
-    config.tally_mode = tally_mode_from_string(cli.option(
-        "tally", "atomic", "atomic|privatized|merge-step|deferred (§VI-F/G)"));
+    const std::string tally = cli.option(
+        "tally", "",
+        "atomic|privatized|merge-step|deferred (§VI-F/G; unnamed = atomic, "
+        "or deferred for --scheme events outside --domains)");
     config.lookup = lookup_from_string(cli.option(
         "lookup", "cached", "binary|cached (§VI-A)"));
     config.schedule = schedule_from_string(
@@ -128,8 +131,6 @@ int main(int argc, char** argv) {
         "split the deck into N fork-join shard jobs (0 = run unsharded; "
         "sharded runs use compensated tallies, so any N >= 1 reduces to "
         "one bit-identical result)"));
-    const auto shard_workers = static_cast<std::int32_t>(cli.option_int(
-        "shard-workers", 0, "worker threads for sharded runs (0 = auto)"));
     const std::string domains = cli.option(
         "domains", "",
         "decompose the MESH into an RxC subdomain grid (e.g. 2x2): each "
@@ -137,114 +138,27 @@ int main(int argc, char** argv) {
         "migrate at subdomain facets; composes with every --scheme/--layout "
         "and with --shards (bank spans nested per subdomain), and any "
         "combination reduces to one bit-identical result");
-    const auto domain_workers = static_cast<std::int32_t>(cli.option_int(
-        "domain-workers", 0,
-        "worker threads for domain-decomposed runs (0 = auto)"));
+    const auto workers = static_cast<std::int32_t>(cli.option_int(
+        "workers", 0, "worker threads for --shards/--domains (0 = auto)"));
     if (!cli.finish()) return 0;
+    const batch::Decomposition how =
+        batch::Decomposition::parse(shards, domains);
 
     config.deck = deck_file.empty()
                       ? deck_by_name(problem, mesh_scale, particle_scale)
                       : load_deck(deck_file);
     if (timesteps > 0) config.deck.n_timesteps = static_cast<std::int32_t>(timesteps);
     if (particles > 0) config.deck.n_particles = particles;
-    if (config.scheme == Scheme::kOverEvents &&
-        config.tally_mode == TallyMode::kAtomic && domains.empty()) {
-      // The paper's Over Events configuration hoists atomics into the
-      // separate tally loop (§VI-G); make that the scheme's default.
-      // Domain runs keep atomic instead: run_domains forces compensation
-      // (exact for both schemes) and deferred per-thread deposit buffers
-      // grow with the bank — the footprint --domains exists to cap.  An
-      // explicit --tally deferred is still honoured.
-      config.tally_mode = TallyMode::kDeferredAtomic;
-    }
+    config.tally_mode = batch::resolve_tally_mode(
+        config.scheme,
+        tally.empty() ? std::nullopt
+                      : std::optional<TallyMode>(tally_mode_from_string(tally)),
+        how.domains());
 
     std::printf("# neutral-mc (%s)\n", host_banner().c_str());
 
     RunResult result;
-    if (!domains.empty()) {
-      // Domain decomposition: tile the mesh, migrate particles at
-      // subdomain facets, stitch the slabs back bit-identically
-      // (src/batch/domain.h).
-      const auto [rows, cols] = batch::parse_domain_grid(domains);
-      batch::EngineOptions engine_options;
-      engine_options.workers = domain_workers;
-      batch::BatchEngine engine(engine_options);
-      batch::DomainOptions domain_options;
-      domain_options.rows = rows;
-      domain_options.cols = cols;
-      // --shards composes: bank spans nested inside every subdomain.
-      domain_options.shards = shards > 0 ? shards : 1;
-      domain_options.threads_per_domain = config.threads > 0
-                                              ? config.threads
-                                              : 1;
-      const batch::DomainRunReport domain_report =
-          batch::run_domains(engine, config, domain_options);
-      NEUTRAL_REQUIRE(domain_report.ok, domain_report.error);
-      result = domain_report.merged;
-      print_report(config, result);
-      if (config.profile) print_profile(result);
-      // Full mesh-resident footprint for the comparison: the summed tally
-      // slabs (== the full tally) plus the full density field the slabs
-      // avoided allocating.
-      const std::uint64_t full_mesh_bytes =
-          result.tally_footprint_bytes +
-          static_cast<std::uint64_t>(config.deck.nx) * config.deck.ny *
-              sizeof(double);
-      std::printf("domains        : %dx%d grid x %d bank shard%s, %lld "
-                  "migrations over %d rounds, %.4f s wall; peak slab "
-                  "%.1f MB of %.1f MB full mesh\n",
-                  domain_report.grid.rows, domain_report.grid.cols,
-                  domain_report.shards,
-                  domain_report.shards == 1 ? "" : "s",
-                  static_cast<long long>(domain_report.migrations),
-                  domain_report.rounds, domain_report.wall_seconds,
-                  static_cast<double>(domain_report.peak_mesh_bytes) /
-                      (1 << 20),
-                  static_cast<double>(full_mesh_bytes) / (1 << 20));
-      if (!heatmap.empty()) {
-        // The stitched image covers the full grid; a bare mesh (no full
-        // density field — the thing --domains avoids allocating) renders it.
-        const StructuredMesh2D mesh(config.deck.nx, config.deck.ny,
-                                    config.deck.width_cm,
-                                    config.deck.height_cm);
-        write_heatmap_ppm(heatmap, mesh, result.tally->hi.data());
-        std::printf("heatmap        : wrote %s\n", heatmap.c_str());
-      }
-    } else if (shards > 0) {
-      // Fork-join path: split the bank into shard jobs on a batch engine
-      // and reduce.  The merged checksum/population are invariant to the
-      // shard and worker counts (src/batch/shard.h).
-      batch::EngineOptions engine_options;
-      engine_options.workers = shard_workers;
-      engine_options.threads_per_job = config.threads > 0 ? config.threads : 1;
-      batch::BatchEngine engine(engine_options);
-      batch::ShardOptions shard_options;
-      shard_options.shards = shards;
-      // Route an explicit --threads through the engine's oversubscription
-      // clamp instead of baking the raw value into every shard.
-      shard_options.threads_per_shard =
-          engine.thread_budget(static_cast<std::size_t>(shards)).second;
-      const batch::ShardedRunReport sharded =
-          batch::run_sharded(engine, config, shard_options);
-      NEUTRAL_REQUIRE(sharded.ok, sharded.error);
-      result = sharded.merged;
-      print_report(config, result);
-      if (config.profile) print_profile(result);
-      std::printf("sharding       : %d shards on %d workers, %.4f s wall "
-                  "(%.3g events/s), imbalance %.2f\n",
-                  shards, sharded.batch.workers, sharded.wall_seconds,
-                  sharded.wall_seconds > 0.0
-                      ? static_cast<double>(result.counters.total_events()) /
-                            sharded.wall_seconds
-                      : 0.0,
-                  sharded.imbalance());
-      if (!heatmap.empty()) {
-        // The engine's cache still holds the world: reuse its mesh.
-        const auto world = engine.cache().acquire(config.deck);
-        write_heatmap_ppm(heatmap, world->mesh, result.tally->hi.data());
-        std::printf("heatmap        : wrote %s\n", heatmap.c_str());
-      }
-    } else {
+    if (!how.decomposed()) {
       Simulation sim(config);
       result = sim.run();
       print_report(config, result);
@@ -253,13 +167,65 @@ int main(int argc, char** argv) {
         write_heatmap_ppm(heatmap, sim.mesh(), sim.tally().data());
         std::printf("heatmap        : wrote %s\n", heatmap.c_str());
       }
-    }
-    if ((shards > 0 || !domains.empty()) &&
-        (!record.empty() || !verify.empty())) {
-      std::printf("note           : decomposed runs (--shards/--domains) "
-                  "use the compensated tally pipeline; their "
-                  "records/checksums only compare against other decomposed "
-                  "runs, not the plain path\n");
+    } else {
+      // Fork-join one deck over a batch engine: bank shards, mesh
+      // subdomains, or both (src/batch/executor.h).  --threads goes
+      // through the engine's oversubscription clamp, not into the job.
+      batch::EngineOptions engine_options;
+      engine_options.workers = workers;
+      engine_options.threads_per_job = config.threads;
+      batch::BatchEngine engine(engine_options);
+      SimulationConfig job_config = config;
+      job_config.threads = 0;
+      batch::BatchReport report = batch::run_sweep(
+          engine, {batch::make_job(0, job_config)}, how);
+      const batch::JobOutcome& row = report.jobs.front();
+      if (!row.ok) {
+        std::fprintf(stderr, "neutral: %s\n", row.error.c_str());
+        return 1;
+      }
+      config = row.config;  // tally mode and threads as executed
+      result = row.result;
+      print_report(config, result);
+      if (config.profile) print_profile(result);
+      std::printf("decomposition  : %s on %d workers, %.4f s wall (%.3g "
+                  "events/s)\n",
+                  how.describe().c_str(), report.workers,
+                  report.wall_seconds, report.events_per_second());
+      const batch::SplitStats& split = row.split;
+      if (how.domains()) {
+        // Full mesh-resident footprint for the comparison: the summed
+        // tally slabs (== the full tally) plus the full density field the
+        // slabs avoided allocating.
+        const std::uint64_t full_mesh_bytes =
+            result.tally_footprint_bytes +
+            static_cast<std::uint64_t>(config.deck.nx) * config.deck.ny *
+                sizeof(double);
+        std::printf("domains        : %dx%d grid, %lld migrations over %d "
+                    "rounds; peak slab %.1f MB of %.1f MB full mesh\n",
+                    split.grid_rows, split.grid_cols,
+                    static_cast<long long>(split.migrations), split.rounds,
+                    static_cast<double>(result.peak_mesh_bytes) / (1 << 20),
+                    static_cast<double>(full_mesh_bytes) / (1 << 20));
+      } else {
+        std::printf("sharding       : %d shards, imbalance %.2f\n",
+                    split.shards, split.imbalance);
+      }
+      if (!heatmap.empty()) {
+        // The merged image covers the full grid; a bare mesh (no density
+        // field — the thing --domains avoids allocating) renders it.
+        const StructuredMesh2D mesh(config.deck.nx, config.deck.ny,
+                                    config.deck.width_cm,
+                                    config.deck.height_cm);
+        write_heatmap_ppm(heatmap, mesh, result.tally->hi.data());
+        std::printf("heatmap        : wrote %s\n", heatmap.c_str());
+      }
+      if (!record.empty() || !verify.empty()) {
+        std::printf("note           : decomposed runs (--shards/--domains) "
+                    "use the compensated tally pipeline; their "
+                    "records/checksums only compare against other "
+                    "decomposed runs, not the plain path\n");
+      }
     }
     if (!record.empty()) {
       save_results(make_expected(config, result), record);

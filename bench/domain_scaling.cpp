@@ -15,8 +15,8 @@
 #include <utility>
 #include <vector>
 
-#include "batch/domain.h"
 #include "batch/engine.h"
+#include "batch/executor.h"
 #include "bench_common.h"
 #include "runtime/host_info.h"
 
@@ -72,17 +72,19 @@ int main(int argc, char** argv) {
     batch::EngineOptions options;
     options.workers = workers;
     batch::BatchEngine engine(options);
-    batch::DomainOptions opt;
-    opt.rows = rows;
-    opt.cols = cols;
-    opt.shards = static_cast<std::int32_t>(shards_opt > 0 ? shards_opt : 1);
+    batch::Decomposition how;
+    how.rows = rows;
+    how.cols = cols;
+    how.shards = static_cast<std::int32_t>(shards_opt > 0 ? shards_opt : 1);
 
     double wall = 1.0e300;
-    batch::DomainRunReport best;
+    batch::BatchReport best;
     for (int rep = 0; rep < scale.reps; ++rep) {
-      batch::DomainRunReport report = batch::run_domains(engine, base, opt);
-      if (!report.ok) {
-        std::fprintf(stderr, "domain_scaling: %s\n", report.error.c_str());
+      batch::BatchReport report =
+          batch::run_sweep(engine, {batch::make_job(0, base)}, how);
+      if (!report.jobs.front().ok) {
+        std::fprintf(stderr, "domain_scaling: %s\n",
+                     report.jobs.front().error.c_str());
         return 2;
       }
       if (report.wall_seconds < wall) {
@@ -90,36 +92,37 @@ int main(int argc, char** argv) {
         best = std::move(report);
       }
     }
+    const batch::JobOutcome& row = best.jobs.front();
+    const batch::SplitStats& split = row.split;
+    const std::uint64_t slab = row.result.peak_mesh_bytes;
     if (rows == 1 && cols == 1) {
-      reference_checksum = best.merged.tally_checksum;
-      reference_population = best.merged.population;
-      full_slab = best.peak_mesh_bytes;
-    } else if (best.merged.tally_checksum != reference_checksum ||
-               best.merged.population != reference_population) {
+      reference_checksum = row.result.tally_checksum;
+      reference_population = row.result.population;
+      full_slab = slab;
+    } else if (row.result.tally_checksum != reference_checksum ||
+               row.result.population != reference_population) {
       identical = false;
     }
 
     table.add_row(
-        {std::to_string(best.grid.rows) + "x" + std::to_string(best.grid.cols),
-         std::to_string(best.grid.count()),
+        {std::to_string(split.grid_rows) + "x" +
+             std::to_string(split.grid_cols),
+         std::to_string(split.grid_rows * split.grid_cols),
          ResultTable::cell(wall, 4),
-         ResultTable::cell(static_cast<double>(
-                               best.merged.counters.total_events()) / wall,
-                           3),
+         ResultTable::cell(best.events_per_second(), 3),
          ResultTable::cell(
-             static_cast<unsigned long long>(best.migrations)),
-         std::to_string(best.rounds),
-         ResultTable::cell(
-             static_cast<double>(best.peak_mesh_bytes) / (1 << 20), 3),
+             static_cast<unsigned long long>(split.migrations)),
+         std::to_string(split.rounds),
+         ResultTable::cell(static_cast<double>(slab) / (1 << 20), 3),
          ResultTable::cell(full_slab > 0
-                               ? static_cast<double>(best.peak_mesh_bytes) /
+                               ? static_cast<double>(slab) /
                                      static_cast<double>(full_slab)
                                : 1.0,
                            3),
          ResultTable::cell(
-             static_cast<double>(best.merged.peak_bank_bytes) / (1 << 20),
+             static_cast<double>(row.result.peak_bank_bytes) / (1 << 20),
              3),
-         ResultTable::cell_full(best.merged.tally_checksum)});
+         ResultTable::cell_full(row.result.tally_checksum)});
   }
 
   table.print();

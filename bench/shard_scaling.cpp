@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "batch/engine.h"
-#include "batch/shard.h"
+#include "batch/executor.h"
 #include "bench_common.h"
 #include "runtime/host_info.h"
 
@@ -62,16 +62,17 @@ int main(int argc, char** argv) {
     options.workers = shards;
     options.threads_per_job = 1;
     batch::BatchEngine engine(options);
-    batch::ShardOptions shard_options;
-    shard_options.shards = shards;
+    batch::Decomposition how;
+    how.shards = shards;
 
     double wall = 1.0e300;
-    batch::ShardedRunReport best;
+    batch::BatchReport best;
     for (int rep = 0; rep < scale.reps; ++rep) {
-      batch::ShardedRunReport report =
-          batch::run_sharded(engine, base, shard_options);
-      if (!report.ok) {
-        std::fprintf(stderr, "shard_scaling: %s\n", report.error.c_str());
+      batch::BatchReport report =
+          batch::run_sweep(engine, {batch::make_job(0, base)}, how);
+      if (!report.jobs.front().ok) {
+        std::fprintf(stderr, "shard_scaling: %s\n",
+                     report.jobs.front().error.c_str());
         return 2;
       }
       if (report.wall_seconds < wall) {
@@ -79,25 +80,25 @@ int main(int argc, char** argv) {
         best = std::move(report);
       }
     }
+    const batch::JobOutcome& row = best.jobs.front();
     if (i == 0) {
       base_wall = wall;
-      reference_checksum = best.merged.tally_checksum;
-      reference_population = best.merged.population;
-    } else if (best.merged.tally_checksum != reference_checksum ||
-               best.merged.population != reference_population) {
+      reference_checksum = row.result.tally_checksum;
+      reference_population = row.result.population;
+    } else if (row.result.tally_checksum != reference_checksum ||
+               row.result.population != reference_population) {
       identical = false;
     }
 
     const double speedup = wall > 0.0 ? base_wall / wall : 0.0;
     table.add_row({std::to_string(shards),
-                   std::to_string(best.batch.workers),
+                   std::to_string(best.workers),
                    ResultTable::cell(wall, 4),
                    ResultTable::cell(speedup, 2),
                    ResultTable::cell(speedup / shards, 2),
-                   ResultTable::cell(static_cast<double>(
-                       best.merged.counters.total_events()) / wall, 3),
-                   ResultTable::cell(best.imbalance(), 2),
-                   ResultTable::cell_full(best.merged.tally_checksum)});
+                   ResultTable::cell(best.events_per_second(), 3),
+                   ResultTable::cell(row.split.imbalance, 2),
+                   ResultTable::cell_full(row.result.tally_checksum)});
   }
 
   table.print();

@@ -104,15 +104,14 @@ std::pair<std::int32_t, std::int32_t> parse_domain_grid(
   return {rows, cols};
 }
 
-DomainRunReport run_domains(BatchEngine& engine, const SimulationConfig& base,
+DomainRunReport run_domains(BatchEngine& engine, const Job& job,
                             const DomainOptions& opt) {
+  const SimulationConfig& base = job.config;
   NEUTRAL_REQUIRE(base.span.whole_bank(),
                   "cannot domain-decompose a config with a particle span");
   NEUTRAL_REQUIRE(!base.window.active(),
                   "cannot domain-decompose a config that already has a "
                   "window");
-  NEUTRAL_REQUIRE(opt.group != 0,
-                  "domain rounds need a non-zero fork-join group");
   NEUTRAL_REQUIRE(opt.shards >= 1,
                   "domain runs need at least one bank shard per subdomain");
   WallTimer wall;
@@ -126,6 +125,8 @@ DomainRunReport run_domains(BatchEngine& engine, const SimulationConfig& base,
   const std::size_t n_spans = spans.size();
   report.shards = static_cast<std::int32_t>(n_spans);
   const std::size_t n = n_domains * n_spans;
+  report.threads = base.threads > 0 ? base.threads
+                                    : engine.thread_budget(n).second;
 
   // Slab worlds (one per window, shared by that window's shard sims),
   // through the engine's cache so domain runs of sweep jobs sharing
@@ -153,13 +154,13 @@ DomainRunReport run_domains(BatchEngine& engine, const SimulationConfig& base,
                span_of(spans, p.id);
       });
 
-  // Per-(subdomain, span) Simulations: compensated tallies + kept images
-  // (the PR 2 reduction contract), atomic promoted to privatized when a
-  // round may run more than one thread — exactly the shard-job rule.
-  // Round jobs are custom work, so the engine cannot stamp its run-wall
-  // deadline on them; apply QueuePolicy::max_run_wall here instead (the
-  // rounds' transport_round checks it between kernels).
-  SimulationConfig root = base;
+  // Per-(subdomain, span) Simulations: the shard jobs' part_config
+  // (compensated, atomic promoted to privatized for a wider team).  Round
+  // jobs are custom work, so the engine cannot stamp its profile flag or
+  // run-wall deadline on them; apply both here instead (the rounds'
+  // transport_round checks the deadline between kernels).
+  SimulationConfig root = part_config(base, report.threads);
+  if (engine.options().profile) root.profile = true;
   if (engine.options().policy.max_run_wall.count() > 0) {
     root.deadline =
         std::min(root.deadline, std::chrono::steady_clock::now() +
@@ -172,12 +173,6 @@ DomainRunReport run_domains(BatchEngine& engine, const SimulationConfig& base,
     SimulationConfig cfg = root;
     cfg.window = worlds[d]->window;
     cfg.span = spans[i % n_spans];
-    cfg.compensated_tally = true;
-    cfg.keep_tally_image = true;
-    cfg.threads = opt.threads_per_domain > 0 ? opt.threads_per_domain : 1;
-    if (cfg.tally_mode == TallyMode::kAtomic && cfg.threads != 1) {
-      cfg.tally_mode = TallyMode::kPrivatized;
-    }
     sims.push_back(std::make_unique<Simulation>(cfg, worlds[d],
                                                 std::move(banks[i])));
     report.sourced.push_back(sims.back()->sourced_count());
@@ -191,22 +186,21 @@ DomainRunReport run_domains(BatchEngine& engine, const SimulationConfig& base,
     std::vector<Job> jobs;
     jobs.reserve(active.size());
     for (std::size_t i : active) {
-      Job job;
-      job.id = next_job_id++;
-      job.group = opt.group;
-      job.priority = opt.priority;
-      job.label = "domain " + std::to_string(i / n_spans) + "/" +
-                  std::to_string(n_domains) +
-                  (n_spans > 1 ? " shard " + std::to_string(i % n_spans) +
-                                     "/" + std::to_string(n_spans)
-                               : std::string()) +
-                  (wake ? " wake" : " resume");
-      job.work = [sim = sims[i].get(), wake] {
+      Job part = make_part_job(
+          job, next_job_id++,
+          "domain " + std::to_string(i / n_spans) + "/" +
+              std::to_string(n_domains) +
+              (n_spans > 1 ? " shard " + std::to_string(i % n_spans) + "/" +
+                                 std::to_string(n_spans)
+                           : std::string()) +
+              (wake ? " wake" : " resume"));
+      part.work = [sim = sims[i].get(), wake] {
         sim->transport_round(wake);
         return RunResult{};
       };
-      jobs.push_back(std::move(job));
+      jobs.push_back(std::move(part));
     }
+    const std::uint64_t group = jobs.front().group;
     const BatchReport round = engine.run(std::move(jobs));
     for (const JobOutcome& outcome : round.jobs) {
       if (!outcome.ok) {
@@ -220,7 +214,7 @@ DomainRunReport run_domains(BatchEngine& engine, const SimulationConfig& base,
       obs::TraceEvent event;
       event.event = "round";
       event.job_id = static_cast<std::uint64_t>(report.rounds);
-      event.group = opt.group;
+      event.group = group;
       event.run_wall_s = round.wall_seconds;
       event.detail = std::to_string(active.size()) + " of " +
                      std::to_string(n) + " partial solves " +
@@ -284,8 +278,9 @@ DomainRunReport run_domains(BatchEngine& engine, const SimulationConfig& base,
   TallyImage stitched;
   stitched.hi.assign(static_cast<std::size_t>(full_cells), 0.0);
   stitched.lo.assign(static_cast<std::size_t>(full_cells), 0.0);
+  // RunResult::operator+= max-merges peak_mesh_bytes, so the merged
+  // result reports the largest slab: the per-node memory bound.
   RunResult merged;
-  std::uint64_t peak = 0;
   for (std::size_t d = 0; d < n_domains; ++d) {
     const DomainWindow& w = worlds[d]->window;
     std::shared_ptr<const TallyImage> slab;
@@ -295,7 +290,6 @@ DomainRunReport run_domains(BatchEngine& engine, const SimulationConfig& base,
       const RunResult part = sims[d]->summary();
       NEUTRAL_REQUIRE(part.tally != nullptr,
                       "subdomain result must carry a tally image");
-      peak = std::max(peak, part.peak_mesh_bytes);
       merged += part;
       slab = part.tally;
     } else {
@@ -305,7 +299,6 @@ DomainRunReport run_domains(BatchEngine& engine, const SimulationConfig& base,
         const RunResult part = sims[d * n_spans + s]->summary();
         NEUTRAL_REQUIRE(part.tally != nullptr,
                         "subdomain result must carry a tally image");
-        peak = std::max(peak, part.peak_mesh_bytes);
         merged += part;
         window_fold.accumulate(*part.tally);
       }
@@ -335,10 +328,8 @@ DomainRunReport run_domains(BatchEngine& engine, const SimulationConfig& base,
   merged.tally_checksum = positional_checksum(reduced.data(), full_cells);
   merged.budget.tally_total = reduced.total();
   merged.tally = std::make_shared<const TallyImage>(reduced.image());
-  merged.peak_mesh_bytes = peak;
 
   report.merged = std::move(merged);
-  report.peak_mesh_bytes = peak;
   report.ok = true;
   report.wall_seconds = wall.seconds();
   return report;

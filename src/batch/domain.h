@@ -64,7 +64,8 @@ DomainGrid plan_domains(std::int32_t nx, std::int32_t ny, std::int32_t rows,
                         std::int32_t cols);
 
 /// Parse a "RxC" grid spec ("2x3" -> rows 2, cols 3); throws on anything
-/// else.  Shared by the --domains flags of both CLIs.
+/// else.  Read through batch::Decomposition::parse, which every --domains
+/// flag and the daemon's `domains` field share.
 std::pair<std::int32_t, std::int32_t> parse_domain_grid(
     const std::string& spec);
 
@@ -79,14 +80,6 @@ struct DomainOptions {
   /// because the per-window shard slabs fold through the same compensated
   /// reduction as plain shards.
   std::int32_t shards = 1;
-  /// OpenMP threads per subdomain transport round (>= 1).  Any value
-  /// preserves the bit-identical reduction; 1 maximises across-subdomain
-  /// concurrency.
-  std::int32_t threads_per_domain = 1;
-  /// Queue priority stamped on every round job.
-  std::int32_t priority = 0;
-  /// Fork-join group id (non-zero) for round jobs.
-  std::uint64_t group = 1;
 };
 
 /// Outcome of one domain-decomposed solve.
@@ -94,29 +87,33 @@ struct DomainRunReport {
   bool ok = false;
   std::string error;       ///< first failed round job when !ok
   bool timed_out = false;  ///< that failure hit a QueuePolicy deadline
-  RunResult merged;        ///< stitched full-grid result; valid when ok
+  /// Stitched full-grid result; valid when ok.  Its peak_mesh_bytes is
+  /// the largest subdomain slab (tally + density) — the per-node memory
+  /// bound.
+  RunResult merged;
   DomainGrid grid;
   std::int32_t shards = 1; ///< bank shards per subdomain (DomainOptions)
+  /// OpenMP threads each partial solve ran with.
+  std::int32_t threads = 1;
   /// Initial bank size of each partial solve, subdomain-major then shard
   /// (particles born in its slab whose ids fall in its span).
   std::vector<std::int64_t> sourced;
   std::int64_t migrations = 0;  ///< checkpoints exchanged over the run
   std::int32_t rounds = 0;      ///< transport rounds over all timesteps
-  /// Largest subdomain slab (tally + density bytes) — the per-node memory
-  /// bound; also carried in merged.peak_mesh_bytes.
-  std::uint64_t peak_mesh_bytes = 0;
   double wall_seconds = 0.0;
 };
 
-/// Decompose one deck over an R x C grid (optionally × opt.shards bank
-/// spans per subdomain) and run it on `engine`.  Every scheme × layout
-/// composes: the ParticleBank converts migrant checkpoints at layout
-/// boundaries and Over Events rounds re-stream their workspace.  The
-/// merged tally checksum and population are bit-identical to the
+/// Decompose sweep job `job` over an R x C grid (optionally × opt.shards
+/// bank spans per subdomain) and run it on `engine`.  Every scheme ×
+/// layout composes: the ParticleBank converts migrant checkpoints at
+/// layout boundaries and Over Events rounds re-stream their workspace.
+/// The merged tally checksum and population are bit-identical to the
 /// undecomposed compensated run for any grid × shard count at any worker
-/// count.  `base` must carry a whole-bank span and no window (the
-/// decomposition owns both axes).
-DomainRunReport run_domains(BatchEngine& engine, const SimulationConfig& base,
+/// count.  The job's config must carry a whole-bank span and no window
+/// (the decomposition owns both axes); its `threads` pins each partial
+/// solve's team, and 0 takes the engine's thread_budget over the partial
+/// solves.  Round jobs are make_part_job parts of `job`.
+DomainRunReport run_domains(BatchEngine& engine, const Job& job,
                             const DomainOptions& opt = {});
 
 }  // namespace neutral::batch

@@ -59,8 +59,8 @@ struct EngineOptions {
   /// Job::deadline; an expired job completes as timed_out unrun).
   /// max_run_wall bounds each config-driven job's running wall clock via
   /// the cooperative SimulationConfig::deadline; custom-work jobs
-  /// (Job::work) enforce their own — run_domains propagates the base
-  /// config's deadline into every subdomain round.  Zero = unbounded, the
+  /// (Job::work) enforce their own — run_domains stamps it (and `profile`)
+  /// into every subdomain's config.  Zero = unbounded, the
   /// fork-join CLI default.
   QueuePolicy policy;
   /// Optional registry: queue, cache, per-outcome and per-event series
@@ -73,8 +73,19 @@ struct EngineOptions {
   /// Enable the §VI-A PhaseProfiler in every config-driven job (stamped
   /// onto SimulationConfig::profile), so BatchReport::phase_totals() can
   /// print the grind-time table aggregated across the sweep.  Custom-work
-  /// jobs honour whatever their own configs say.
+  /// jobs honour whatever their own configs say (run_domains stamps it).
   bool profile = false;
+};
+
+/// Decomposition figures of a reduced batch::run_sweep row (executor.h);
+/// all zero for a plain job.
+struct SplitStats {
+  std::int32_t shards = 0;      ///< bank spans (per subdomain on a grid)
+  double imbalance = 0.0;       ///< sharded: longest / mean shard seconds
+  std::int32_t grid_rows = 0;   ///< domain grid as planned (mesh-clamped)
+  std::int32_t grid_cols = 0;
+  std::int64_t migrations = 0;  ///< domain: checkpoints exchanged
+  std::int32_t rounds = 0;      ///< domain: transport rounds
 };
 
 /// One finished (or failed) job.
@@ -97,6 +108,7 @@ struct JobOutcome {
   /// `timed_out` and a client can retry with a longer budget.
   bool timed_out = false;
   std::string error;           ///< exception message when !ok
+  SplitStats split;            ///< set by run_sweep on decomposed rows
 };
 
 /// Aggregate result of one BatchEngine::run().

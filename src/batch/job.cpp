@@ -20,4 +20,13 @@ Job make_job(std::uint64_t id, SimulationConfig config, std::int32_t priority,
   return job;
 }
 
+Job make_part_job(const Job& parent, std::uint64_t id, std::string label) {
+  Job part;
+  part.id = id;
+  part.group = parent.id + 1;
+  part.priority = parent.priority;
+  part.label = std::move(label);
+  return part;
+}
+
 }  // namespace neutral::batch

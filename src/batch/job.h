@@ -54,6 +54,13 @@ struct Job {
 Job make_job(std::uint64_t id, SimulationConfig config,
              std::int32_t priority = 0, std::string label = "");
 
+/// A fork-join part of sweep job `parent` — a shard job or a domain
+/// round.  It queues at the parent's priority and joins group
+/// parent.id + 1 (non-zero and unique per sweep job), so a failed part
+/// cancels only its own siblings.  Config, work and fingerprint are the
+/// caller's to fill.
+Job make_part_job(const Job& parent, std::uint64_t id, std::string label);
+
 /// "deck/scheme/layout/n=<particles>" — the default row label.
 std::string describe(const SimulationConfig& config);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/validation.h"
-#include "runtime/timer.h"
 #include "util/error.h"
 
 namespace neutral::batch {
@@ -28,49 +27,13 @@ std::vector<ParticleSpan> plan_shards(std::int64_t n_particles,
   return spans;
 }
 
-std::vector<Job> make_shard_jobs(const SimulationConfig& base,
-                                 const ShardOptions& opt,
-                                 std::uint64_t first_job_id,
-                                 const std::string& label_prefix) {
-  NEUTRAL_REQUIRE(base.span.whole_bank(),
-                  "cannot shard a config that already has a particle span");
-  NEUTRAL_REQUIRE(opt.group != 0,
-                  "shard jobs need a non-zero fork-join group");
-  const std::vector<ParticleSpan> spans =
-      plan_shards(base.deck.n_particles, opt.shards);
-  const std::uint64_t fingerprint = world_fingerprint(base.deck);
-  const std::string prefix =
-      label_prefix.empty() ? describe(base) + "/" : label_prefix;
-
-  std::vector<Job> jobs;
-  jobs.reserve(spans.size());
-  for (std::size_t s = 0; s < spans.size(); ++s) {
-    SimulationConfig config = base;
-    config.span = spans[s];
-    config.compensated_tally = true;
-    config.keep_tally_image = true;
-    if (opt.threads_per_shard > 0) config.threads = opt.threads_per_shard;
-    // Compensated atomic updates are single-thread only; when the shard
-    // may run wider (explicitly or via the engine budget), move to the
-    // privatized tally — compensation makes its merge exact, so the
-    // reduced result is unchanged.
-    if (config.tally_mode == TallyMode::kAtomic && config.threads != 1) {
-      config.tally_mode = TallyMode::kPrivatized;
-    }
-
-    Job job;
-    job.id = first_job_id + s;
-    job.group = opt.group;
-    job.priority = opt.priority;
-    job.fingerprint = fingerprint;
-    job.label = prefix + "shard " + std::to_string(s) + "/" +
-                std::to_string(spans.size()) + " [" +
-                std::to_string(spans[s].first_id) + "," +
-                std::to_string(spans[s].first_id + spans[s].count) + ")";
-    job.config = std::move(config);
-    jobs.push_back(std::move(job));
+SimulationConfig part_config(SimulationConfig base, std::int32_t threads) {
+  base.compensated_tally = true;
+  base.threads = threads;
+  if (base.tally_mode == TallyMode::kAtomic && threads > 1) {
+    base.tally_mode = TallyMode::kPrivatized;
   }
-  return jobs;
+  return base;
 }
 
 RunResult reduce_shards(const std::vector<const RunResult*>& shard_results) {
@@ -78,7 +41,7 @@ RunResult reduce_shards(const std::vector<const RunResult*>& shard_results) {
   for (const RunResult* r : shard_results) {
     NEUTRAL_REQUIRE(r != nullptr && r->tally != nullptr,
                     "every shard result must carry a tally image "
-                    "(SimulationConfig::keep_tally_image)");
+                    "(SimulationConfig::compensated_tally)");
   }
   const std::int64_t cells = shard_results.front()->tally->cells();
 
@@ -95,81 +58,6 @@ RunResult reduce_shards(const std::vector<const RunResult*>& shard_results) {
   merged.budget.tally_total = reduced.total();
   merged.tally = std::make_shared<const TallyImage>(reduced.image());
   return merged;
-}
-
-double ShardedRunReport::imbalance() const {
-  double max_s = 0.0;
-  double sum_s = 0.0;
-  std::size_t n = 0;
-  for (const JobOutcome& j : batch.jobs) {
-    if (!j.ok) continue;
-    max_s = std::max(max_s, j.seconds);
-    sum_s += j.seconds;
-    ++n;
-  }
-  return (n > 0 && sum_s > 0.0) ? max_s / (sum_s / static_cast<double>(n))
-                                : 0.0;
-}
-
-GroupReduction reduce_outcome_group(const JobOutcome* outcomes,
-                                    std::size_t count) {
-  GroupReduction group;
-  NEUTRAL_REQUIRE(outcomes != nullptr && count > 0,
-                  "group reduction needs at least one outcome");
-
-  // Report the root-cause failure, not a cancelled sibling that happens to
-  // sit earlier in submission order.
-  const JobOutcome* failure = nullptr;
-  for (std::size_t s = 0; s < count; ++s) {
-    const JobOutcome& outcome = outcomes[s];
-    if (outcome.ok) continue;
-    if (failure == nullptr || (failure->cancelled && !outcome.cancelled)) {
-      failure = &outcome;
-    }
-  }
-  if (failure != nullptr) {
-    group.ok = false;
-    group.timed_out = failure->timed_out;
-    group.error = "shard " + std::to_string(failure->job_id) +
-                  (failure->cancelled
-                       ? " cancelled: "
-                       : failure->timed_out ? " timed out: " : " failed: ") +
-                  failure->error;
-    return group;
-  }
-
-  std::vector<const RunResult*> results;
-  results.reserve(count);
-  double sum_seconds = 0.0;
-  for (std::size_t s = 0; s < count; ++s) {
-    results.push_back(&outcomes[s].result);
-    group.max_shard_seconds =
-        std::max(group.max_shard_seconds, outcomes[s].seconds);
-    sum_seconds += outcomes[s].seconds;
-  }
-  group.mean_shard_seconds = sum_seconds / static_cast<double>(count);
-  group.merged = reduce_shards(results);
-  group.ok = true;
-  return group;
-}
-
-ShardedRunReport run_sharded(BatchEngine& engine, const SimulationConfig& base,
-                             const ShardOptions& opt,
-                             const BatchEngine::CompletionCallback&
-                                 on_complete) {
-  ShardedRunReport report;
-  report.spans = plan_shards(base.deck.n_particles, opt.shards);
-
-  WallTimer wall;
-  report.batch = engine.run(make_shard_jobs(base, opt), on_complete);
-  report.wall_seconds = wall.seconds();
-
-  GroupReduction group = reduce_outcome_group(report.batch.jobs.data(),
-                                              report.batch.jobs.size());
-  report.ok = group.ok;
-  report.error = std::move(group.error);
-  if (group.ok) report.merged = std::move(group.merged);
-  return report;
 }
 
 }  // namespace neutral::batch

@@ -17,17 +17,19 @@
 // rounds each cell once.  The merged checksum is invariant to shard count,
 // worker count, and completion order.
 //
-// Failure: shard jobs share a Job::group, so the engine cancels pending
-// siblings as soon as one shard fails (batch/queue.h) — a lost shard means
-// a lost fork-join result, and finishing the rest would waste the pool.
+// Failure: shard jobs share a Job::group (batch::make_part_job), so the
+// engine cancels pending siblings as soon as one shard fails
+// (batch/queue.h) — a lost shard means a lost fork-join result, and
+// finishing the rest would waste the pool.
+//
+// batch::run_sweep (batch/executor.h) builds, runs and reduces the shard
+// jobs; this header holds the planning and reduction pieces it shares
+// with the domain decomposition.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "batch/engine.h"
-#include "batch/job.h"
 #include "core/simulation.h"
 
 namespace neutral::batch {
@@ -39,30 +41,13 @@ namespace neutral::batch {
 std::vector<ParticleSpan> plan_shards(std::int64_t n_particles,
                                       std::int32_t shards);
 
-struct ShardOptions {
-  /// Number of shard jobs to split the deck into (>= 1).
-  std::int32_t shards = 1;
-  /// OpenMP threads per shard job; 0 = the engine's per-job budget.
-  /// Any value preserves bit-identical reduction (compensated tallies are
-  /// thread-count invariant); 1 maximises across-shard concurrency.
-  std::int32_t threads_per_shard = 1;
-  /// Queue priority stamped on every shard job.
-  std::int32_t priority = 0;
-  /// Fork-join group id (must be non-zero and unique within a submission
-  /// when several sharded decks share one engine run).
-  std::uint64_t group = 1;
-};
-
-/// Expand `base` into shard jobs with ids first_job_id .. +shards-1 and a
-/// shared precomputed world fingerprint.  The jobs force compensated
-/// tallies and tally-image capture; a base tally_mode of kAtomic is
-/// promoted to kPrivatized when a shard may run more than one thread
-/// (compensated atomic updates are single-thread only).  `base.span` must
-/// cover the whole bank — sharding a shard is not supported.
-std::vector<Job> make_shard_jobs(const SimulationConfig& base,
-                                 const ShardOptions& opt,
-                                 std::uint64_t first_job_id = 0,
-                                 const std::string& label_prefix = "");
+/// The config one decomposed part (a shard job or a partial domain solve)
+/// runs with, before its span/window is set: `base`, compensated (so the
+/// parts reduce exactly) and pinned to `threads` OpenMP threads.  Compensated
+/// atomic updates are single-thread only, so a part wider than one thread
+/// moves an atomic tally to the privatized one — compensation makes its
+/// merge exact, so the reduced result is unchanged.
+SimulationConfig part_config(SimulationConfig base, std::int32_t threads);
 
 /// Deterministic ordered reduction: fold shard results (given in shard
 /// order, each carrying a tally image) into one RunResult.  Counters,
@@ -70,49 +55,5 @@ std::vector<Job> make_shard_jobs(const SimulationConfig& base,
 /// through a compensated EnergyTally (EnergyTally::accumulate) and the
 /// checksum, tally total and merged image are recomputed from it.
 RunResult reduce_shards(const std::vector<const RunResult*>& shard_results);
-
-/// One fork-join group's reduced outcome plus its timing summary.
-struct GroupReduction {
-  bool ok = false;
-  std::string error;           ///< root-cause shard failure when !ok
-  bool timed_out = false;      ///< root cause hit a QueuePolicy deadline
-  RunResult merged;            ///< valid only when ok
-  double max_shard_seconds = 0.0;
-  double mean_shard_seconds = 0.0;
-
-  [[nodiscard]] double imbalance() const {
-    return mean_shard_seconds > 0.0 ? max_shard_seconds / mean_shard_seconds
-                                    : 0.0;
-  }
-};
-
-/// Gather + reduce `count` consecutive shard outcomes (one group, in shard
-/// order).  On any failure, reports the root cause — a failed shard, not a
-/// cancelled sibling that happens to sit earlier.  Shared by run_sharded
-/// and multi-group callers like `neutral_batch --shards`.
-GroupReduction reduce_outcome_group(const JobOutcome* outcomes,
-                                    std::size_t count);
-
-/// Fork–join outcome of one sharded deck.
-struct ShardedRunReport {
-  bool ok = false;
-  std::string error;             ///< first shard failure when !ok
-  RunResult merged;              ///< valid only when ok
-  std::vector<ParticleSpan> spans;
-  BatchReport batch;             ///< per-shard timing lives in batch.jobs
-  double wall_seconds = 0.0;     ///< fork-join wall clock
-
-  /// Longest / mean shard solve time — the §VII load-imbalance figure
-  /// sharding exists to beat (1.0 = perfectly balanced).
-  [[nodiscard]] double imbalance() const;
-};
-
-/// Split one deck into opt.shards jobs, run them on `engine`, and reduce.
-/// The merged tally checksum and population are bit-identical to the
-/// unsharded compensated run for any shard count and any worker count.
-ShardedRunReport run_sharded(BatchEngine& engine, const SimulationConfig& base,
-                             const ShardOptions& opt = {},
-                             const BatchEngine::CompletionCallback&
-                                 on_complete = {});
 
 }  // namespace neutral::batch

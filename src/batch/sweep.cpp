@@ -47,6 +47,14 @@ std::uint64_t parse_uint(const std::string& token, int line) {
 
 }  // namespace
 
+TallyMode resolve_tally_mode(Scheme scheme, std::optional<TallyMode> named,
+                             bool domain_run) {
+  if (named) return *named;
+  return scheme == Scheme::kOverEvents && !domain_run
+             ? TallyMode::kDeferredAtomic
+             : TallyMode::kAtomic;
+}
+
 std::size_t sweep_size(const SweepSpec& spec) {
   const SweepAxes& a = spec.axes;
   NEUTRAL_REQUIRE(a.mesh_scales.empty() || a.nx.empty(),
@@ -58,7 +66,7 @@ std::size_t sweep_size(const SweepSpec& spec) {
          axis_extent(a.schedules.size()) * axis_extent(a.seeds.size());
 }
 
-std::vector<Job> expand_sweep(const SweepSpec& spec) {
+std::vector<Job> expand_sweep(const SweepSpec& spec, bool domain_run) {
   const SweepAxes& a = spec.axes;
   std::vector<Job> jobs;
   jobs.reserve(sweep_size(spec));  // also validates axis exclusivity
@@ -104,15 +112,12 @@ std::vector<Job> expand_sweep(const SweepSpec& spec) {
                 cfg.deck.seed =
                     rng::derive_stream_seed(spec.batch_seed, id);
               }
-              // §VI-G: Over Events hoists atomics into the separate tally
-              // loop; mirror the driver binary's defaulting — but only
-              // when the spec did not name a tally mode.  A named mode is
-              // an explicit experimental choice and is never rewritten.
-              if (!spec.tally_mode_named &&
-                  cfg.scheme == Scheme::kOverEvents &&
-                  cfg.tally_mode == TallyMode::kAtomic) {
-                cfg.tally_mode = TallyMode::kDeferredAtomic;
-              }
+              cfg.tally_mode = resolve_tally_mode(
+                  cfg.scheme,
+                  spec.tally_mode_named
+                      ? std::optional<TallyMode>(spec.base.tally_mode)
+                      : std::nullopt,
+                  domain_run);
               jobs.push_back(make_job(id, std::move(cfg), spec.priority));
               ++id;
             }

@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,11 +59,11 @@ struct SweepAxes {
 struct SweepSpec {
   /// Base configuration every job starts from (deck included).
   SimulationConfig base;
-  /// True when the spec named a tally mode (`tally <mode>`).  expand_sweep
-  /// only applies the §VI-G over-events default (atomic -> deferred) when
-  /// the mode was NOT named — an explicit choice is never rewritten.  The
-  /// effective mode is recorded per row in the neutral_batch CSV either
-  /// way, so sweep rows are self-describing.
+  /// True when the spec named a tally mode (`tally <mode>`).  Otherwise
+  /// expand_sweep picks each job's mode with resolve_tally_mode — an
+  /// explicit choice is never rewritten.  The effective mode is recorded
+  /// per row in the neutral_batch CSV either way, so sweep rows are
+  /// self-describing.
   bool tally_mode_named = false;
   /// Name passed to deck_by_name for the mesh_scale axis; empty for custom
   /// decks (then `axis mesh_scale` is an error).
@@ -76,12 +77,22 @@ struct SweepSpec {
   std::int32_t priority = 0;
 };
 
+/// The tally mode a job runs with — the one rule every front-end shares
+/// (neutral, neutral_batch, neutrald).  A named mode is never rewritten.
+/// Unnamed, Over Events hoists its atomics into the separate tally loop
+/// (§VI-G: deferred) for plain and sharded runs; domain runs and Over
+/// Particles stay atomic — deferred per-thread deposit buffers grow with
+/// the bank, the footprint domain decomposition exists to cap.
+TallyMode resolve_tally_mode(Scheme scheme, std::optional<TallyMode> named,
+                             bool domain_run);
+
 /// Number of jobs expand_sweep will emit (product of non-empty axes).
 std::size_t sweep_size(const SweepSpec& spec);
 
 /// Expand the cross product.  Job ids are 0..sweep_size-1 in a fixed
-/// row-major axis order, so expansion is deterministic.
-std::vector<Job> expand_sweep(const SweepSpec& spec);
+/// row-major axis order, so expansion is deterministic.  `domain_run`
+/// says the jobs will run domain-decomposed (resolve_tally_mode).
+std::vector<Job> expand_sweep(const SweepSpec& spec, bool domain_run = false);
 
 /// Parse / load the text spec format documented above.
 SweepSpec parse_sweep(const std::string& text);

@@ -335,7 +335,7 @@ RunResult Simulation::summary() const {
       tally_.footprint_bytes() +
       static_cast<std::uint64_t>(world_->density.size()) * sizeof(double);
   r.peak_bank_bytes = peak_bank_bytes_;
-  if (config_.keep_tally_image) {
+  if (config_.compensated_tally) {
     r.tally = std::make_shared<const TallyImage>(tally_.image());
   }
   if (profiler_ != nullptr) r.phases = profiler_->report();

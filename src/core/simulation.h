@@ -89,11 +89,10 @@ struct SimulationConfig {
   /// Particle-id slice this run sources (default: the whole deck bank).
   ParticleSpan span;
   /// Carry a Neumaier error term per tally cell so each cell rounds once —
-  /// the property that makes sharded runs reduce bit-identically (tally.h).
+  /// the property that makes sharded runs reduce bit-identically (tally.h)
+  /// — and copy the merged tally into RunResult::tally, so the reducer can
+  /// fold it after the Simulation is gone.
   bool compensated_tally = false;
-  /// Copy the merged tally into RunResult::tally (shard jobs need the data
-  /// to outlive the Simulation so the reducer can fold it).
-  bool keep_tally_image = false;
   /// Domain decomposition: the mesh slab this run owns.  Inactive (the
   /// default) = the full mesh.  An active window allocates density/tally
   /// storage only for the slab, sources only the particles *born* inside
@@ -144,8 +143,8 @@ struct RunResult {
   /// migrant injection.  Max-merged like peak_mesh_bytes, so a decomposed
   /// run reports its hungriest partial solve.
   std::uint64_t peak_bank_bytes = 0;
-  /// Merged tally snapshot; only populated when the config asked for it
-  /// (SimulationConfig::keep_tally_image) or by the shard reducer.
+  /// Merged tally snapshot; only populated by compensated runs
+  /// (SimulationConfig::compensated_tally) and by the shard reducer.
   std::shared_ptr<const TallyImage> tally;
   /// §VI-A phase profile; all-zero unless the run profiled
   /// (SimulationConfig::profile on a scheme with probes).  Extensive —

@@ -11,8 +11,7 @@
 #include <cstring>
 #include <utility>
 
-#include "batch/domain.h"
-#include "batch/shard.h"
+#include "batch/executor.h"
 #include "batch/sweep.h"
 #include "io/deck_io.h"
 #include "obs/exporter.h"
@@ -23,12 +22,8 @@
 namespace neutral::net {
 
 using batch::BatchReport;
-using batch::DomainOptions;
-using batch::DomainRunReport;
-using batch::GroupReduction;
 using batch::Job;
 using batch::JobOutcome;
-using batch::ShardOptions;
 using batch::SweepSpec;
 
 namespace {
@@ -53,21 +48,13 @@ Fields refused_reply(const std::string& message) {
   return Fields{{"ok", "0"}, {"refused", "1"}, {"error", message}};
 }
 
-/// Did this error text come from the cooperative cancel check
-/// (Simulation::check_interrupt)?  Used to tell a job the CLIENT stopped
-/// apart from one that genuinely failed before the cancel arrived.
-bool is_cancel_abort(const std::string& error) {
-  return error.find("run cancelled") != std::string::npos;
-}
-
-/// Map one engine outcome to the protocol's row status vocabulary.  The
-/// cancel flag alone never relabels a row: a job that failed on its own
-/// before the client's cancel arrived stays "failed".
-std::string outcome_status(const JobOutcome& outcome, bool cancel_requested) {
+/// The protocol's row status vocabulary for one run_sweep row or engine
+/// job (batch::run_sweep already labels the aborts a client cancel caused
+/// as cancelled).
+std::string outcome_status(const JobOutcome& outcome) {
   if (outcome.ok) return "ok";
   if (outcome.timed_out) return "timed_out";
   if (outcome.cancelled) return "cancelled";
-  if (cancel_requested && is_cancel_abort(outcome.error)) return "cancelled";
   return "failed";
 }
 
@@ -712,8 +699,7 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
   if (!sub->layout.empty()) (void)layout_from_string(sub->layout);
   if (!sub->tally.empty()) (void)tally_mode_from_string(sub->tally);
   if (!sub->schedule.empty()) (void)schedule_from_string(sub->schedule);
-  if (!sub->domains.empty()) (void)batch::parse_domain_grid(sub->domains);
-  NEUTRAL_REQUIRE(sub->shards >= 0, "shards must be >= 0");
+  (void)batch::Decomposition::parse(sub->shards, sub->domains);
 
   {
     MutexLock lock(mutex_);
@@ -921,170 +907,46 @@ void NeutralServer::execute(const std::shared_ptr<Submission>& sub) {
       }
       spec.base.threads = sub->threads;
     }
-    std::vector<Job> sweep_jobs = batch::expand_sweep(spec);
+    const batch::Decomposition how =
+        batch::Decomposition::parse(sub->shards, sub->domains);
+    std::vector<Job> sweep_jobs = batch::expand_sweep(spec, how.domains());
     if (!sub->label.empty() && sweep_jobs.size() == 1) {
       sweep_jobs.front().label = sub->label;
     }
-    // Every job of the submission shares one cooperative cancel flag, so a
-    // client `cancel` stops in-flight work at the next timestep boundary.
-    for (Job& job : sweep_jobs) job.config.cancel = sub->cancel.get();
     {
       MutexLock lock(mutex_);
       sub->jobs_total = sweep_jobs.size();
     }
 
-    auto push_event = [&](std::string label, std::string row_status,
-                          double seconds, std::int32_t worker) {
-      {
-        MutexLock lock(mutex_);
-        sub->events.push_back(Event{std::move(label), std::move(row_status),
-                                    seconds, worker});
-      }
-      cv_.notify_all();
-      wake_.signal();  // stream the event to any watcher promptly
-    };
-
-    auto row_base = [](const Job& job) {
+    // Every job of the submission shares one cooperative cancel flag, so a
+    // client `cancel` stops in-flight work at the next timestep boundary.
+    const BatchReport report = batch::run_sweep(
+        engine_, std::move(sweep_jobs), how, sub->cancel.get(),
+        [&](const JobOutcome& outcome) {
+          {
+            MutexLock lock(mutex_);
+            sub->events.push_back(Event{outcome.label,
+                                        outcome_status(outcome),
+                                        outcome.seconds, outcome.worker});
+          }
+          cv_.notify_all();
+          wake_.signal();  // stream the event to any watcher promptly
+        });
+    rows.reserve(report.jobs.size());
+    for (const JobOutcome& outcome : report.jobs) {
       RemoteRow row;
-      row.label = job.label;
-      row.particles = job.config.deck.n_particles;
-      row.scheme = to_string(job.config.scheme);
-      row.layout = to_string(job.config.layout);
-      return row;
-    };
-
-    if (!sub->domains.empty()) {
-      // Mirror `neutral_batch --domains`: decks decompose one after
-      // another (each solve is itself a fork-join over the pool), the
-      // tally mode defaults to atomic unless the spec named one.
-      const auto [rows_n, cols_n] = batch::parse_domain_grid(sub->domains);
-      for (const Job& job : sweep_jobs) {
-        RemoteRow row = row_base(job);
-        if (sub->cancel->load()) {
-          row.status = "cancelled";
-          row.error = "cancelled";
-          row.tally = to_string(job.config.tally_mode);
-          rows.push_back(std::move(row));
-          continue;
-        }
-        SimulationConfig config = job.config;
-        if (!spec.tally_mode_named) config.tally_mode = TallyMode::kAtomic;
-        row.tally = to_string(config.tally_mode);
-        DomainOptions opt;
-        opt.rows = rows_n;
-        opt.cols = cols_n;
-        opt.shards = std::max(sub->shards, 1);
-        opt.group = job.id + 1;
-        opt.threads_per_domain = engine_.options().threads_per_job > 0
-                                     ? engine_.options().threads_per_job
-                                     : 1;
-        const DomainRunReport report = run_domains(engine_, config, opt);
-        row.seconds = report.wall_seconds;
-        if (report.ok && !report.merged.budget.conserved(1e-9)) {
-          row.status = "failed";
-          row.error = "energy not conserved";
-        } else if (report.ok) {
-          row.status = "ok";
-          row.events = report.merged.counters.total_events();
-          row.checksum = report.merged.tally_checksum;
-          row.population = report.merged.population;
-        } else {
-          row.status = report.timed_out ? "timed_out"
-                       : sub->cancel->load() && is_cancel_abort(report.error)
-                           ? "cancelled"
-                           : "failed";
-          row.error = report.error;
-        }
-        push_event(row.label, row.status, row.seconds, -1);
-        rows.push_back(std::move(row));
-      }
-    } else if (sub->shards > 1) {
-      // Mirror `neutral_batch --shards`: each sweep job becomes one
-      // fork-join group, reduced back to a single row.
-      const std::int32_t threads_per_shard =
-          engine_.options().threads_per_job > 0
-              ? engine_
-                    .thread_budget(sweep_jobs.size() *
-                                   static_cast<std::size_t>(sub->shards))
-                    .second
-              : 0;
-      std::vector<Job> jobs;
-      jobs.reserve(sweep_jobs.size() *
-                   static_cast<std::size_t>(sub->shards));
-      for (const Job& job : sweep_jobs) {
-        ShardOptions opt;
-        opt.shards = sub->shards;
-        opt.threads_per_shard = threads_per_shard;
-        opt.priority = job.priority;
-        opt.group = job.id + 1;
-        std::vector<Job> group = batch::make_shard_jobs(
-            job.config, opt,
-            job.id * static_cast<std::uint64_t>(sub->shards),
-            job.label + "/");
-        for (Job& shard_job : group) jobs.push_back(std::move(shard_job));
-      }
-      const BatchReport report = engine_.run(
-          std::move(jobs), [&](const JobOutcome& outcome) {
-            push_event(outcome.label,
-                       outcome_status(outcome, sub->cancel->load()),
-                       outcome.seconds, outcome.worker);
-          });
-      std::size_t next = 0;
-      for (const Job& job : sweep_jobs) {
-        const std::size_t group_size = std::min<std::size_t>(
-            static_cast<std::size_t>(sub->shards),
-            static_cast<std::size_t>(job.config.deck.n_particles));
-        const GroupReduction group = batch::reduce_outcome_group(
-            &report.jobs.at(next), group_size);
-        next += group_size;
-        RemoteRow row = row_base(job);
-        // make_shard_jobs may promote the tally mode; report as executed.
-        row.tally = to_string(report.jobs.at(next - 1).config.tally_mode);
-        if (group.ok && !group.merged.budget.conserved(1e-9)) {
-          row.status = "failed";
-          row.error = "energy not conserved";
-          row.seconds = group.max_shard_seconds;
-        } else if (group.ok) {
-          row.status = "ok";
-          row.events = group.merged.counters.total_events();
-          row.seconds = group.max_shard_seconds;
-          row.checksum = group.merged.tally_checksum;
-          row.population = group.merged.population;
-        } else {
-          row.status = group.timed_out ? "timed_out"
-                       : sub->cancel->load() && is_cancel_abort(group.error)
-                           ? "cancelled"
-                           : "failed";
-          row.error = group.error;
-        }
-        rows.push_back(std::move(row));
-      }
-    } else {
-      const BatchReport report = engine_.run(
-          std::move(sweep_jobs), [&](const JobOutcome& outcome) {
-            push_event(outcome.label,
-                       outcome_status(outcome, sub->cancel->load()),
-                       outcome.seconds, outcome.worker);
-          });
-      for (const JobOutcome& outcome : report.jobs) {
-        RemoteRow row;
-        row.label = outcome.label;
-        row.particles = outcome.config.deck.n_particles;
-        row.tally = to_string(outcome.config.tally_mode);
-        row.scheme = to_string(outcome.config.scheme);
-        row.layout = to_string(outcome.config.layout);
-        row.events = outcome.result.counters.total_events();
-        row.seconds = outcome.seconds;
-        row.checksum = outcome.result.tally_checksum;
-        row.population = outcome.result.population;
-        row.status = outcome_status(outcome, sub->cancel->load());
-        row.error = outcome.error;
-        if (outcome.ok && !outcome.result.budget.conserved(1e-9)) {
-          row.status = "failed";
-          row.error = "energy not conserved";
-        }
-        rows.push_back(std::move(row));
-      }
+      row.label = outcome.label;
+      row.particles = outcome.config.deck.n_particles;
+      row.tally = to_string(outcome.config.tally_mode);
+      row.scheme = to_string(outcome.config.scheme);
+      row.layout = to_string(outcome.config.layout);
+      row.events = outcome.result.counters.total_events();
+      row.seconds = outcome.seconds;
+      row.checksum = outcome.result.tally_checksum;
+      row.population = outcome.result.population;
+      row.status = outcome_status(outcome);
+      row.error = outcome.error;
+      rows.push_back(std::move(row));
     }
 
     for (const RemoteRow& row : rows) {

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -23,6 +24,7 @@
 #include "batch/sweep.h"
 #include "batch/world_cache.h"
 #include "core/simulation.h"
+#include "io/results_io.h"
 #include "rng/stream.h"
 #include "runtime/host_info.h"
 #include "util/error.h"
@@ -954,6 +956,44 @@ TEST(CliExitStatus, HealthySweepStillExitsZero) {
            "axis particles 100 200\n";
   }
   EXPECT_EQ(run_cli("--spec " + spec + " --quiet --csv " + csv), 0);
+  std::remove(spec.c_str());
+  std::remove(csv.c_str());
+}
+
+TEST(CliRecords, ShardedSweepWritesOneWholeDeckRecordPerJob) {
+  // --record-dir records the reduced row, not the shard jobs: one file per
+  // sweep job, holding the whole deck's particles and censuses.
+  namespace fs = std::filesystem;
+  const std::string spec = scratch("records.spec");
+  const fs::path plain_dir = scratch("records_plain");
+  const fs::path shard_dir = scratch("records_shards");
+  const std::string csv = scratch("records.csv");
+  fs::create_directories(plain_dir);
+  fs::create_directories(shard_dir);
+  {
+    std::ofstream out(spec);
+    out << "deck csp\nmesh_scale 0.02\ntimesteps 1\nthreads 1\n"
+           "axis particles 100 200\n";
+  }
+  const std::string common = "--spec " + spec + " --quiet --csv " + csv;
+  ASSERT_EQ(run_cli(common + " --record-dir " + plain_dir.string()), 0);
+  ASSERT_EQ(
+      run_cli(common + " --shards 2 --record-dir " + shard_dir.string()), 0);
+
+  const auto files = std::distance(fs::directory_iterator(shard_dir),
+                                   fs::directory_iterator());
+  EXPECT_EQ(files, 2);
+  for (const char* name : {"job_0.results", "job_1.results"}) {
+    const ExpectedResults plain = load_results((plain_dir / name).string());
+    const ExpectedResults sharded =
+        load_results((shard_dir / name).string());
+    EXPECT_EQ(sharded.particles, plain.particles) << name;
+    EXPECT_EQ(sharded.censuses, plain.censuses) << name;
+    EXPECT_EQ(sharded.facets, plain.facets) << name;
+    EXPECT_EQ(sharded.collisions, plain.collisions) << name;
+  }
+  fs::remove_all(plain_dir);
+  fs::remove_all(shard_dir);
   std::remove(spec.c_str());
   std::remove(csv.c_str());
 }

@@ -5,6 +5,8 @@
 // Over Events, SoA, and nested bank shards).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -17,6 +19,7 @@
 #include "core/simulation.h"
 #include "core/validation.h"
 #include "mesh/window.h"
+#include "obs/trace.h"
 #include "util/error.h"
 
 namespace neutral {
@@ -27,6 +30,11 @@ using batch::DomainGrid;
 using batch::DomainOptions;
 using batch::DomainRunReport;
 using batch::EngineOptions;
+
+DomainRunReport run_domains(BatchEngine& engine, const SimulationConfig& base,
+                            const DomainOptions& opt = {}) {
+  return batch::run_domains(engine, batch::make_job(0, base), opt);
+}
 
 // A deck small enough for exhaustive grids but busy enough to migrate:
 // csp's centre square scatters particles streaming in from the source
@@ -43,7 +51,6 @@ SimulationConfig tiny_config(std::int64_t particles = 400,
 
 RunResult run_compensated(SimulationConfig cfg) {
   cfg.compensated_tally = true;
-  cfg.keep_tally_image = true;
   Simulation sim(std::move(cfg));
   return sim.run();
 }
@@ -215,8 +222,7 @@ TEST_P(DomainMatrix, BitIdenticalAcrossGridsAndWorkers) {
       DomainOptions opt;
       opt.rows = rows;
       opt.cols = cols;
-      const DomainRunReport report =
-          batch::run_domains(engine, base, opt);
+      const DomainRunReport report = run_domains(engine, base, opt);
       ASSERT_TRUE(report.ok) << report.error;
       SCOPED_TRACE(std::string(to_string(scheme)) + "/" +
                    to_string(layout) + " " + std::to_string(rows) + "x" +
@@ -267,13 +273,13 @@ TEST_P(DomainMatrix, BitIdenticalAcrossGridsAndWorkers) {
       if (workers == 1) {
         // Slab memory shrinks (weakly) as the grid refines; strictly
         // below the full-mesh footprint once the mesh is actually split.
-        EXPECT_EQ(report.peak_mesh_bytes, report.merged.peak_mesh_bytes);
+        const std::uint64_t peak = report.merged.peak_mesh_bytes;
         if (previous_peak > 0) {
-          EXPECT_LT(report.peak_mesh_bytes, previous_peak);
+          EXPECT_LT(peak, previous_peak);
         } else {
-          EXPECT_EQ(report.peak_mesh_bytes, reference.peak_mesh_bytes);
+          EXPECT_EQ(peak, reference.peak_mesh_bytes);
         }
-        previous_peak = report.peak_mesh_bytes;
+        previous_peak = peak;
       }
     }
   }
@@ -310,7 +316,7 @@ TEST(RunDomains, ComposesWithBankShards) {
         opt.rows = 2;
         opt.cols = 2;
         opt.shards = 3;
-        const DomainRunReport report = batch::run_domains(engine, cfg, opt);
+        const DomainRunReport report = run_domains(engine, cfg, opt);
         ASSERT_TRUE(report.ok) << report.error;
         SCOPED_TRACE(std::string(to_string(scheme)) + "/" +
                      to_string(layout) + " on " + std::to_string(workers) +
@@ -346,7 +352,7 @@ TEST(RunDomains, DeferredTallyUnderDomainsStaysBitIdentical) {
   DomainOptions opt;
   opt.rows = 2;
   opt.cols = 2;
-  const DomainRunReport report = batch::run_domains(engine, base, opt);
+  const DomainRunReport report = run_domains(engine, base, opt);
   ASSERT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.merged.tally_checksum, reference.tally_checksum);
   EXPECT_EQ(report.merged.population, reference.population);
@@ -354,7 +360,7 @@ TEST(RunDomains, DeferredTallyUnderDomainsStaysBitIdentical) {
 }
 
 TEST(RunDomains, MultiThreadedRoundsStayBitIdentical) {
-  const SimulationConfig base = tiny_config(400);
+  SimulationConfig base = tiny_config(400);
   const RunResult reference = run_compensated(base);
 
   EngineOptions options;
@@ -363,9 +369,10 @@ TEST(RunDomains, MultiThreadedRoundsStayBitIdentical) {
   DomainOptions opt;
   opt.rows = 2;
   opt.cols = 2;
-  opt.threads_per_domain = 2;  // atomic tally must be promoted
-  const DomainRunReport report = batch::run_domains(engine, base, opt);
+  base.threads = 2;  // atomic tally must be promoted
+  const DomainRunReport report = run_domains(engine, base, opt);
   ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.threads, 2);
   EXPECT_EQ(report.merged.tally_checksum, reference.tally_checksum);
   EXPECT_EQ(report.merged.population, reference.population);
 }
@@ -378,7 +385,7 @@ TEST(RunDomains, MultipleTimestepsDrainEveryBuffer) {
   DomainOptions opt;
   opt.rows = 2;
   opt.cols = 2;
-  const DomainRunReport report = batch::run_domains(engine, base, opt);
+  const DomainRunReport report = run_domains(engine, base, opt);
   ASSERT_TRUE(report.ok) << report.error;
   // At least one wake round per timestep, and steps fold back to the
   // deck's timestep count with exactly the unsharded per-step events.
@@ -394,25 +401,51 @@ TEST(RunDomains, MultipleTimestepsDrainEveryBuffer) {
   EXPECT_EQ(report.merged.population, reference.population);
 }
 
+// Round jobs are make_part_job parts of the sweep job (which also carries
+// its priority over — see PartJobs in test_shard): they join group
+// job.id + 1, not a fixed default, so two decks' rounds never share one.
+TEST(RunDomains, RoundJobsJoinTheSweepJobsGroup) {
+  const std::string path = "test_domain_rounds.jsonl";
+  std::remove(path.c_str());
+  {
+    obs::TraceLog trace(path);
+    EngineOptions options;
+    options.trace = &trace;
+    BatchEngine engine(options);
+    DomainOptions opt;
+    opt.rows = 2;
+    opt.cols = 1;
+    const DomainRunReport report = batch::run_domains(
+        engine, batch::make_job(5, tiny_config(200), /*priority=*/4), opt);
+    ASSERT_TRUE(report.ok) << report.error;
+  }
+  std::ifstream in(path);
+  std::string line;
+  std::size_t rounds_submitted = 0;
+  while (std::getline(in, line)) {
+    if (line.find("\"submitted\"") == std::string::npos) continue;
+    ++rounds_submitted;
+    EXPECT_NE(line.find("\"group\":6"), std::string::npos) << line;
+  }
+  EXPECT_GE(rounds_submitted, 2u);
+  std::remove(path.c_str());
+}
+
 TEST(RunDomains, RejectsInvalidBases) {
   BatchEngine engine;
   // The decomposition owns both axes: a base that already carries a span
   // or a window cannot be decomposed again.
   SimulationConfig spanned = tiny_config();
   spanned.span = ParticleSpan{0, 100};
-  EXPECT_THROW(batch::run_domains(engine, spanned), Error);
+  EXPECT_THROW(run_domains(engine, spanned), Error);
 
   SimulationConfig windowed = tiny_config();
   windowed.window = DomainWindow{0, 0, 4, 4};
-  EXPECT_THROW(batch::run_domains(engine, windowed), Error);
+  EXPECT_THROW(run_domains(engine, windowed), Error);
 
   DomainOptions no_shards;
   no_shards.shards = 0;
-  EXPECT_THROW(batch::run_domains(engine, tiny_config(), no_shards), Error);
-
-  DomainOptions no_group;
-  no_group.group = 0;
-  EXPECT_THROW(batch::run_domains(engine, tiny_config(), no_group), Error);
+  EXPECT_THROW(run_domains(engine, tiny_config(), no_shards), Error);
 }
 
 }  // namespace

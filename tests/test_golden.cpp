@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "batch/domain.h"
+#include "batch/executor.h"
 #include "batch/engine.h"
 #include "core/simulation.h"
 #include "io/deck_io.h"
@@ -150,23 +150,19 @@ TEST_P(GoldenSchemes, DomainDecompositionPreservesEverySchemeAndLayout) {
       batch::EngineOptions options;
       options.workers = 2;
       batch::BatchEngine engine(options);
-      batch::DomainOptions opt;
-      opt.rows = 2;
-      opt.cols = 2;
-      const batch::DomainRunReport report =
-          batch::run_domains(engine, cfg, opt);
-      ASSERT_TRUE(report.ok) << report.error;
+      const batch::BatchReport report = batch::run_sweep(
+          engine, {batch::make_job(0, cfg)},
+          batch::Decomposition::parse(0, "2x2"));
+      const RunResult& merged = report.jobs.front().result;
+      ASSERT_TRUE(report.jobs.front().ok) << report.jobs.front().error;
       SCOPED_TRACE(std::string(to_string(scheme)) + "/" + to_string(layout));
 
-      EXPECT_EQ(report.merged.tally_checksum, reference.tally_checksum);
-      EXPECT_EQ(report.merged.budget.tally_total,
-                reference.budget.tally_total);
-      EXPECT_EQ(report.merged.population, reference.population);
-      EXPECT_EQ(report.merged.counters.facets, reference.counters.facets);
-      EXPECT_EQ(report.merged.counters.collisions,
-                reference.counters.collisions);
-      EXPECT_EQ(report.merged.counters.censuses,
-                reference.counters.censuses);
+      EXPECT_EQ(merged.tally_checksum, reference.tally_checksum);
+      EXPECT_EQ(merged.budget.tally_total, reference.budget.tally_total);
+      EXPECT_EQ(merged.population, reference.population);
+      EXPECT_EQ(merged.counters.facets, reference.counters.facets);
+      EXPECT_EQ(merged.counters.collisions, reference.counters.collisions);
+      EXPECT_EQ(merged.counters.censuses, reference.counters.censuses);
     }
   }
 }

@@ -12,9 +12,8 @@
 #include <thread>
 #include <vector>
 
-#include "batch/domain.h"
 #include "batch/engine.h"
-#include "batch/shard.h"
+#include "batch/executor.h"
 #include "core/simulation.h"
 #include "io/deck_io.h"
 #include "net/client.h"
@@ -134,10 +133,11 @@ TEST(NetServer, LoopbackDeckMatchesInProcessRunExactly) {
 
 TEST(NetServer, MatrixSchemesLayoutsShardsDomainsAllBitIdentical) {
   // Every scheme x layout x shard x domain combination submitted over
-  // loopback must return the same checksum/population as the equivalent
-  // in-process call (Simulation::run, run_sharded, run_domains).  The
-  // tally mode is NAMED atomic so server-side defaulting never diverges
-  // from the reference configs.
+  // loopback must return the same checksum/population/tally as the
+  // executor's in-process row (batch::run_sweep) — shards are sent as
+  // given, so `shards 1` decomposes on both sides.  The tally mode is
+  // NAMED atomic so it is never defaulted; a multi-thread part would
+  // still promote it, and the rows must agree on that too.
   TestServer server;
   NeutralClient client = server.connect();
   batch::BatchEngine local_engine;
@@ -145,7 +145,7 @@ TEST(NetServer, MatrixSchemesLayoutsShardsDomainsAllBitIdentical) {
   const ProblemDeck deck = tiny_deck(300, 2);
   for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
     for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
-      for (const std::int32_t shards : {1, 2}) {
+      for (const std::int32_t shards : {0, 1, 2}) {
         for (const char* domains : {"", "2x1"}) {
           SimulationConfig config;
           config.deck = deck;
@@ -153,34 +153,11 @@ TEST(NetServer, MatrixSchemesLayoutsShardsDomainsAllBitIdentical) {
           config.layout = layout;
           config.tally_mode = TallyMode::kAtomic;
           config.threads = 1;
-
-          double want_checksum = 0.0;
-          std::int64_t want_population = 0;
-          if (domains[0] != '\0') {
-            batch::DomainOptions opt;
-            opt.rows = 2;
-            opt.cols = 1;
-            opt.shards = shards;
-            opt.threads_per_domain = 1;
-            const batch::DomainRunReport reference =
-                run_domains(local_engine, config, opt);
-            ASSERT_TRUE(reference.ok) << reference.error;
-            want_checksum = reference.merged.tally_checksum;
-            want_population = reference.merged.population;
-          } else if (shards > 1) {
-            batch::ShardOptions opt;
-            opt.shards = shards;
-            const batch::ShardedRunReport reference =
-                run_sharded(local_engine, config, opt);
-            ASSERT_TRUE(reference.ok) << reference.error;
-            want_checksum = reference.merged.tally_checksum;
-            want_population = reference.merged.population;
-          } else {
-            Simulation sim(config);
-            const RunResult reference = sim.run();
-            want_checksum = reference.tally_checksum;
-            want_population = reference.population;
-          }
+          const batch::BatchReport local = batch::run_sweep(
+              local_engine, {batch::make_job(0, config)},
+              batch::Decomposition::parse(shards, domains));
+          const batch::JobOutcome& want = local.jobs.front();
+          ASSERT_TRUE(want.ok) << want.error;
 
           SubmitRequest request;
           request.deck_text = format_deck(deck);
@@ -188,7 +165,7 @@ TEST(NetServer, MatrixSchemesLayoutsShardsDomainsAllBitIdentical) {
           request.layout = to_string(layout);
           request.tally = "atomic";
           request.threads = 1;
-          request.shards = shards > 1 ? shards : 0;
+          request.shards = shards;
           request.domains = domains;
           // Streamed wait (the watch op): domain-mode events carry
           // worker = -1 and must still parse client-side.
@@ -203,8 +180,12 @@ TEST(NetServer, MatrixSchemesLayoutsShardsDomainsAllBitIdentical) {
           EXPECT_GE(events_seen, 1u) << cell;
           ASSERT_EQ(result.status, "ok") << cell << ": " << result.error;
           ASSERT_EQ(result.rows.size(), 1u) << cell;
-          EXPECT_EQ(result.rows[0].checksum, want_checksum) << cell;
-          EXPECT_EQ(result.rows[0].population, want_population) << cell;
+          EXPECT_EQ(result.rows[0].checksum, want.result.tally_checksum)
+              << cell;
+          EXPECT_EQ(result.rows[0].population, want.result.population)
+              << cell;
+          EXPECT_EQ(result.rows[0].tally, to_string(want.config.tally_mode))
+              << cell;
         }
       }
     }

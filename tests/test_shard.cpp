@@ -1,6 +1,6 @@
 // Tests for single-deck sharding: the shard planner, span-restricted
-// Simulations, the deterministic tally reduction, the fork-join runner,
-// and sibling-job cancellation.
+// Simulations, the deterministic tally reduction, sharded sweeps through
+// the executor (batch::run_sweep), and sibling-job cancellation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "batch/engine.h"
+#include "batch/executor.h"
 #include "batch/queue.h"
 #include "batch/shard.h"
 #include "core/simulation.h"
@@ -18,11 +19,12 @@ namespace neutral {
 namespace {
 
 using batch::BatchEngine;
+using batch::BatchReport;
+using batch::Decomposition;
 using batch::EngineOptions;
 using batch::Job;
+using batch::JobOutcome;
 using batch::JobQueue;
-using batch::ShardedRunReport;
-using batch::ShardOptions;
 
 ProblemDeck tiny_deck(std::int64_t particles = 400) {
   ProblemDeck deck = csp_deck(/*mesh_scale=*/0.02, /*particle_scale=*/1.0);
@@ -121,7 +123,6 @@ TEST(ParticleSpanRuns, RejectsSpansOutsideTheBank) {
 RunResult run_compensated(SimulationConfig cfg, ParticleSpan span) {
   cfg.span = span;
   cfg.compensated_tally = true;
-  cfg.keep_tally_image = true;
   Simulation sim(std::move(cfg));
   return sim.run();
 }
@@ -173,10 +174,17 @@ TEST(TallyReduction, AnyShardOrderMatchesSerialBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
-// Fork-join runner
+// Sharded sweeps through the executor
 // ---------------------------------------------------------------------------
 
-TEST(RunSharded, BitIdenticalAcrossShardAndWorkerCounts) {
+BatchReport run_shards(BatchEngine& engine, const SimulationConfig& base,
+                       std::int32_t shards) {
+  Decomposition how;
+  how.shards = shards;
+  return batch::run_sweep(engine, {batch::make_job(0, base)}, how);
+}
+
+TEST(ShardSweep, BitIdenticalAcrossShardAndWorkerCounts) {
   const SimulationConfig base = tiny_config(400);
   // The reference: the same deck, unsharded, through the same compensated
   // pipeline (one shard is exactly that).
@@ -187,68 +195,81 @@ TEST(RunSharded, BitIdenticalAcrossShardAndWorkerCounts) {
       EngineOptions options;
       options.workers = workers;
       BatchEngine engine(options);
-      ShardOptions opt;
-      opt.shards = shards;
-      const ShardedRunReport report = batch::run_sharded(engine, base, opt);
-      ASSERT_TRUE(report.ok) << report.error;
-      EXPECT_EQ(report.batch.jobs.size(), static_cast<std::size_t>(shards));
-      EXPECT_EQ(report.merged.tally_checksum, reference.tally_checksum)
+      const BatchReport report = run_shards(engine, base, shards);
+      ASSERT_EQ(report.jobs.size(), 1u);
+      const JobOutcome& row = report.jobs.front();
+      ASSERT_TRUE(row.ok) << row.error;
+      EXPECT_EQ(row.split.shards, shards);
+      EXPECT_EQ(row.result.tally_checksum, reference.tally_checksum)
           << shards << " shards on " << workers << " workers";
-      EXPECT_EQ(report.merged.population, reference.population);
-      EXPECT_EQ(report.merged.counters.total_events(),
+      EXPECT_EQ(row.result.population, reference.population);
+      EXPECT_EQ(row.result.counters.total_events(),
                 reference.counters.total_events());
-      EXPECT_TRUE(report.merged.budget.conserved(1e-9));
-      ASSERT_NE(report.merged.tally, nullptr);
+      EXPECT_TRUE(row.result.budget.conserved(1e-9));
+      ASSERT_NE(row.result.tally, nullptr);
       // One geometry: the world is built once and shared by all shards.
-      EXPECT_EQ(report.batch.cache.misses, shards > 0 ? 1u : 0u);
-      EXPECT_EQ(report.batch.cache.hits,
-                static_cast<std::uint64_t>(shards - 1));
+      EXPECT_EQ(report.cache.misses, 1u);
+      EXPECT_EQ(report.cache.hits, static_cast<std::uint64_t>(shards - 1));
     }
   }
 }
 
-TEST(RunSharded, MultiThreadedShardsStayBitIdentical) {
-  const SimulationConfig base = tiny_config(400);
+TEST(ShardSweep, MultiThreadedShardsStayBitIdentical) {
+  SimulationConfig base = tiny_config(400);
   const RunResult reference = run_compensated(base, ParticleSpan{});
 
   EngineOptions options;
   options.workers = 2;
   BatchEngine engine(options);
-  ShardOptions opt;
-  opt.shards = 2;
-  opt.threads_per_shard = 2;  // atomic mode must be promoted to privatized
-  const ShardedRunReport report = batch::run_sharded(engine, base, opt);
-  ASSERT_TRUE(report.ok) << report.error;
-  for (const auto& job : report.batch.jobs) {
-    EXPECT_EQ(job.config.tally_mode, TallyMode::kPrivatized);
-  }
-  EXPECT_EQ(report.merged.tally_checksum, reference.tally_checksum);
-  EXPECT_EQ(report.merged.population, reference.population);
+  base.threads = 2;  // atomic mode must be promoted to privatized
+  const BatchReport report = run_shards(engine, base, 2);
+  const JobOutcome& row = report.jobs.front();
+  ASSERT_TRUE(row.ok) << row.error;
+  // The row reports the tally mode as executed.
+  EXPECT_EQ(row.config.tally_mode, TallyMode::kPrivatized);
+  EXPECT_EQ(row.config.threads, 2);
+  EXPECT_EQ(row.result.tally_checksum, reference.tally_checksum);
+  EXPECT_EQ(row.result.population, reference.population);
 }
 
-TEST(MakeShardJobs, StampsGroupSpanAndFingerprint) {
-  const SimulationConfig base = tiny_config(100);
-  ShardOptions opt;
-  opt.shards = 4;
-  opt.group = 9;
-  opt.priority = 2;
-  const std::vector<Job> jobs = batch::make_shard_jobs(base, opt, 20);
-  ASSERT_EQ(jobs.size(), 4u);
-  for (std::size_t s = 0; s < jobs.size(); ++s) {
-    EXPECT_EQ(jobs[s].id, 20 + s);
-    EXPECT_EQ(jobs[s].group, 9u);
-    EXPECT_EQ(jobs[s].priority, 2);
-    EXPECT_EQ(jobs[s].fingerprint, jobs[0].fingerprint);
-    EXPECT_TRUE(jobs[s].config.compensated_tally);
-    EXPECT_TRUE(jobs[s].config.keep_tally_image);
-    EXPECT_EQ(jobs[s].config.span.count, 25);
-    EXPECT_NE(jobs[s].label.find("shard " + std::to_string(s) + "/4"),
-              std::string::npos);
+TEST(ShardSweep, ShardJobsSplitTheBankIntoCompensatedSpans) {
+  SimulationConfig base = tiny_config(100);
+  Job job = batch::make_job(8, base, /*priority=*/2);
+  std::vector<JobOutcome> parts;
+  EngineOptions options;
+  options.workers = 1;
+  BatchEngine engine(options);
+  Decomposition how;
+  how.shards = 4;
+  const BatchReport report = batch::run_sweep(
+      engine, {job}, how, nullptr,
+      [&parts](const JobOutcome& part) { parts.push_back(part); });
+  ASSERT_TRUE(report.jobs.front().ok) << report.jobs.front().error;
+  ASSERT_EQ(parts.size(), 4u);
+  for (const JobOutcome& part : parts) {
+    EXPECT_TRUE(part.config.compensated_tally);
+    EXPECT_EQ(part.config.span.count, 25);
+    EXPECT_NE(part.label.find("/shard "), std::string::npos);
   }
-  // Sharding an already-sharded config is refused.
-  SimulationConfig sharded = base;
-  sharded.span = ParticleSpan{0, 50};
-  EXPECT_THROW(batch::make_shard_jobs(sharded, opt), Error);
+  // Sharding an already-sharded config fails its row, not the call.
+  job.config.span = ParticleSpan{0, 50};
+  const BatchReport refused = batch::run_sweep(engine, {job}, how);
+  EXPECT_FALSE(refused.jobs.front().ok);
+  EXPECT_NE(refused.jobs.front().error.find("particle span"),
+            std::string::npos);
+}
+
+TEST(PartJobs, InheritPriorityAndJoinTheSweepJobsGroup) {
+  const Job parent = batch::make_job(8, tiny_config(100), /*priority=*/3);
+  const Job part = batch::make_part_job(parent, 20, "part");
+  EXPECT_EQ(part.id, 20u);
+  EXPECT_EQ(part.group, 9u);  // non-zero even for sweep job 0
+  EXPECT_EQ(part.priority, 3);
+  EXPECT_EQ(part.label, "part");
+  EXPECT_EQ(batch::make_part_job(batch::make_job(0, tiny_config(100)), 1,
+                                 "first")
+                .group,
+            1u);
 }
 
 TEST(ReduceShards, RequiresTallyImages) {

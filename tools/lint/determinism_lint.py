@@ -15,7 +15,7 @@ free of hidden nondeterminism, so this checker bans, in `src/`:
       deadlines and timers never feed a tally.
   R3  unordered-container iteration in the reduction paths (src/core,
       src/mesh, src/xs, src/rng, src/tally, src/batch/shard*,
-      src/batch/domain*): hash-order is pointer/seed dependent, so a loop
+      src/batch/domain*, src/batch/executor*): hash-order is pointer/seed dependent, so a loop
       over an unordered_map that deposits into a tally or folds a
       reduction reorders float adds between runs.  Enforced bluntly — the
       listed files may not mention unordered_map/unordered_set at all
@@ -44,7 +44,7 @@ SRC = REPO / "src"
 
 # Rule -> (regex, allowed-path predicate, message).
 REDUCTION_DIRS = ("core", "mesh", "xs", "rng", "tally")
-REDUCTION_BATCH = ("shard", "domain")
+REDUCTION_BATCH = ("shard", "domain", "executor")
 
 
 def rel(path: Path) -> str:
