@@ -32,7 +32,11 @@ namespace {
 
 using namespace neutral;
 
-void print_report(const SimulationConfig& cfg, const RunResult& r) {
+/// `wall_seconds` is the solve's wall clock: r.total_seconds for a plain
+/// run, the reduced row's seconds for a decomposed one (whose
+/// r.total_seconds sums the parts' times).
+void print_report(const SimulationConfig& cfg, const RunResult& r,
+                  double wall_seconds) {
   std::printf("\n== neutral run report ==\n");
   std::printf("problem        : %s  (%d x %d cells, %lld particles, %d "
               "timesteps)\n",
@@ -44,8 +48,15 @@ void print_report(const SimulationConfig& cfg, const RunResult& r) {
               to_string(cfg.scheme), to_string(cfg.layout),
               to_string(cfg.tally_mode), to_string(cfg.lookup),
               cfg.schedule.name().c_str());
-  std::printf("wallclock      : %.4f s   (%.3g events/s)\n", r.total_seconds,
-              r.events_per_second());
+  std::printf("wallclock      : %.4f s   (%.3g events/s)\n", wall_seconds,
+              wall_seconds > 0.0
+                  ? static_cast<double>(r.counters.total_events()) /
+                        wall_seconds
+                  : 0.0);
+  if (wall_seconds != r.total_seconds) {
+    std::printf("part time      : %.4f s summed over the parallel parts\n",
+                r.total_seconds);
+  }
   std::printf("events         : %llu facets (%llu reflections), %llu "
               "collisions (%llu abs / %llu scat), %llu census\n",
               static_cast<unsigned long long>(r.counters.facets),
@@ -161,7 +172,7 @@ int main(int argc, char** argv) {
     if (!how.decomposed()) {
       Simulation sim(config);
       result = sim.run();
-      print_report(config, result);
+      print_report(config, result, result.total_seconds);
       if (config.profile) print_profile(result);
       if (!heatmap.empty()) {
         write_heatmap_ppm(heatmap, sim.mesh(), sim.tally().data());
@@ -186,7 +197,7 @@ int main(int argc, char** argv) {
       }
       config = row.config;  // tally mode and threads as executed
       result = row.result;
-      print_report(config, result);
+      print_report(config, result, row.seconds);
       if (config.profile) print_profile(result);
       std::printf("decomposition  : %s on %d workers, %.4f s wall (%.3g "
                   "events/s)\n",

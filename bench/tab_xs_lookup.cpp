@@ -2,9 +2,12 @@
 // binary search on csp.  Both lookup strategies are swept over the
 // problems (the effect concentrates where collisions are frequent), and a
 // microbench isolates the lookup itself: ns per capture+scatter pair and
-// search steps per lookup, on the correlated energy walk collisions
-// actually produce (§VI-A: energy changes slowly, so the cached walk stays
-// short).
+// search steps per lookup, on a correlated collision-style energy walk.
+// The pair runs as refresh_cross_sections does: one bin search on the
+// capture table, one weight, both tables interpolated at that bin.
+//
+// Exit status 1 when the two strategies' checksums differ: they must find
+// the same bin, so the interpolated values must be bit-identical.
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -49,13 +52,15 @@ MicroResult micro_lookup(const World& world, XsLookup mode,
   MicroResult out;
   double best_ns = 1.0e300;
   for (int rep = 0; rep < reps; ++rep) {
-    std::int32_t idx_a = 0;
-    std::int32_t idx_s = 0;
+    std::int32_t idx = 0;
     double sum = 0.0;
     const auto t0 = std::chrono::steady_clock::now();
-    for (const double e : energies) {
-      sum += world.xs_capture.microscopic(e, mode, idx_a);
-      sum += world.xs_scatter.microscopic(e, mode, idx_s);
+    for (const double ev : energies) {
+      const double e = world.xs_capture.clamp_energy(ev);
+      idx = world.xs_capture.find_bin(e, mode, idx);
+      const double t = world.xs_capture.weight(idx, e);
+      sum += world.xs_capture.interpolate(idx, t);
+      sum += world.xs_scatter.interpolate(idx, t);
     }
     const auto t1 = std::chrono::steady_clock::now();
     const double ns =
@@ -66,9 +71,8 @@ MicroResult micro_lookup(const World& world, XsLookup mode,
   }
   out.ns_per_lookup = best_ns;
 
-  // Steps are deterministic — count them once, outside the timed loop.
-  // Both tables share one energy grid, so the capture-side count is the
-  // per-table story.
+  // Steps are deterministic — count them once, outside the timed loop,
+  // with the same search find_bin runs.
   std::int64_t steps = 0;
   std::int32_t idx = 0;
   for (const double e : energies) {
@@ -118,19 +122,25 @@ int main(int argc, char** argv) {
   ResultTable micro("§VI-A — isolated lookup (capture+scatter pair, "
                     "collision-style energy walk)",
                     {"strategy", "ns/lookup", "steps/lookup", "checksum"});
+  std::vector<double> sums;
   for (const XsLookup mode : kModes) {
     const MicroResult r = micro_lookup(*world, mode, energies, scale.reps);
     micro.add_row({to_string(mode), ResultTable::cell(r.ns_per_lookup, 2),
                    ResultTable::cell(r.steps_per_lookup, 3),
-                   ResultTable::cell(r.sum, 6)});
+                   ResultTable::cell_full(r.sum)});
+    sums.push_back(r.sum);
   }
   micro.print();
   micro.write_csv("tab_xs_lookup_micro.csv");
 
   std::printf(
       "\npaper: cached linear search 1.3x faster than binary search on csp\n"
-      "(collisions change energy slowly, so the walk stays in cache).\n"
-      "The checksum column must agree across both strategies — they\n"
-      "locate the same bin, so the interpolated values are bit-identical.\n");
+      "(collisions change energy slowly, so the walk stays in cache).\n");
+  if (sums.front() != sums.back()) {
+    std::printf("FAIL: the strategies' checksums differ — they must locate "
+                "the same bin, so the values must be bit-identical\n");
+    return 1;
+  }
+  std::printf("PASS: both strategies' checksums are bit-identical\n");
   return 0;
 }

@@ -57,17 +57,23 @@ inline void refresh_macroscopic(FlightState& fs) {
 }  // namespace detail
 
 /// Reload the microscopic cross sections after an energy change.  Only
-/// collisions change energy, so only collisions pay the table walk (§VI-A).
+/// collisions change energy, so only collisions pay the bin search (§VI-A).
+/// The two tables share one energy grid (World checks same_energy_grid),
+/// so one search and one interpolation weight serve both channels.
 template <class View, class Hooks>
 inline void refresh_cross_sections(const View& v, std::size_t i,
                                    const TransportContext& ctx,
                                    FlightState& fs, EventCounters& ec,
                                    Hooks& hooks) {
+  const CrossSectionTable& capture = *ctx.xs_capture;
   std::int32_t idx = v.xs_index(i);
   const std::int32_t before = idx;
   const double e = v.energy(i);
-  fs.micro_a = ctx.xs_capture->microscopic(e, ctx.lookup, idx);
-  fs.micro_s = ctx.xs_scatter->microscopic(e, ctx.lookup, idx);
+  const double clamped = capture.clamp_energy(e);
+  idx = capture.find_bin(clamped, ctx.lookup, idx);
+  const double t = capture.weight(idx, clamped);
+  fs.micro_a = capture.interpolate(idx, t);
+  fs.micro_s = ctx.xs_scatter->interpolate(idx, t);
   v.xs_index(i) = idx;
   ec.xs_lookups += 2;
   if constexpr (Hooks::kTracing) {

@@ -59,10 +59,10 @@ World::World(const ProblemDeck& deck, const DomainWindow& slab)
       xs_scatter(make_scatter_table(deck.xs)),
       fingerprint(domain_world_fingerprint(deck, window)) {
   NEUTRAL_REQUIRE(window.within(mesh), "domain window must fit the mesh");
-  // The per-particle cached bin index is shared by both tables, which is
-  // only sound when their energy grids coincide (synthetic tables built
-  // from one config always do).
-  NEUTRAL_REQUIRE(xs_capture.size() == xs_scatter.size(),
+  // One bin search and one interpolation weight serve both tables
+  // (refresh_cross_sections), which is only sound when their energy grids
+  // coincide knot for knot (synthetic tables built from one config do).
+  NEUTRAL_REQUIRE(same_energy_grid(xs_capture, xs_scatter),
                   "capture/scatter tables must share an energy grid");
 }
 
@@ -73,8 +73,9 @@ std::uint64_t World::footprint_bytes() const {
               static_cast<std::uint64_t>(mesh.ny()) + 1);
   const std::uint64_t density_bytes =
       doubles(static_cast<std::uint64_t>(density.size()));
-  // Each table: energy + value arrays plus the bucket acceleration grid
-  // (int32 per point, same order of magnitude).
+  // Each table: energy + value arrays plus an int32 per point for the
+  // search index.  The slot table really holds at most size()/4 + 1; the
+  // larger charge is kept because WorldCache budgets --cache-mb by it.
   const auto xs_bytes = [&](const CrossSectionTable& t) {
     return doubles(static_cast<std::uint64_t>(t.size()) * 2) +
            static_cast<std::uint64_t>(t.size()) * sizeof(std::int32_t);

@@ -1,10 +1,8 @@
 #include "xs/table.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.h"
-#include "util/numeric.h"
 
 namespace neutral {
 
@@ -37,156 +35,37 @@ CrossSectionTable::CrossSectionTable(aligned_vector<double> energy_ev,
   for (double v : barns_) {
     NEUTRAL_REQUIRE(v >= 0.0, "cross sections must be non-negative");
   }
-  build_buckets();
+  build_slots();
 }
 
-void CrossSectionTable::build_buckets() {
-  // ~4 table points per bucket keeps the post-bucket walk short while the
-  // index stays small relative to the table itself.
-  const auto n_buckets =
-      std::max<std::int32_t>(8, static_cast<std::int32_t>(energy_.size() / 4));
-  log_min_ = std::log(energy_.front());
-  const double log_max = std::log(energy_.back());
-  inv_log_bucket_width_ = n_buckets / (log_max - log_min_);
-
-  bucket_start_.assign(static_cast<std::size_t>(n_buckets) + 1, 0);
-  std::int32_t idx = 0;
-  for (std::int32_t b = 0; b <= n_buckets; ++b) {
-    const double e_lo = std::exp(log_min_ + b / inv_log_bucket_width_);
-    while (idx + 2 < static_cast<std::int32_t>(energy_.size()) &&
-           energy_[idx + 1] <= e_lo) {
-      ++idx;
-    }
-    bucket_start_[b] = idx;
-  }
-}
-
-std::int32_t CrossSectionTable::find_binary(double ev) const {
-  const auto it = std::upper_bound(energy_.begin(), energy_.end(), ev);
-  auto idx = static_cast<std::int64_t>(std::distance(energy_.begin(), it)) - 1;
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(energy_.size()) - 2);
-  return static_cast<std::int32_t>(idx);
-}
-
-std::int32_t CrossSectionTable::find_cached(double ev, std::int32_t hint) const {
+void CrossSectionTable::build_slots() {
+  // The smallest shift that keeps at most max(8, size()/4) slots past the
+  // first: ~4-8 table points per slot keeps the post-slot walk short while
+  // the index stays a fraction of the table.  For positive doubles the bit
+  // pattern orders like the value, so every slot boundary below is itself
+  // a representable energy inside the table range.
   const auto last = static_cast<std::int32_t>(energy_.size()) - 2;
-  std::int32_t i = std::clamp(hint, 0, last);
-  // Walk toward the target bin.  Collisions move energy by modest factors,
-  // so this loop usually executes 0-2 iterations and touches cache-resident
-  // lines — the §VI-A optimisation worth 1.3x.  Large energy jumps (a cold
-  // hint at history start, or a hard down-scatter) would degrade the walk
-  // to O(n) — the failure mode §VI-A anticipates — so after a bounded
-  // number of steps the search reseeds from the O(1) bucketed index.
-  constexpr std::int32_t kMaxWalk = 16;
-  for (std::int32_t step = 0; i < last && energy_[i + 1] <= ev; ++i) {
-    if (++step > kMaxWalk) return find_bucketed(ev);
-  }
-  for (std::int32_t step = 0; i > 0 && energy_[i] > ev; --i) {
-    if (++step > kMaxWalk) return find_bucketed(ev);
-  }
-  return i;
-}
+  const std::uint64_t max_slot =
+      std::max<std::uint64_t>(8, energy_.size() / 4);
+  min_bits_ = bits(energy_.front());
+  const std::uint64_t span = bits(energy_.back()) - min_bits_;
+  shift_ = 0;
+  while ((span >> shift_) > max_slot) ++shift_;
 
-std::int32_t CrossSectionTable::find_bucketed(double ev) const {
-  const double e = clamp(ev, energy_.front(), energy_.back());
-  auto b = static_cast<std::int32_t>((std::log(e) - log_min_) *
-                                     inv_log_bucket_width_);
-  b = std::clamp(b, 0, static_cast<std::int32_t>(bucket_start_.size()) - 2);
-  std::int32_t i = bucket_start_[b];
-  const auto last = static_cast<std::int32_t>(energy_.size()) - 2;
-  while (i < last && energy_[i + 1] <= e) ++i;
-  return i;
-}
-
-std::int32_t CrossSectionTable::find_bin(double ev, XsLookup mode,
-                                         std::int32_t& cached_index) const {
+  slot_start_.assign((span >> shift_) + 1, 0);
   std::int32_t i = 0;
-  switch (mode) {
-    case XsLookup::kBinarySearch: i = find_binary(ev); break;
-    case XsLookup::kCachedLinear: i = find_cached(ev, cached_index); break;
+  for (std::size_t s = 0; s < slot_start_.size(); ++s) {
+    const std::uint64_t first =
+        min_bits_ + (static_cast<std::uint64_t>(s) << shift_);
+    while (i < last && bits(energy_[i + 1]) <= first) ++i;
+    slot_start_[s] = i;
   }
-  cached_index = i;
-  return i;
 }
 
-std::int32_t CrossSectionTable::find_bin_counted(double ev, XsLookup mode,
-                                                 std::int32_t& cached_index,
-                                                 std::int64_t& steps) const {
-  const double e = clamp(ev, energy_.front(), energy_.back());
-  const auto last = static_cast<std::int32_t>(energy_.size()) - 2;
-
-  // Mirrors find_bucketed, counting post-index walk advances.
-  const auto bucketed_counted = [&]() {
-    auto b = static_cast<std::int32_t>((std::log(e) - log_min_) *
-                                       inv_log_bucket_width_);
-    b = std::clamp(b, 0, static_cast<std::int32_t>(bucket_start_.size()) - 2);
-    std::int32_t i = bucket_start_[b];
-    while (i < last && energy_[i + 1] <= e) {
-      ++i;
-      ++steps;
-    }
-    return i;
-  };
-
-  std::int32_t i = 0;
-  switch (mode) {
-    case XsLookup::kBinarySearch: {
-      // Count the halving probes an explicit binary search performs.
-      std::int32_t lo = 0;
-      std::int32_t hi = static_cast<std::int32_t>(energy_.size());
-      while (hi - lo > 1) {
-        const std::int32_t mid = lo + (hi - lo) / 2;
-        ++steps;
-        if (energy_[mid] <= e) {
-          lo = mid;
-        } else {
-          hi = mid;
-        }
-      }
-      i = std::clamp(lo, 0, last);
-      break;
-    }
-    case XsLookup::kCachedLinear: {
-      // Mirrors find_cached, including the bounded-walk reseed through
-      // the bucketed index.
-      constexpr std::int32_t kMaxWalk = 16;
-      i = std::clamp(cached_index, 0, last);
-      std::int32_t walked = 0;
-      bool reseeded = false;
-      while (i < last && energy_[i + 1] <= e) {
-        ++i;
-        ++steps;
-        if (++walked > kMaxWalk) {
-          reseeded = true;
-          break;
-        }
-      }
-      if (!reseeded) {
-        while (i > 0 && energy_[i] > e) {
-          --i;
-          ++steps;
-          if (++walked > kMaxWalk) {
-            reseeded = true;
-            break;
-          }
-        }
-      }
-      if (reseeded) i = bucketed_counted();
-      break;
-    }
-  }
-  cached_index = i;
-  return i;
-}
-
-double CrossSectionTable::microscopic(double ev, XsLookup mode,
-                                      std::int32_t& cached_index) const {
-  const double e = clamp(ev, energy_.front(), energy_.back());
-  const std::int32_t i = find_bin(e, mode, cached_index);
-  const double e0 = energy_[i];
-  const double e1 = energy_[i + 1];
-  const double t = (e - e0) / (e1 - e0);
-  return barns_[i] + t * (barns_[i + 1] - barns_[i]);
+bool same_energy_grid(const CrossSectionTable& a, const CrossSectionTable& b) {
+  return a.size() == b.size() &&
+         std::equal(a.energies_data(), a.energies_data() + a.size(),
+                    b.energies_data());
 }
 
 double number_density(double rho_g_cm3, double molar_mass_g_mol) {

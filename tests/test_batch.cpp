@@ -1000,5 +1000,39 @@ TEST(CliRecords, ShardedSweepWritesOneWholeDeckRecordPerJob) {
 
 #endif  // NEUTRAL_BATCH_BIN
 
+#ifdef NEUTRAL_BIN
+
+TEST(CliReport, DecomposedWallclockIsTheWallNotTheSummedPartTime) {
+  // Four shards overlap in time, so their summed seconds exceed the wall
+  // clock; the `wallclock` line must report the wall, agreeing with the
+  // `decomposition` line's.
+  const std::string cmd = std::string(NEUTRAL_BIN) +
+                          " --problem scatter --mesh-scale 0.02 "
+                          "--particles 4000 --shards 4 --threads 4 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  double wallclock = -1.0;
+  double decomposition = -1.0;
+  char line[512];
+  while (std::fgets(line, sizeof line, pipe) != nullptr) {
+    // "wallclock      : 0.1092 s ..." and
+    // "decomposition  : 4 shards on 4 workers, 0.1103 s wall ...".
+    const std::string text(line);
+    if (text.rfind("wallclock", 0) == 0) {
+      wallclock = std::strtod(text.c_str() + text.find(':') + 1, nullptr);
+    } else if (text.rfind("decomposition", 0) == 0) {
+      const std::size_t comma = text.find(", ");
+      ASSERT_NE(comma, std::string::npos) << text;
+      decomposition = std::strtod(text.c_str() + comma + 1, nullptr);
+    }
+  }
+  ASSERT_EQ(::pclose(pipe), 0);
+  ASSERT_GT(wallclock, 0.0);
+  ASSERT_GT(decomposition, 0.0);
+  EXPECT_LE(wallclock, decomposition * 1.05);
+}
+
+#endif  // NEUTRAL_BIN
+
 }  // namespace
 }  // namespace neutral

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "rng/stream.h"
@@ -164,8 +167,8 @@ TEST(XsLookup, BothStrategiesBitIdenticalOverFuzzedSweep) {
   std::int32_t cached_a = 0;
   std::int32_t cached_s = 0;
   for (const double ev : fuzzed_energies(capture, 99)) {
-    // The sweep's large jumps push the cached walk past its step bound,
-    // so the bucketed reseed is covered too.
+    // The sweep's large jumps miss the cached bin, so the slot table is
+    // covered too.
     std::int32_t bin_idx = 0;
     const double binary_a =
         capture.microscopic(ev, XsLookup::kBinarySearch, bin_idx);
@@ -201,6 +204,122 @@ TEST(XsLookup, CountedFindBinMatchesPlainFindBin) {
     }
     EXPECT_GT(steps, 0) << to_string(mode);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Slot-table exactness on grids that stress the bit-pattern index
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+CrossSectionTable table_on(aligned_vector<double> energies) {
+  aligned_vector<double> values(energies.size());
+  rng::BulkStream rng(5, 3);
+  for (double& v : values) v = 100.0 * rng.next();
+  return CrossSectionTable(std::move(energies), std::move(values));
+}
+
+CrossSectionTable grid_named(const std::string& name) {
+  aligned_vector<double> e;
+  if (name == "synthetic30k") return make_capture_table(SyntheticXsConfig{});
+  if (name == "two_points") {
+    e = {1.0, 3.0};
+  } else if (name == "one_binade") {
+    for (int i = 0; i < 1000; ++i) e.push_back(2.0 + 2.0 * i / 1000.0);
+  } else if (name == "adjacent_doubles") {
+    e.push_back(1.0);
+    while (e.size() < 500) e.push_back(std::nextafter(e.back(), 2.0));
+  } else if (name == "extreme_range") {
+    for (int i = 0; i < 2000; ++i) {
+      e.push_back(std::pow(10.0, -300.0 + 600.0 * i / 1999.0));
+    }
+  }
+  return table_on(std::move(e));
+}
+
+/// Cached (from `hint`) and binary search must find the same bin, and the
+/// bin must hold the clamped energy; their interpolated values must be the
+/// same bits.
+::testing::AssertionResult strategies_agree(const CrossSectionTable& t,
+                                            double ev, std::int32_t hint) {
+  std::int32_t binary_bin = 0;
+  const double binary = t.microscopic(ev, XsLookup::kBinarySearch, binary_bin);
+  std::int32_t cached_bin = hint;
+  const double cached = t.microscopic(ev, XsLookup::kCachedLinear, cached_bin);
+  const double e = t.clamp_energy(ev);
+  const bool holds = t.energy(binary_bin) <= e &&
+                     (binary_bin == t.size() - 2 || e < t.energy(binary_bin + 1));
+  if (binary_bin != cached_bin || bits_of(binary) != bits_of(cached) ||
+      !holds) {
+    return ::testing::AssertionFailure()
+           << "ev=" << ev << " hint=" << hint << " binary bin " << binary_bin
+           << " cached bin " << cached_bin << " holds=" << holds;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class SlotTableExactness : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SlotTableExactness, CachedMatchesBinaryEverywhere) {
+  const CrossSectionTable t = grid_named(GetParam());
+  ASSERT_GE(t.size(), 2);
+  EXPECT_LE(t.slot_count(),
+            static_cast<std::size_t>(std::max(8, t.size() / 4)) + 1);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> probes = {t.min_energy() * 0.5, t.max_energy() * 2.0,
+                                0.0, -1.0, inf};
+  for (std::int32_t i = 0; i < t.size(); ++i) {
+    probes.push_back(t.energy(i));
+    probes.push_back(std::nextafter(t.energy(i), -inf));
+    probes.push_back(std::nextafter(t.energy(i), inf));
+    if (i + 1 < t.size()) {
+      probes.push_back(t.energy(i) + (t.energy(i + 1) - t.energy(i)) / 2.0);
+    }
+  }
+  // Every probe from both a cold hint and its own bin's neighbour.
+  for (const double ev : probes) {
+    ASSERT_TRUE(strategies_agree(t, ev, 0));
+    ASSERT_TRUE(strategies_agree(t, ev, t.size() / 2));
+  }
+
+  // Fuzz: half uniform in bit pattern over twice the range (log-like),
+  // half uniform in value inside it (dense where knots are adjacent),
+  // each with a random stale hint, some far outside [0, size()).
+  rng::BulkStream rng(17, 9);
+  const double lo_bits = static_cast<double>(bits_of(t.min_energy() * 0.5));
+  const double hi_bits = static_cast<double>(bits_of(t.max_energy() * 2.0));
+  for (int k = 0; k < 100000; ++k) {
+    const double ev =
+        k % 2 == 0
+            ? std::bit_cast<double>(static_cast<std::uint64_t>(
+                  lo_bits + (hi_bits - lo_bits) * rng.next()))
+            : t.min_energy() + (t.max_energy() - t.min_energy()) * rng.next();
+    const auto hint =
+        static_cast<std::int32_t>((t.size() + 20) * rng.next()) - 10;
+    ASSERT_TRUE(strategies_agree(t, ev, hint));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, SlotTableExactness,
+                         ::testing::Values("synthetic30k", "two_points",
+                                           "one_binade", "adjacent_doubles",
+                                           "extreme_range"),
+                         [](const auto& info) { return std::string(info.param); });
+
+TEST(SameEnergyGrid, RejectsAKnotMovedByOneUlp) {
+  SyntheticXsConfig cfg;
+  cfg.points = 300;
+  const auto capture = make_capture_table(cfg);
+  EXPECT_TRUE(same_energy_grid(capture, make_scatter_table(cfg)));
+
+  aligned_vector<double> e(capture.energies_data(),
+                           capture.energies_data() + capture.size());
+  e[150] = std::nextafter(e[150], 1.0e300);
+  const CrossSectionTable moved = table_on(std::move(e));
+  ASSERT_EQ(moved.size(), capture.size());
+  EXPECT_FALSE(same_energy_grid(capture, moved));
+  EXPECT_FALSE(same_energy_grid(capture, tiny_table()));
 }
 
 // ---------------------------------------------------------------------------
@@ -319,15 +438,15 @@ TEST(Synthetic, RejectsBadConfig) {
 }
 
 TEST(Synthetic, CaptureAndScatterShareTheGrid) {
-  // The per-particle cached index is shared between the two tables, which
-  // requires identical energy grids (see Simulation constructor).
+  // One bin and one interpolation weight serve both tables, which requires
+  // identical energy grids, knot for knot (see the World constructor).
   SyntheticXsConfig cfg;
   cfg.points = 300;
   const auto c = make_capture_table(cfg);
   const auto s = make_scatter_table(cfg);
   ASSERT_EQ(c.size(), s.size());
-  for (std::int32_t i = 0; i < c.size(); i += 37) {
-    EXPECT_DOUBLE_EQ(c.energy(i), s.energy(i));
+  for (std::int32_t i = 0; i < c.size(); ++i) {
+    EXPECT_EQ(bits_of(c.energy(i)), bits_of(s.energy(i))) << i;
   }
 }
 
