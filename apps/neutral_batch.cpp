@@ -8,7 +8,7 @@
 //   $ neutral_batch --spec my_sweep.spec --workers 4 --csv out.csv
 //   $ neutral_batch --check-serial          # prove batch == serial physics
 //   $ neutral_batch --write-spec sweep.spec # emit the default spec to edit
-//   $ neutral_batch --shards 4              # fork-join every sweep job
+//   $ neutral_batch --domains 2x2           # decompose every sweep job
 //   $ neutral_batch --connect 127.0.0.1:4817  # run the sweep on a neutrald
 //
 // --connect runs the SAME sweep workflow against a running `neutrald`
@@ -27,14 +27,14 @@
 // cpus; both knobs derive sensible defaults from the host (see
 // batch/engine.h).
 //
-// --shards N / --domains RxC spread every sweep job over the pool through
-// batch::run_sweep (src/batch/executor.h), which reduces each job back to
-// one row: the merged checksum and population are bit-identical for any
-// N >= 1 and any grid at any worker count.  (Decomposed runs use
-// compensated tallies, so their checksums compare across decompositions
-// but not with the plain path.)  Every mode prints the same table: the
-// plain columns, then the decomposition columns, `-` where a mode has
-// none.
+// --domains RxC decomposes every sweep job's mesh through batch::run_sweep
+// (src/batch/executor.h), which stitches each job back to one row: the
+// merged checksum and population are bit-identical for any grid at any
+// worker or thread count.  (Decomposed runs use compensated tallies, so
+// their checksums compare across grids but not with the plain path.)
+// Every mode prints the same table: the plain columns, then the domain
+// columns, `-` where a mode has none.  events/s is events / solve [s] on
+// every row: the row's wall rate.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -105,8 +105,8 @@ std::vector<std::string> result_columns() {
   return {"job",        "label",           "particles",      "tally",
           "events",     "events/s",        "solve [s]",      "tally checksum",
           "population", "world",           "worker",         "status",
-          "shards",     "imbalance",       "grid",           "migrations",
-          "rounds",     "peak slab [MiB]", "peak bank [MiB]"};
+          "grid",       "migrations",      "rounds",         "peak slab [MiB]",
+          "peak bank [MiB]"};
 }
 
 std::string mib(std::uint64_t bytes) {
@@ -132,17 +132,15 @@ std::vector<std::string> result_cells(const JobOutcome& row) {
           to_string(row.config.tally_mode),
           ResultTable::cell(static_cast<unsigned long long>(
               row.result.counters.total_events())),
-          ResultTable::cell(row.result.events_per_second(), 3),
+          ResultTable::cell(row.events_per_second(), 3),
           ResultTable::cell(row.seconds, 3),
           ResultTable::cell_full(row.result.tally_checksum),
           ResultTable::cell(static_cast<long>(row.result.population)),
-          split.shards > 0 || grid ? none
-          : row.world_cache_hit    ? "cached"
-                                   : "built",
+          grid                  ? none
+          : row.world_cache_hit ? "cached"
+                                : "built",
           row.worker >= 0 ? std::to_string(row.worker) : none,
           status,
-          split.shards > 0 ? std::to_string(split.shards) : none,
-          split.imbalance > 0.0 ? ResultTable::cell(split.imbalance, 2) : none,
           grid ? std::to_string(split.grid_rows) + "x" +
                      std::to_string(split.grid_cols)
                : none,
@@ -157,13 +155,12 @@ std::vector<std::string> result_cells(const JobOutcome& row) {
 /// `--connect`: submit the sweep to a neutrald and render its rows through
 /// the same table shape the in-process path uses.
 int run_remote(const std::string& endpoint, const std::string& spec_text,
-               std::int32_t shards, const std::string& domains,
-               const std::string& csv, bool quiet) {
+               const std::string& domains, const std::string& csv,
+               bool quiet) {
   const auto [host, port] = net::NeutralClient::parse_endpoint(endpoint);
   net::NeutralClient client(host, port);
   net::SubmitRequest request;
   request.spec_text = spec_text;
-  request.shards = shards;
   request.domains = domains;
   const std::uint64_t id = client.submit(request);
   std::printf("# neutral_batch --connect %s (submission #%llu)\n",
@@ -243,16 +240,11 @@ int main(int argc, char** argv) {
         "thread: atomic tallies only reproduce bit-exactly single-threaded; "
         "a decomposed job re-runs as one compensated solve)");
     const bool quiet = cli.flag("quiet", "suppress per-job progress lines");
-    const auto shards = static_cast<std::int32_t>(cli.option_int(
-        "shards", 0,
-        "split every sweep job into N fork-join shard jobs (0 = off; any "
-        "N >= 1 reduces to bit-identical merged results)"));
     const std::string domains = cli.option(
         "domains", "",
         "domain-decompose every sweep job over an RxC mesh grid (e.g. "
-        "2x2); composes with the sweep's scheme/layout axes and with "
-        "--shards (bank spans nested per subdomain), reducing each job to "
-        "one bit-identical row");
+        "2x2); composes with the sweep's scheme/layout axes, reducing each "
+        "job to one bit-identical row");
     const auto cache_mb = cli.option_int(
         "cache-mb", 0, "world cache byte budget in MiB (0 = unbounded)");
     const long aging_ms = cli.option_int(
@@ -263,7 +255,7 @@ int main(int argc, char** argv) {
     const std::string connect = cli.option(
         "connect", "",
         "run the sweep against a neutrald at host:port instead of "
-        "in-process (composes with --spec/--shards/--domains)");
+        "in-process (composes with --spec/--domains)");
     options.profile = cli.flag(
         "profile",
         "collect per-phase TSC timings in every job and print the sweep's "
@@ -274,7 +266,7 @@ int main(int argc, char** argv) {
         "append one JSON line per job lifecycle event here "
         "(src/obs/trace.h)");
     if (!cli.finish()) return 0;
-    const Decomposition how = Decomposition::parse(shards, domains);
+    const Decomposition how = Decomposition::parse(domains);
     NEUTRAL_REQUIRE(aging_ms >= 0, "--priority-aging-ms must be >= 0");
     options.policy.priority_aging = std::chrono::milliseconds(aging_ms);
     options.cache.max_bytes =
@@ -308,7 +300,7 @@ int main(int argc, char** argv) {
                       "when starting neutrald");
       const std::string spec_text =
           spec_path.empty() ? kDefaultSpec : read_file(spec_path);
-      return run_remote(connect, spec_text, shards, domains, csv, quiet);
+      return run_remote(connect, spec_text, domains, csv, quiet);
     }
 
     // Bit-exact comparison requires one OpenMP thread per job: with more,
@@ -338,8 +330,7 @@ int main(int argc, char** argv) {
           if (outcome.ok) {
             std::printf("[worker %d] done %-44s %8.3fs  %10.3g ev/s%s\n",
                         outcome.worker, outcome.label.c_str(),
-                        outcome.seconds,
-                        outcome.result.events_per_second(),
+                        outcome.seconds, outcome.events_per_second(),
                         outcome.world_cache_hit ? "  (cached world)" : "");
           } else {
             std::printf("[worker %d] FAIL %s: %s\n", outcome.worker,

@@ -9,10 +9,8 @@
 //   $ neutral --deck my_problem.params --scheme events --tally deferred
 //   $ neutral --problem scatter --profile            # §VI-A grind table
 //   $ neutral --problem csp --heatmap out.ppm        # deposition image
-//   $ neutral --problem csp --shards 8               # fork-join one deck
 //   $ neutral --problem csp --domains 2x2            # decompose the mesh
-//   $ neutral --problem csp --domains 2x2 --shards 2 --scheme events
-//       --layout soa  (one command; the full cross-product)
+//   $ neutral --problem csp --domains 2x2 --scheme events --layout soa
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -93,8 +91,8 @@ void print_report(const SimulationConfig& cfg, const RunResult& r,
               r.budget.conserved(1e-9) ? "PASS" : "FAIL");
 }
 
-// RunResult::phases is extensive and survives shard/domain reduction, so
-// one formatter serves the plain, sharded and decomposed paths — and
+// RunResult::phases is extensive and survives the domain reduction, so
+// one formatter serves the plain and decomposed paths — and
 // matches the batch sweep's table byte-for-byte in layout.
 void print_profile(const RunResult& r) {
   std::fputs(format_grind_table(r.phases, PhaseProfiler::tsc_ghz()).c_str(),
@@ -137,23 +135,14 @@ int main(int argc, char** argv) {
         cli.option("record", "", "write a .results regression record");
     const std::string verify =
         cli.option("verify", "", "verify against a .results record");
-    const auto shards = static_cast<std::int32_t>(cli.option_int(
-        "shards", 0,
-        "split the deck into N fork-join shard jobs (0 = run unsharded; "
-        "sharded runs use compensated tallies, so any N >= 1 reduces to "
-        "one bit-identical result)"));
     const std::string domains = cli.option(
         "domains", "",
         "decompose the MESH into an RxC subdomain grid (e.g. 2x2): each "
         "subdomain materialises only its tally/density slab and particles "
-        "migrate at subdomain facets; composes with every --scheme/--layout "
-        "and with --shards (bank spans nested per subdomain), and any "
-        "combination reduces to one bit-identical result");
-    const auto workers = static_cast<std::int32_t>(cli.option_int(
-        "workers", 0, "worker threads for --shards/--domains (0 = auto)"));
+        "migrate at subdomain facets; composes with every --scheme/--layout, "
+        "and any grid at any --threads reduces to one bit-identical result");
     if (!cli.finish()) return 0;
-    const batch::Decomposition how =
-        batch::Decomposition::parse(shards, domains);
+    const batch::Decomposition how = batch::Decomposition::parse(domains);
 
     config.deck = deck_file.empty()
                       ? deck_by_name(problem, mesh_scale, particle_scale)
@@ -169,7 +158,7 @@ int main(int argc, char** argv) {
     std::printf("# neutral-mc (%s)\n", host_banner().c_str());
 
     RunResult result;
-    if (!how.decomposed()) {
+    if (!how.domains()) {
       Simulation sim(config);
       result = sim.run();
       print_report(config, result, result.total_seconds);
@@ -179,11 +168,12 @@ int main(int argc, char** argv) {
         std::printf("heatmap        : wrote %s\n", heatmap.c_str());
       }
     } else {
-      // Fork-join one deck over a batch engine: bank shards, mesh
-      // subdomains, or both (src/batch/executor.h).  --threads goes
-      // through the engine's oversubscription clamp, not into the job.
+      // Fork-join one deck's subdomains over a batch engine
+      // (src/batch/executor.h).  The engine sizes itself: one worker per
+      // subdomain up to the cpu count, each with cpus / workers threads;
+      // --threads goes through its oversubscription clamp, not into the
+      // job.
       batch::EngineOptions engine_options;
-      engine_options.workers = workers;
       engine_options.threads_per_job = config.threads;
       batch::BatchEngine engine(engine_options);
       SimulationConfig job_config = config;
@@ -203,25 +193,20 @@ int main(int argc, char** argv) {
                   "events/s)\n",
                   how.describe().c_str(), report.workers,
                   report.wall_seconds, report.events_per_second());
+      // Full mesh-resident footprint for the comparison: the summed
+      // tally slabs (== the full tally) plus the full density field the
+      // slabs avoided allocating.
       const batch::SplitStats& split = row.split;
-      if (how.domains()) {
-        // Full mesh-resident footprint for the comparison: the summed
-        // tally slabs (== the full tally) plus the full density field the
-        // slabs avoided allocating.
-        const std::uint64_t full_mesh_bytes =
-            result.tally_footprint_bytes +
-            static_cast<std::uint64_t>(config.deck.nx) * config.deck.ny *
-                sizeof(double);
-        std::printf("domains        : %dx%d grid, %lld migrations over %d "
-                    "rounds; peak slab %.1f MB of %.1f MB full mesh\n",
-                    split.grid_rows, split.grid_cols,
-                    static_cast<long long>(split.migrations), split.rounds,
-                    static_cast<double>(result.peak_mesh_bytes) / (1 << 20),
-                    static_cast<double>(full_mesh_bytes) / (1 << 20));
-      } else {
-        std::printf("sharding       : %d shards, imbalance %.2f\n",
-                    split.shards, split.imbalance);
-      }
+      const std::uint64_t full_mesh_bytes =
+          result.tally_footprint_bytes +
+          static_cast<std::uint64_t>(config.deck.nx) * config.deck.ny *
+              sizeof(double);
+      std::printf("domains        : %dx%d grid, %lld migrations over %d "
+                  "rounds; peak slab %.1f MB of %.1f MB full mesh\n",
+                  split.grid_rows, split.grid_cols,
+                  static_cast<long long>(split.migrations), split.rounds,
+                  static_cast<double>(result.peak_mesh_bytes) / (1 << 20),
+                  static_cast<double>(full_mesh_bytes) / (1 << 20));
       if (!heatmap.empty()) {
         // The merged image covers the full grid; a bare mesh (no density
         // field — the thing --domains avoids allocating) renders it.
@@ -232,7 +217,7 @@ int main(int argc, char** argv) {
         std::printf("heatmap        : wrote %s\n", heatmap.c_str());
       }
       if (!record.empty() || !verify.empty()) {
-        std::printf("note           : decomposed runs (--shards/--domains) "
+        std::printf("note           : decomposed runs (--domains) "
                     "use the compensated tally pipeline; their "
                     "records/checksums only compare against other "
                     "decomposed runs, not the plain path\n");

@@ -1,7 +1,7 @@
 // `neutrald` — the batch engine served over TCP.
 //
 // Runs the NeutralServer (src/net/server.h): clients connect, submit decks
-// or sweep specs (optionally sharded / domain-decomposed), stream
+// or sweep specs (optionally domain-decomposed), stream
 // completion events, and fetch bit-identical results — all against ONE
 // shared engine and world cache, so repeated geometries build once no
 // matter which connection sends them.

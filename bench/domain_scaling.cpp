@@ -1,15 +1,14 @@
 // Domain-decomposition scaling: one deck, tiled over growing subdomain
 // grids, with a hard determinism gate.
 //
-// Bank decomposition (shard_scaling) splits the particles but replicates
-// the whole tally/density footprint per shard; domain decomposition splits
-// the footprint itself.  The table reports, per grid, the wall clock, the
+// Threading one deck shares (or, privatized, copies) the whole
+// tally/density footprint; domain decomposition splits the footprint
+// itself.  The table reports, per grid, the wall clock, the
 // migration traffic that pays for the split, and the per-subdomain peak
 // slab bytes — the column that must SHRINK as the grid refines, because
 // slab size is what decides whether a deck fits a node at all.  The
 // checksum column is printed at full precision: every row must be
-// bit-identical to the 1x1 run or the binary exits non-zero (the same
-// reduction-determinism gate shard_scaling enforces).
+// bit-identical to the 1x1 run or the binary exits non-zero.
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -26,15 +25,13 @@ using namespace neutral::bench;
 int main(int argc, char** argv) {
   CliParser cli(argc, argv);
   BenchScale scale;
-  scale.particle_scale = 0.05;  // one "large" deck, as in shard_scaling
+  scale.particle_scale = 0.05;  // one "large" deck
   const long workers_opt = cli.option_int(
       "workers", 0, "engine workers per transport round (0 = logical cpus)");
   const std::string scheme_opt = cli.option(
       "scheme", "particles", "particles|events — domains compose with both");
   const std::string layout_opt =
       cli.option("layout", "aos", "aos|soa bank layout");
-  const long shards_opt = cli.option_int(
-      "shards", 1, "bank shards nested inside every subdomain");
   if (!BenchScale::parse(cli, &scale)) return 0;
 
   const std::int32_t hw = probe_host().logical_cpus;
@@ -51,10 +48,10 @@ int main(int argc, char** argv) {
       "domain_scaling", "mesh decomposition scaling + determinism gate",
       scale);
   std::printf("# deck csp, %d x %d cells, %lld particles, %d workers, "
-              "%s/%s x %ld bank shards\n",
+              "%s/%s\n",
               base.deck.nx, base.deck.ny,
               static_cast<long long>(base.deck.n_particles), workers,
-              to_string(base.scheme), to_string(base.layout), shards_opt);
+              to_string(base.scheme), to_string(base.layout));
 
   ResultTable table("domain_scaling — one deck, R x C subdomains",
                     {"grid", "subdomains", "wall [s]", "events/s",
@@ -75,7 +72,6 @@ int main(int argc, char** argv) {
     batch::Decomposition how;
     how.rows = rows;
     how.cols = cols;
-    how.shards = static_cast<std::int32_t>(shards_opt > 0 ? shards_opt : 1);
 
     double wall = 1.0e300;
     batch::BatchReport best;

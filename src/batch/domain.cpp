@@ -5,7 +5,6 @@
 #include <memory>
 #include <numeric>
 
-#include "batch/shard.h"
 #include "core/init.h"
 #include "core/validation.h"
 #include "obs/trace.h"
@@ -16,8 +15,7 @@ namespace neutral::batch {
 
 namespace {
 
-/// Split `cells` into `parts` contiguous extents, remainder leading —
-/// the same balancing rule plan_shards applies to particle ids.
+/// Split `cells` into `parts` contiguous extents, remainder leading.
 std::vector<std::int32_t> split_axis(std::int32_t cells, std::int32_t parts) {
   std::vector<std::int32_t> starts;
   starts.reserve(static_cast<std::size_t>(parts) + 1);
@@ -39,15 +37,55 @@ std::int32_t find_extent(const std::vector<std::int32_t>& starts,
   return static_cast<std::int32_t>(it - starts.begin()) - 1;
 }
 
-/// Index of the span owning particle id `id` (spans are the contiguous,
-/// ascending partition plan_shards produces).
-std::size_t span_of(const std::vector<ParticleSpan>& spans,
-                    std::uint64_t id) {
-  const auto sid = static_cast<std::int64_t>(id);
-  const auto it = std::upper_bound(
-      spans.begin(), spans.end(), sid,
-      [](std::int64_t v, const ParticleSpan& s) { return v < s.first_id; });
-  return static_cast<std::size_t>(it - spans.begin()) - 1;
+/// The config every partial solve runs with (DomainRunReport::config):
+/// `base`, compensated and pinned to `threads`, atomic moved to privatized
+/// for a wider team.
+SimulationConfig part_config(SimulationConfig base, std::int32_t threads) {
+  base.compensated_tally = true;
+  base.threads = threads;
+  if (base.tally_mode == TallyMode::kAtomic && threads > 1) {
+    base.tally_mode = TallyMode::kPrivatized;
+  }
+  return base;
+}
+
+/// Merge the subdomains' results into one: extensive sums via
+/// RunResult::operator+= (which max-merges peak_mesh_bytes, so the merged
+/// result reports the largest slab: the per-node memory bound), then stitch
+/// the disjoint tally slabs into the full nx x ny grid and fold it through
+/// one compensated tally to recompute checksum, tally total and image.
+/// Each cell lives in exactly one slab, so its (sum, comp) pair carries its
+/// whole deposit multiset.
+RunResult stitch(const std::vector<std::unique_ptr<Simulation>>& sims,
+                 std::int32_t nx, std::int32_t ny) {
+  const std::int64_t full_cells = static_cast<std::int64_t>(nx) * ny;
+  TallyImage stitched;
+  stitched.hi.assign(static_cast<std::size_t>(full_cells), 0.0);
+  stitched.lo.assign(static_cast<std::size_t>(full_cells), 0.0);
+  RunResult merged;
+  for (const auto& sim : sims) {
+    const RunResult part = sim->summary();
+    NEUTRAL_REQUIRE(part.tally != nullptr,
+                    "subdomain result must carry a tally image");
+    merged += part;
+    const DomainWindow& w = sim->window();
+    for (std::int32_t j = 0; j < w.ny; ++j) {
+      const auto src = static_cast<std::ptrdiff_t>(j) * w.nx;
+      const auto dst = static_cast<std::ptrdiff_t>(w.y0 + j) * nx + w.x0;
+      std::copy_n(part.tally->hi.begin() + src, w.nx,
+                  stitched.hi.begin() + dst);
+      std::copy_n(part.tally->lo.begin() + src, w.nx,
+                  stitched.lo.begin() + dst);
+    }
+  }
+  EnergyTally reduced(full_cells, TallyMode::kAtomic, /*threads=*/1,
+                      /*compensated=*/true);
+  reduced.accumulate(stitched);
+  reduced.merge();
+  merged.tally_checksum = positional_checksum(reduced.data(), full_cells);
+  merged.budget.tally_total = reduced.total();
+  merged.tally = std::make_shared<const TallyImage>(reduced.image());
+  return merged;
 }
 
 }  // namespace
@@ -107,33 +145,21 @@ std::pair<std::int32_t, std::int32_t> parse_domain_grid(
 DomainRunReport run_domains(BatchEngine& engine, const Job& job,
                             const DomainOptions& opt) {
   const SimulationConfig& base = job.config;
-  NEUTRAL_REQUIRE(base.span.whole_bank(),
-                  "cannot domain-decompose a config with a particle span");
   NEUTRAL_REQUIRE(!base.window.active(),
                   "cannot domain-decompose a config that already has a "
                   "window");
-  NEUTRAL_REQUIRE(opt.shards >= 1,
-                  "domain runs need at least one bank shard per subdomain");
   WallTimer wall;
   DomainRunReport report;
   report.grid = plan_domains(base.deck.nx, base.deck.ny, opt.rows, opt.cols);
-  const std::size_t n_domains = report.grid.count();
-  // Bank shards nested inside every subdomain: partial solve (d, s) holds
-  // the births in window d whose ids fall in span s, index d * S + s.
-  const std::vector<ParticleSpan> spans =
-      plan_shards(base.deck.n_particles, opt.shards);
-  const std::size_t n_spans = spans.size();
-  report.shards = static_cast<std::int32_t>(n_spans);
-  const std::size_t n = n_domains * n_spans;
-  report.threads = base.threads > 0 ? base.threads
-                                    : engine.thread_budget(n).second;
+  const std::size_t n = report.grid.count();
+  report.config = part_config(
+      base, base.threads > 0 ? base.threads : engine.thread_budget(n).second);
 
-  // Slab worlds (one per window, shared by that window's shard sims),
-  // through the engine's cache so domain runs of sweep jobs sharing
-  // geometry reuse one world per window instead of rebuilding mesh + XS
-  // tables per job.
+  // Slab worlds, through the engine's cache so domain runs of sweep jobs
+  // sharing geometry reuse one world per window instead of rebuilding
+  // mesh + XS tables per job.
   std::vector<std::shared_ptr<const World>> worlds;
-  worlds.reserve(n_domains);
+  worlds.reserve(n);
   for (std::int32_t r = 0; r < report.grid.rows; ++r) {
     for (std::int32_t c = 0; c < report.grid.cols; ++c) {
       const DomainWindow window = report.grid.window(r, c);
@@ -143,23 +169,21 @@ DomainRunReport run_domains(BatchEngine& engine, const Job& job,
     }
   }
 
-  // One pass over the id space routes every birth to its owning partial
-  // solve: G x S banks cost one scan, not G x S.  route_births owns the
+  // One pass over the id space routes every birth to its owning
+  // subdomain: G banks cost one scan, not G.  route_births owns the
   // id-order invariant.  (Every slab world carries the full edge arrays,
   // so any of them can locate births.)
   std::vector<std::vector<Particle>> banks = route_births(
       base.deck, worlds.front()->mesh, n,
-      [&grid = report.grid, &spans, n_spans](const Particle& p) {
-        return grid.owner({p.cellx, p.celly}) * n_spans +
-               span_of(spans, p.id);
+      [&grid = report.grid](const Particle& p) {
+        return grid.owner({p.cellx, p.celly});
       });
 
-  // Per-(subdomain, span) Simulations: the shard jobs' part_config
-  // (compensated, atomic promoted to privatized for a wider team).  Round
-  // jobs are custom work, so the engine cannot stamp its profile flag or
-  // run-wall deadline on them; apply both here instead (the rounds'
-  // transport_round checks the deadline between kernels).
-  SimulationConfig root = part_config(base, report.threads);
+  // Per-subdomain Simulations.  Round jobs are custom work, so the engine
+  // cannot stamp its profile flag or run-wall deadline on them; apply both
+  // here instead (the rounds' transport_round checks the deadline between
+  // kernels).
+  SimulationConfig root = report.config;
   if (engine.options().profile) root.profile = true;
   if (engine.options().policy.max_run_wall.count() > 0) {
     root.deadline =
@@ -168,33 +192,28 @@ DomainRunReport run_domains(BatchEngine& engine, const Job& job,
   }
   std::vector<std::unique_ptr<Simulation>> sims;
   sims.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t d = i / n_spans;
+  for (std::size_t d = 0; d < n; ++d) {
     SimulationConfig cfg = root;
     cfg.window = worlds[d]->window;
-    cfg.span = spans[i % n_spans];
     sims.push_back(std::make_unique<Simulation>(cfg, worlds[d],
-                                                std::move(banks[i])));
+                                                std::move(banks[d])));
     report.sourced.push_back(sims.back()->sourced_count());
   }
 
   // Fork-join one transport round for the `active` subdomains.  Returns
-  // false (with report.error set) on the first failed round job.
+  // false (with report.error set) when a round job failed, reporting the
+  // root cause — a failed subdomain, not a sibling cancelled after it.
   std::uint64_t next_job_id = 0;
   auto run_round = [&](const std::vector<std::size_t>& active,
                        bool wake) -> bool {
     std::vector<Job> jobs;
     jobs.reserve(active.size());
-    for (std::size_t i : active) {
-      Job part = make_part_job(
-          job, next_job_id++,
-          "domain " + std::to_string(i / n_spans) + "/" +
-              std::to_string(n_domains) +
-              (n_spans > 1 ? " shard " + std::to_string(i % n_spans) + "/" +
-                                 std::to_string(n_spans)
-                           : std::string()) +
-              (wake ? " wake" : " resume"));
-      part.work = [sim = sims[i].get(), wake] {
+    for (std::size_t d : active) {
+      Job part = make_part_job(job, next_job_id++,
+                               "domain " + std::to_string(d) + "/" +
+                                   std::to_string(n) +
+                                   (wake ? " wake" : " resume"));
+      part.work = [sim = sims[d].get(), wake] {
         sim->transport_round(wake);
         return RunResult{};
       };
@@ -202,12 +221,21 @@ DomainRunReport run_domains(BatchEngine& engine, const Job& job,
     }
     const std::uint64_t group = jobs.front().group;
     const BatchReport round = engine.run(std::move(jobs));
+    const JobOutcome* failure = nullptr;
     for (const JobOutcome& outcome : round.jobs) {
-      if (!outcome.ok) {
-        report.error = outcome.label + " failed: " + outcome.error;
-        report.timed_out = outcome.timed_out;
-        return false;
+      if (outcome.ok) continue;
+      if (failure == nullptr || (failure->cancelled && !outcome.cancelled)) {
+        failure = &outcome;
       }
+    }
+    if (failure != nullptr) {
+      report.error = failure->label +
+                     (failure->cancelled   ? " cancelled: "
+                      : failure->timed_out ? " timed out: "
+                                           : " failed: ") +
+                     failure->error;
+      report.timed_out = failure->timed_out;
+      return false;
     }
     ++report.rounds;
     if (obs::TraceLog* trace = engine.options().trace; trace != nullptr) {
@@ -217,7 +245,7 @@ DomainRunReport run_domains(BatchEngine& engine, const Job& job,
       event.group = group;
       event.run_wall_s = round.wall_seconds;
       event.detail = std::to_string(active.size()) + " of " +
-                     std::to_string(n) + " partial solves " +
+                     std::to_string(n) + " subdomains " +
                      (wake ? "woken" : "resumed");
       trace->record(event);
     }
@@ -238,98 +266,30 @@ DomainRunReport run_domains(BatchEngine& engine, const Job& job,
       wake = false;
 
       outbound.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        sims[i]->extract_migrants(outbound);
+      for (std::size_t d = 0; d < n; ++d) {
+        sims[d]->extract_migrants(outbound);
       }
       report.migrations += static_cast<std::int64_t>(outbound.size());
       for (const Particle& p : outbound) {
-        // The owner of a checkpoint is the (window, id-span) pair — the
-        // subdomain whose slab holds its cell AND the shard whose span
-        // holds its id.
-        inbox[report.grid.owner({p.cellx, p.celly}) * n_spans +
-              span_of(spans, p.id)]
-            .push_back(p);
+        inbox[report.grid.owner({p.cellx, p.celly})].push_back(p);
       }
       active.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (inbox[i].empty()) continue;
+      for (std::size_t d = 0; d < n; ++d) {
+        if (inbox[d].empty()) continue;
         // Deterministic drain order: immigrants re-bank sorted by id, so
         // the bank contents are invariant to extraction/worker order.
-        std::sort(inbox[i].begin(), inbox[i].end(),
+        std::sort(inbox[d].begin(), inbox[d].end(),
                   [](const Particle& a, const Particle& b) {
                     return a.id < b.id;
                   });
-        sims[i]->inject_migrants(inbox[i].data(), inbox[i].size());
-        inbox[i].clear();
-        active.push_back(i);
+        sims[d]->inject_migrants(inbox[d].data(), inbox[d].size());
+        inbox[d].clear();
+        active.push_back(d);
       }
     }
   }
 
-  // Reduce: extensive sums via RunResult::operator+=, then stitch the
-  // disjoint tally slabs into the full grid and fold through a compensated
-  // tally (the PR 2 machinery) to recompute checksum/total/image.  With
-  // nested bank shards a window owns several slab images; they fold first
-  // through a window-sized compensated tally in shard order — exact
-  // double-double addition, so the stitched (sum, comp) pairs carry each
-  // cell's full deposit multiset no matter how it was partitioned.
-  const std::int64_t full_cells =
-      static_cast<std::int64_t>(base.deck.nx) * base.deck.ny;
-  TallyImage stitched;
-  stitched.hi.assign(static_cast<std::size_t>(full_cells), 0.0);
-  stitched.lo.assign(static_cast<std::size_t>(full_cells), 0.0);
-  // RunResult::operator+= max-merges peak_mesh_bytes, so the merged
-  // result reports the largest slab: the per-node memory bound.
-  RunResult merged;
-  for (std::size_t d = 0; d < n_domains; ++d) {
-    const DomainWindow& w = worlds[d]->window;
-    std::shared_ptr<const TallyImage> slab;
-    if (n_spans == 1) {
-      // One image per window: stitch it directly (the fold below would
-      // reproduce it bit-for-bit at the cost of an extra tally pass).
-      const RunResult part = sims[d]->summary();
-      NEUTRAL_REQUIRE(part.tally != nullptr,
-                      "subdomain result must carry a tally image");
-      merged += part;
-      slab = part.tally;
-    } else {
-      EnergyTally window_fold(w.num_cells(), TallyMode::kAtomic,
-                              /*threads=*/1, /*compensated=*/true);
-      for (std::size_t s = 0; s < n_spans; ++s) {
-        const RunResult part = sims[d * n_spans + s]->summary();
-        NEUTRAL_REQUIRE(part.tally != nullptr,
-                        "subdomain result must carry a tally image");
-        merged += part;
-        window_fold.accumulate(*part.tally);
-      }
-      // Normalise per the accumulate() contract; a fixed point for the
-      // (sum, comp) pairs, so the stitched values are unchanged.
-      window_fold.merge();
-      slab = std::make_shared<const TallyImage>(window_fold.image());
-    }
-
-    for (std::int32_t j = 0; j < w.ny; ++j) {
-      const std::size_t src = static_cast<std::size_t>(j) *
-                              static_cast<std::size_t>(w.nx);
-      const std::size_t dst =
-          static_cast<std::size_t>(w.y0 + j) *
-              static_cast<std::size_t>(base.deck.nx) +
-          static_cast<std::size_t>(w.x0);
-      std::copy_n(slab->hi.begin() + static_cast<std::ptrdiff_t>(src), w.nx,
-                  stitched.hi.begin() + static_cast<std::ptrdiff_t>(dst));
-      std::copy_n(slab->lo.begin() + static_cast<std::ptrdiff_t>(src), w.nx,
-                  stitched.lo.begin() + static_cast<std::ptrdiff_t>(dst));
-    }
-  }
-  EnergyTally reduced(full_cells, TallyMode::kAtomic, /*threads=*/1,
-                      /*compensated=*/true);
-  reduced.accumulate(stitched);
-  reduced.merge();
-  merged.tally_checksum = positional_checksum(reduced.data(), full_cells);
-  merged.budget.tally_total = reduced.total();
-  merged.tally = std::make_shared<const TallyImage>(reduced.image());
-
-  report.merged = std::move(merged);
+  report.merged = stitch(sims, base.deck.nx, base.deck.ny);
   report.ok = true;
   report.wall_seconds = wall.seconds();
   return report;

@@ -3,12 +3,13 @@
 // mesh-resident state, and migrate particles between subdomains at facet
 // crossings.
 //
-// Bank decomposition (batch/shard.h) splits the particle bank but every
-// shard still allocates the FULL tally and density field — the mini-app's
-// memory floor, O(nx*ny).  Domain decomposition splits that floor: each
+// A plain run spreads one deck over the node with OpenMP threads, but every
+// thread still shares (or, privatized, copies) the FULL tally and density
+// field — the mini-app's memory floor, O(nx*ny).  Domain decomposition, the
+// model of the paper's MPI mesh decomposition, splits that floor: each
 // subdomain holds an (nx/C) x (ny/R) slab of tally + density (the cheap
 // O(nx+ny) edge arrays stay replicated, so cell indices remain global and
-// the facet arithmetic is bit-identical to the unsharded run).  A particle
+// the facet arithmetic is bit-identical to the undecomposed run).  A particle
 // whose crossing leaves its slab is parked as a kMigrating checkpoint (the
 // Particle record itself: position at the facet, decayed clocks, current
 // RNG counter) and re-banked on the owning subdomain in deterministic id
@@ -17,13 +18,13 @@
 // Determinism: per-particle physics depends only on edge coordinates, the
 // (windowed but value-identical) density, and the id-keyed counter RNG —
 // none of which the decomposition touches — so every cell receives exactly
-// the unsharded run's deposit multiset.  Subdomain tallies are compensated
-// (core/tally.h), their slabs are stitched into the full grid and folded
-// through the PR 2 reduction, so the merged checksum and population are
-// bit-identical to the unsharded compensated run for ANY grid at ANY
-// worker count.  (OpenMC's distributed tally offloading and MC/DC's
-// mesh-partitioned transport take the same architectural shape, without
-// the bit-identical guarantee.)
+// the undecomposed run's deposit multiset.  Subdomain tallies are
+// compensated (core/tally.h), their slabs are stitched into the full grid
+// and folded through one compensated tally, so the merged checksum and
+// population are bit-identical to the undecomposed compensated run for ANY
+// grid at ANY worker or thread count.  (OpenMC's distributed tally
+// offloading and MC/DC's mesh-partitioned transport take the same
+// architectural shape, without the bit-identical guarantee.)
 //
 // Execution: each transport round is a fork-join batch of custom-work jobs
 // (Job::work) over the shared BatchEngine — subdomain state persists
@@ -72,14 +73,6 @@ std::pair<std::int32_t, std::int32_t> parse_domain_grid(
 struct DomainOptions {
   std::int32_t rows = 1;
   std::int32_t cols = 1;
-  /// Bank shards nested inside every subdomain (>= 1): the deck's id space
-  /// is split into this many contiguous spans (batch::plan_shards) and
-  /// each subdomain hosts one Simulation per span, holding the births in
-  /// window ∩ span.  Migrants route to the (window owner, id span) pair,
-  /// so spatial and bank decomposition compose — and stay bit-identical,
-  /// because the per-window shard slabs fold through the same compensated
-  /// reduction as plain shards.
-  std::int32_t shards = 1;
 };
 
 /// Outcome of one domain-decomposed solve.
@@ -92,27 +85,29 @@ struct DomainRunReport {
   /// bound.
   RunResult merged;
   DomainGrid grid;
-  std::int32_t shards = 1; ///< bank shards per subdomain (DomainOptions)
-  /// OpenMP threads each partial solve ran with.
-  std::int32_t threads = 1;
-  /// Initial bank size of each partial solve, subdomain-major then shard
-  /// (particles born in its slab whose ids fall in its span).
+  /// The config every partial solve ran with, window unset: the job's,
+  /// compensated, pinned to its OpenMP team (`threads`), and with an
+  /// atomic tally moved to the privatized one for a team wider than one
+  /// thread (compensated atomic updates are single-thread only;
+  /// compensation makes the privatized merge exact, so the stitched
+  /// result is unchanged).
+  SimulationConfig config;
+  /// Initial bank size of each subdomain (particles born in its slab).
   std::vector<std::int64_t> sourced;
   std::int64_t migrations = 0;  ///< checkpoints exchanged over the run
   std::int32_t rounds = 0;      ///< transport rounds over all timesteps
   double wall_seconds = 0.0;
 };
 
-/// Decompose sweep job `job` over an R x C grid (optionally × opt.shards
-/// bank spans per subdomain) and run it on `engine`.  Every scheme ×
-/// layout composes: the ParticleBank converts migrant checkpoints at
-/// layout boundaries and Over Events rounds re-stream their workspace.
-/// The merged tally checksum and population are bit-identical to the
-/// undecomposed compensated run for any grid × shard count at any worker
-/// count.  The job's config must carry a whole-bank span and no window
-/// (the decomposition owns both axes); its `threads` pins each partial
-/// solve's team, and 0 takes the engine's thread_budget over the partial
-/// solves.  Round jobs are make_part_job parts of `job`.
+/// Decompose sweep job `job` over an R x C grid and run it on `engine`.
+/// Every scheme × layout composes: the ParticleBank converts migrant
+/// checkpoints at layout boundaries and Over Events rounds re-stream their
+/// workspace.  The merged tally checksum and population are bit-identical
+/// to the undecomposed compensated run for any grid at any worker or
+/// thread count.  The job's config must carry no window (the decomposition
+/// owns it); its `threads` pins each partial solve's team, and 0 takes the
+/// engine's thread_budget over the subdomains.  Round jobs are
+/// make_part_job parts of `job`.
 DomainRunReport run_domains(BatchEngine& engine, const Job& job,
                             const DomainOptions& opt = {});
 

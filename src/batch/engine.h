@@ -9,10 +9,11 @@
 // threads.
 //
 // Oversubscription policy: workers x threads_per_job <= hw_concurrency
-// (probe_host().logical_cpus).  Defaults derive one from the other, and
-// an explicit threads_per_job is clamped to the per-worker budget —
-// concurrency across jobs beats parallelism within one (the paper's load
-// imbalance means a lone job can't keep a node busy anyway).  An explicit
+// (probe_host().logical_cpus).  Defaults derive one from the other —
+// workers = min(cpus, jobs), threads_per_job = cpus / workers — so a lone
+// job (one deck) runs as one OpenMP team over the whole node, and a sweep
+// trades team width for concurrency across jobs.  An explicit
+// threads_per_job is clamped to the per-worker budget.  An explicit
 // worker count is honoured as given, even beyond the cpu count (useful
 // for tests and I/O-bound jobs); threads_per_job then pins to 1.
 //
@@ -51,8 +52,9 @@ struct EngineOptions {
   /// World cache byte budget / eviction policy.
   WorldCacheOptions cache;
   /// When a grouped job (Job::group != 0) fails, cancel its still-pending
-  /// siblings instead of running them to completion — a failed shard's
-  /// fork-join result is already lost, so its siblings are pure waste.
+  /// siblings instead of running them to completion — a failed domain
+  /// round's fork-join result is already lost, so its siblings are pure
+  /// waste.
   bool cancel_failed_groups = true;
   /// Deadline policy for long-lived deployments (neutrald).  max_queue_wait
   /// bounds both a blocked push and a job's time in queue (stamped onto
@@ -77,15 +79,13 @@ struct EngineOptions {
   bool profile = false;
 };
 
-/// Decomposition figures of a reduced batch::run_sweep row (executor.h);
-/// all zero for a plain job.
+/// Decomposition figures of a domain-decomposed batch::run_sweep row
+/// (executor.h); all zero for a plain job.
 struct SplitStats {
-  std::int32_t shards = 0;      ///< bank spans (per subdomain on a grid)
-  double imbalance = 0.0;       ///< sharded: longest / mean shard seconds
   std::int32_t grid_rows = 0;   ///< domain grid as planned (mesh-clamped)
   std::int32_t grid_cols = 0;
-  std::int64_t migrations = 0;  ///< domain: checkpoints exchanged
-  std::int32_t rounds = 0;      ///< domain: transport rounds
+  std::int64_t migrations = 0;  ///< checkpoints exchanged
+  std::int32_t rounds = 0;      ///< transport rounds
 };
 
 /// One finished (or failed) job.
@@ -109,6 +109,15 @@ struct JobOutcome {
   bool timed_out = false;
   std::string error;           ///< exception message when !ok
   SplitStats split;            ///< set by run_sweep on decomposed rows
+
+  /// Events over `seconds` — the row's wall rate, the one events/s every
+  /// front-end prints.  (result.events_per_second() divides by the
+  /// transport seconds, which a decomposed row sums over its parts.)
+  [[nodiscard]] double events_per_second() const {
+    return seconds > 0.0
+               ? static_cast<double>(result.counters.total_events()) / seconds
+               : 0.0;
+  }
 };
 
 /// Aggregate result of one BatchEngine::run().

@@ -1,21 +1,21 @@
-// One executor for every way a sweep job runs: plain, bank-sharded or
-// domain-decomposed.
+// One executor for every way a sweep job runs: plain or domain-decomposed.
 //
 // neutral, neutral_batch and neutrald hand their sweep jobs to run_sweep
 // and keep only their rendering (run report, table/CSV, RemoteRow list),
 // so these decisions have one owner:
 //
-//   - dispatch: plain jobs run as given.  Shards >= 1 split every job's
-//     bank into fork-join shard jobs (batch/shard.h), and the shard jobs
-//     of ALL sweep jobs share one engine run.  A domain grid decomposes
-//     the decks one after another (batch/domain.h) — each solve is itself
-//     a fork-join over the pool — with the shards nested per subdomain.
-//   - threads: a part (shard job or partial domain solve) runs its job's
-//     pinned `threads`, or else the engine's thread_budget over all parts.
-//   - group and priority: every part is a make_part_job of its sweep job.
-//   - reduction and checks: each job's parts fold back to ONE row through
-//     the compensated reduction, and a row whose result does not conserve
-//     energy fails.
+//   - dispatch: plain jobs run as given, all in one engine run; a plain
+//     job spreads over the node through its OpenMP team (the engine's
+//     thread budget).  A domain grid decomposes the decks one after
+//     another (batch/domain.h) — each solve is itself a fork-join of
+//     subdomain rounds over the pool.
+//   - threads: a partial domain solve runs its job's pinned `threads`, or
+//     else the engine's thread_budget over the subdomains.
+//   - group and priority: every round job is a make_part_job of its sweep
+//     job.
+//   - reduction and checks: each decomposed job's subdomains stitch back
+//     to ONE row through the compensated reduction, and a row whose result
+//     does not conserve energy fails.
 //   - cancellation: a client cancel flag rides on every job, and the
 //     aborts it causes report as cancelled.
 //
@@ -33,36 +33,32 @@
 
 namespace neutral::batch {
 
-/// How each sweep job is spread over the worker pool.
+/// How each sweep job is spread over the node: plain (threads only) or
+/// over a domain grid.
 struct Decomposition {
-  /// >= 1: bank shards per job (per subdomain with a grid); 0 = none.
-  std::int32_t shards = 0;
   /// Domain grid; 0 x 0 = no mesh decomposition.
   std::int32_t rows = 0;
   std::int32_t cols = 0;
 
-  /// The front-ends' spelling: `--shards N` (0 = off, N >= 1 decomposes,
-  /// negative is refused) and `--domains RxC` ("" = off).
-  static Decomposition parse(std::int32_t shards, const std::string& domains);
+  /// The front-ends' spelling: `--domains RxC` ("" = plain).
+  static Decomposition parse(const std::string& domains);
 
   [[nodiscard]] bool domains() const { return rows > 0; }
-  [[nodiscard]] bool decomposed() const { return shards > 0 || domains(); }
-  /// "plain", "4 shards", "2x2 domains x 2 shards".
+  /// "plain", "2x2 domains".
   [[nodiscard]] std::string describe() const;
 };
 
 /// Run `jobs` (one sweep, unique ids) under `how` and return ONE row per
 /// sweep job, in sweep order.  A row is a JobOutcome: status, error, the
-/// RunResult (merged for decomposed rows), its config with the tally mode
-/// and threads as executed, seconds (a plain job's wall clock, a sharded
-/// row's longest shard, a domain row's whole solve) and, for decomposed
-/// rows, JobOutcome::split.  A row whose result does not conserve energy
-/// fails ("energy not conserved"); a job that cannot be decomposed fails
-/// only its own row.  `cancel` (may be null) is stamped on every job, and
-/// a failure it caused reports cancelled.  `on_complete` sees each engine
-/// job as it finishes — the shard jobs of a sharded sweep — except in a
-/// domain sweep, whose round jobs are internal: it sees each row instead.
-/// The report's pool and cache figures cover the whole sweep.
+/// RunResult (stitched for decomposed rows), its config with the tally
+/// mode and threads as executed, seconds (a plain job's wall clock, a
+/// domain row's whole solve) and, for decomposed rows, JobOutcome::split.
+/// A row whose result does not conserve energy fails ("energy not
+/// conserved"); a job that cannot be decomposed fails only its own row.
+/// `cancel` (may be null) is stamped on every job, and a failure it caused
+/// reports cancelled.  `on_complete` sees each row as it finishes (a
+/// domain sweep's round jobs are internal).  The report's pool and cache
+/// figures cover the whole sweep.
 BatchReport run_sweep(BatchEngine& engine, std::vector<Job> jobs,
                       const Decomposition& how,
                       const std::atomic<bool>* cancel = nullptr,

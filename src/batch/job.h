@@ -54,7 +54,7 @@ struct Job {
 Job make_job(std::uint64_t id, SimulationConfig config,
              std::int32_t priority = 0, std::string label = "");
 
-/// A fork-join part of sweep job `parent` — a shard job or a domain
+/// A fork-join part of sweep job `parent` — one subdomain's transport
 /// round.  It queues at the parent's priority and joins group
 /// parent.id + 1 (non-zero and unique per sweep job), so a failed part
 /// cancels only its own siblings.  Config, work and fingerprint are the

@@ -80,7 +80,7 @@ struct SweepSpec {
 /// The tally mode a job runs with — the one rule every front-end shares
 /// (neutral, neutral_batch, neutrald).  A named mode is never rewritten.
 /// Unnamed, Over Events hoists its atomics into the separate tally loop
-/// (§VI-G: deferred) for plain and sharded runs; domain runs and Over
+/// (§VI-G: deferred) for plain runs; domain runs and Over
 /// Particles stay atomic — deferred per-thread deposit buffers grow with
 /// the bank, the footprint domain decomposition exists to cap.
 TallyMode resolve_tally_mode(Scheme scheme, std::optional<TallyMode> named,

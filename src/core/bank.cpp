@@ -33,13 +33,10 @@ void ParticleBank::append(const Particle& p) {
   write_record(SoaView(soa_), i, p);
 }
 
-void ParticleBank::source_span(const ProblemDeck& deck,
-                               const StructuredMesh2D& mesh,
-                               std::int64_t first_id, std::int64_t count) {
-  resize(static_cast<std::size_t>(count));
-  with_view([&](const auto& v) {
-    initialise_particles(v, deck, mesh, first_id);
-  });
+void ParticleBank::source(const ProblemDeck& deck,
+                          const StructuredMesh2D& mesh) {
+  resize(static_cast<std::size_t>(deck.n_particles));
+  with_view([&](const auto& v) { initialise_particles(v, deck, mesh); });
 }
 
 void ParticleBank::assign(std::vector<Particle> records) {

@@ -3,10 +3,10 @@
 //
 // The paper's central experiment crosses parallelisation scheme (Over
 // Particles / Over Events, §V) with data layout (AoS / SoA, §VI-D); the
-// decomposition layers (bank shards, domain windows — src/batch) must not
-// collapse that product.  ParticleBank owns the particles in either layout
-// behind one interface, so every consumer — schemes, Simulation, domain
-// migration, shard spans — is written once:
+// decomposition layer (domain windows — src/batch) must not collapse that
+// product.  ParticleBank owns the particles in either layout behind one
+// interface, so every consumer — schemes, Simulation, domain migration —
+// is written once:
 //
 //   * kernels get the layout's native view through with_view() (the same
 //     AosView/SoaView template dispatch the transport code always used);
@@ -16,7 +16,7 @@
 //     so an SoA bank can inject migrants extracted from an AoS bank and
 //     vice versa.
 //
-// Bank mutation — sourcing a span or window, census-order compaction when
+// Bank mutation — sourcing the deck or a window, census-order compaction when
 // migrants leave, immigrant injection — lives here, not in Simulation:
 // production event-based transport codes (MC/DC, OpenMC's event kernels)
 // take the same shape, one particle bank abstraction under every phase.
@@ -76,12 +76,9 @@ class ParticleBank {
     return const_cast<ParticleBank*>(this)->with_view(std::forward<Fn>(fn));
   }
 
-  /// Source the deck's births for ids [first_id, first_id + count): local
-  /// slot i holds global particle id first_id + i, every birth drawn from
-  /// that id's own counter-based stream (core/init.h) — the basis of both
-  /// plain runs (the whole bank) and shard spans.
-  void source_span(const ProblemDeck& deck, const StructuredMesh2D& mesh,
-                   std::int64_t first_id, std::int64_t count);
+  /// Source the deck's whole bank: slot i holds particle id i, every birth
+  /// drawn from that id's own counter-based stream (core/init.h).
+  void source(const ProblemDeck& deck, const StructuredMesh2D& mesh);
 
   /// Adopt prebuilt wire-format records (window routing hands banks over
   /// this way).  Converts at the boundary for SoA banks; AoS banks take the

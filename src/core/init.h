@@ -23,8 +23,8 @@ namespace neutral {
 
 /// Sample the complete birth record of particle `gid` — the single source
 /// of truth for the draw order (x, y, angle, mfp: 4 draws; the history
-/// resumes the stream from counter 4).  Both the span bank initialiser
-/// below and the domain-decomposition window scans (core/simulation.cpp,
+/// resumes the stream from counter 4).  Both the bank initialiser below
+/// and the domain-decomposition window scans (core/simulation.cpp,
 /// batch/domain.cpp) use this, so a particle's birth state is one value no
 /// matter which bank it lands in.
 inline Particle sample_birth(const ProblemDeck& deck,
@@ -55,29 +55,23 @@ inline Particle sample_birth(const ProblemDeck& deck,
   return p;
 }
 
-/// Populate `v` with the deck's source, starting at particle id `first_id`:
-/// local index i becomes global particle id first_id + i, and every birth
-/// draw comes from that id's own counter-based stream.  A shard holding ids
-/// [first_id, first_id + v.size()) therefore sources particles identical to
-/// the same ids of the full bank — the basis of single-deck sharding
-/// (src/batch/shard.h).  Particles are born in state kCensus: the driver
-/// flips them to kAlive and assigns dt at the start of each timestep.
+/// Populate `v` with the deck's source: index i becomes particle id i, and
+/// every birth draw comes from that id's own counter-based stream, so the
+/// bank is identical whatever the thread count or layout.  Particles are
+/// born in state kCensus: the driver flips them to kAlive and assigns dt
+/// at the start of each timestep.
 template <class View>
 void initialise_particles(const View& v, const ProblemDeck& deck,
-                          const StructuredMesh2D& mesh,
-                          std::int64_t first_id = 0) {
-  NEUTRAL_REQUIRE(first_id >= 0, "first particle id must be non-negative");
-  NEUTRAL_REQUIRE(
-      first_id + static_cast<std::int64_t>(v.size()) <= deck.n_particles,
-      "particle span must fit inside deck.n_particles");
+                          const StructuredMesh2D& mesh) {
+  NEUTRAL_REQUIRE(static_cast<std::int64_t>(v.size()) <= deck.n_particles,
+                  "bank must fit inside deck.n_particles");
   NEUTRAL_REQUIRE(deck.src_x1 >= deck.src_x0 && deck.src_y1 >= deck.src_y0,
                   "source rectangle must be well-formed");
   const auto n = static_cast<std::int64_t>(v.size());
 #pragma omp parallel for schedule(static)
   for (std::int64_t i = 0; i < n; ++i) {
     write_record(v, static_cast<std::size_t>(i),
-                 sample_birth(deck, mesh,
-                              static_cast<std::uint64_t>(first_id + i)));
+                 sample_birth(deck, mesh, static_cast<std::uint64_t>(i)));
   }
 }
 
@@ -130,7 +124,7 @@ std::vector<std::vector<Particle>> route_births(const ProblemDeck& deck,
 }
 
 /// Weighted energy of `count` source particles [eV] — the conserved
-/// quantity of a (possibly sharded) bank.
+/// quantity of a (possibly windowed) bank.
 inline double initial_bank_energy(const ProblemDeck& deck,
                                   std::int64_t count) {
   return static_cast<double>(count) * deck.initial_weight *

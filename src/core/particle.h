@@ -138,8 +138,8 @@ class SoaView {
 };
 
 /// Gather slot `i` of any view into a canonical AoS record — the wire
-/// format particle checkpoints travel in between banks (shard hand-off,
-/// subdomain migration), whatever layout either side stores.
+/// format particle checkpoints travel in between banks (subdomain
+/// migration), whatever layout either side stores.
 template <class View>
 inline Particle read_record(const View& v, std::size_t i) {
   Particle p;

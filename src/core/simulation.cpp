@@ -91,8 +91,6 @@ Simulation::Simulation(SimulationConfig config,
                        std::shared_ptr<const World> world,
                        std::vector<Particle>* prebuilt)
     : config_(std::move(config)),
-      span_{config_.span.first_id,
-            config_.span.resolved_count(config_.deck.n_particles)},
       world_(world != nullptr
                  ? std::move(world)
                  : build_world(config_.deck, config_.window)),
@@ -104,9 +102,6 @@ Simulation::Simulation(SimulationConfig config,
              config_.compensated_tally),
       bank_(config_.layout) {
   NEUTRAL_REQUIRE(config_.deck.n_particles > 0, "deck must define particles");
-  NEUTRAL_REQUIRE(span_.first_id >= 0 && span_.count > 0 &&
-                      span_.first_id + span_.count <= config_.deck.n_particles,
-                  "particle span must be a non-empty slice of the deck bank");
   NEUTRAL_REQUIRE(window_.within(world_->mesh),
                   "domain window must fit inside the mesh");
   NEUTRAL_REQUIRE(
@@ -115,11 +110,10 @@ Simulation::Simulation(SimulationConfig config,
       "shared world was built from a different deck geometry or window");
   NEUTRAL_REQUIRE(world_->window == window_,
                   "shared world covers a different mesh window");
-  // Windowed (domain-decomposed) runs compose with every scheme, layout
-  // and particle span: the bank converts migrant checkpoints at the
-  // boundary and the Over Events workspace re-streams per round, so no
-  // configuration restriction applies beyond the span/window validity
-  // checks above.
+  // Windowed (domain-decomposed) runs compose with every scheme and
+  // layout: the bank converts migrant checkpoints at the boundary and the
+  // Over Events workspace re-streams per round, so no configuration
+  // restriction applies beyond the window validity checks above.
 
   if (config_.threads > 0) set_thread_count(config_.threads);
   if (config_.profile) {
@@ -155,8 +149,8 @@ Simulation::Simulation(SimulationConfig config,
   NEUTRAL_REQUIRE(prebuilt == nullptr,
                   "prebuilt banks are a windowed-run feature");
 
-  sourced_count_ = span_.count;
-  bank_.source_span(config_.deck, world_->mesh, span_.first_id, span_.count);
+  sourced_count_ = config_.deck.n_particles;
+  bank_.source(config_.deck, world_->mesh);
   note_bank_peak();
 }
 
@@ -169,15 +163,13 @@ void Simulation::note_bank_peak() {
 
 void Simulation::source_window_bank() {
   // Scan the full id space and keep the particles *born* inside the
-  // window whose ids the span covers: each id costs only its 4 birth
-  // draws, so the scan is O(n_particles) time but the bank is O(particles
-  // in the slab) memory — the point of decomposing.  route_births owns
-  // the id-order invariant.
+  // window: each id costs only its 4 birth draws, so the scan is
+  // O(n_particles) time but the bank is O(particles in the slab) memory —
+  // the point of decomposing.  route_births owns the id-order invariant.
   std::vector<std::vector<Particle>> banks = route_births(
       config_.deck, world_->mesh, 1, [this](const Particle& p) {
-        return window_.contains({p.cellx, p.celly}) && span_.contains(p.id)
-                   ? std::size_t{0}
-                   : std::size_t{1};
+        return window_.contains({p.cellx, p.celly}) ? std::size_t{0}
+                                                    : std::size_t{1};
       });
   bank_.assign(std::move(banks.front()));
 }
@@ -189,8 +181,6 @@ void Simulation::adopt_window_bank(std::vector<Particle> bank) {
     NEUTRAL_REQUIRE(window_.contains({p.cellx, p.celly}),
                     "prebuilt bank holds a particle born outside the "
                     "window");
-    NEUTRAL_REQUIRE(span_.contains(p.id),
-                    "prebuilt bank holds a particle outside the span");
     NEUTRAL_REQUIRE(p.state == ParticleState::kCensus,
                     "prebuilt bank records must be unborn (kCensus)");
     NEUTRAL_REQUIRE(i == 0 || p.id > last_id,
@@ -301,8 +291,6 @@ void Simulation::inject_migrants(const Particle* migrants,
     NEUTRAL_REQUIRE(window_.contains({p.cellx, p.celly}),
                     "migrant re-banked on a subdomain that does not own "
                     "its cell");
-    NEUTRAL_REQUIRE(span_.contains(p.id),
-                    "migrant re-banked on a shard that does not own its id");
     NEUTRAL_REQUIRE(p.state == ParticleState::kAlive,
                     "migrant checkpoints must arrive mid-flight (kAlive)");
   }
@@ -363,8 +351,8 @@ RunResult& RunResult::operator+=(const RunResult& o) {
       steps[s].kernel_times += o.steps[s].kernel_times;
     }
   }
-  // Checksum and image cannot be merged element-wise; the ordered tally
-  // reduction (batch::reduce_shards) recomputes them from shard images.
+  // Checksum and image cannot be merged element-wise; the domain stitch
+  // (batch::run_domains) recomputes them from the subdomain images.
   tally_checksum = 0.0;
   tally.reset();
   return *this;

@@ -49,31 +49,6 @@ XsLookup lookup_from_string(const std::string& s);
 /// "static|dynamic|guided[,chunk]" (also "static,chunk").
 SchedulePolicy schedule_from_string(const std::string& s);
 
-/// A contiguous slice of a deck's particle-id space.  A Simulation given a
-/// span sources only ids [first_id, first_id + count); because the RNG is
-/// keyed by the stable particle id, those histories are identical to the
-/// same ids of the unsharded run — so N disjoint spans covering the deck
-/// are N statistically *and numerically* exact partial solves.
-struct ParticleSpan {
-  std::int64_t first_id = 0;
-  std::int64_t count = 0;  ///< 0 = the rest of the deck from first_id on
-
-  [[nodiscard]] std::int64_t resolved_count(std::int64_t deck_particles) const {
-    // A negative count is propagated (not treated as "rest of the bank")
-    // so the Simulation constructor rejects it instead of silently
-    // re-running someone else's ids.
-    return count == 0 ? deck_particles - first_id : count;
-  }
-  [[nodiscard]] bool whole_bank() const { return first_id == 0 && count == 0; }
-  /// Does a RESOLVED span (count > 0) cover particle id `id`?  The single
-  /// membership definition bank sourcing, migrant routing and prebuilt-bank
-  /// validation all share.
-  [[nodiscard]] bool contains(std::uint64_t id) const {
-    const auto sid = static_cast<std::int64_t>(id);
-    return sid >= first_id && sid < first_id + count;
-  }
-};
-
 struct SimulationConfig {
   ProblemDeck deck;
   Scheme scheme = Scheme::kOverParticles;
@@ -86,12 +61,10 @@ struct SimulationConfig {
   /// Enable §VI-A phase profiling (Over Particles only).
   bool profile = false;
   OverEventsOptions over_events;
-  /// Particle-id slice this run sources (default: the whole deck bank).
-  ParticleSpan span;
   /// Carry a Neumaier error term per tally cell so each cell rounds once —
-  /// the property that makes sharded runs reduce bit-identically (tally.h)
-  /// — and copy the merged tally into RunResult::tally, so the reducer can
-  /// fold it after the Simulation is gone.
+  /// the property that makes domain-decomposed runs reduce bit-identically
+  /// (tally.h) — and copy the merged tally into RunResult::tally, so the
+  /// stitch can fold it after the Simulation is gone.
   bool compensated_tally = false;
   /// Domain decomposition: the mesh slab this run owns.  Inactive (the
   /// default) = the full mesh.  An active window allocates density/tally
@@ -99,9 +72,7 @@ struct SimulationConfig {
   /// it, and parks particles crossing out of it as kMigrating —
   /// batch::run_domains drives the transport_round/extract/inject cycle.
   /// Windows compose with every scheme and layout (the bank converts
-  /// migrant checkpoints at the boundary) and with a particle span, which
-  /// restricts the windowed bank to births whose ids fall in the span —
-  /// how bank shards nest inside subdomains (batch::DomainOptions::shards).
+  /// migrant checkpoints at the boundary).
   DomainWindow window;
   /// Cooperative wall-clock deadline: run() and transport_round() check it
   /// at timestep/round boundaries (never inside the hot tracking loop) and
@@ -144,11 +115,11 @@ struct RunResult {
   /// run reports its hungriest partial solve.
   std::uint64_t peak_bank_bytes = 0;
   /// Merged tally snapshot; only populated by compensated runs
-  /// (SimulationConfig::compensated_tally) and by the shard reducer.
+  /// (SimulationConfig::compensated_tally) and by the domain stitch.
   std::shared_ptr<const TallyImage> tally;
   /// §VI-A phase profile; all-zero unless the run profiled
   /// (SimulationConfig::profile on a scheme with probes).  Extensive —
-  /// merging sums it, so sharded/domain runs report the whole solve.
+  /// merging sums it, so domain runs report the whole solve.
   PhaseProfiler::Report phases;
 
   /// Events per second — the throughput figure the harness reports.
@@ -160,10 +131,11 @@ struct RunResult {
 
   /// Merge another partial solve in: counters, kernel times, budget,
   /// population and per-step data are all extensive sums.  total_seconds
-  /// becomes aggregate CPU seconds (shards overlap in wall time; the
-  /// fork-join report tracks wall clock separately).  The tally checksum
-  /// and image are NOT mergeable element-wise — they are cleared here and
-  /// recomputed by the ordered tally reduction (batch::reduce_shards).
+  /// becomes aggregate part seconds (subdomains overlap in wall time; the
+  /// decomposed row tracks wall clock separately — JobOutcome::seconds).
+  /// The tally checksum and image are NOT mergeable element-wise — they
+  /// are cleared here and recomputed by the domain stitch
+  /// (batch::run_domains).
   RunResult& operator+=(const RunResult& o);
 };
 
@@ -181,9 +153,8 @@ class Simulation {
   /// Windowed run with a prebuilt bank: batch::run_domains samples the
   /// deck's id space ONCE and routes each birth to its owning subdomain,
   /// so G subdomains cost one scan instead of G.  `bank` holds canonical
-  /// wire-format records — exactly the window's births whose ids fall in
-  /// config.span, in id order (validated); the bank converts to the
-  /// configured layout on adoption.
+  /// wire-format records — exactly the window's births, in id order
+  /// (validated); the bank converts to the configured layout on adoption.
   Simulation(SimulationConfig config, std::shared_ptr<const World> world,
              std::vector<Particle> bank);
 
@@ -220,10 +191,6 @@ class Simulation {
     return bank_.in_flight_energy();
   }
 
-  /// The particle-id slice this run sources, with count resolved (equals
-  /// {0, deck.n_particles} for an unsharded run).
-  [[nodiscard]] const ParticleSpan& resolved_span() const { return span_; }
-
   // --- Domain decomposition (windowed runs; see batch/domain.h) ---------
 
   /// The mesh slab this run owns (full mesh for ordinary runs).
@@ -248,10 +215,9 @@ class Simulation {
 
   /// Re-bank mid-flight immigrant checkpoints (canonical wire format;
   /// converted into this bank's layout on entry).  Every record's cell must
-  /// lie inside this run's window and its id inside this run's span; the
-  /// next transport_round(false) resumes the histories exactly where the
-  /// source subdomain parked them — Over Events runs grow and re-stream
-  /// their workspace to fit the arrivals.
+  /// lie inside this run's window; the next transport_round(false) resumes
+  /// the histories exactly where the source subdomain parked them — Over
+  /// Events runs grow and re-stream their workspace to fit the arrivals.
   void inject_migrants(const Particle* migrants, std::size_t count);
 
  private:
@@ -273,7 +239,6 @@ class Simulation {
   void note_bank_peak();
 
   SimulationConfig config_;
-  ParticleSpan span_;     ///< resolved from config_.span
   std::shared_ptr<const World> world_;
   DomainWindow window_;   ///< config_.window, promoted to the full mesh
   std::int64_t sourced_count_ = 0;  ///< particles sourced at t=0

@@ -15,15 +15,15 @@
 //     that moves the atomics out of the (vectorisable) event kernels, used
 //     by the Over Events scheme.
 //
-// Compensated accumulation (sharding support): any mode can additionally be
-// constructed `compensated`, which keeps a Neumaier error term alongside
-// every sum so each cell carries its deposits to roughly twice working
-// precision.  After merge() the stored cell value is the once-rounded sum
-// of the cell's deposit *multiset* — independent of deposit order, thread
-// count, OpenMP schedule, and of how the particle bank was partitioned into
-// shards.  That invariance is what lets a sharded run reduce to a tally
-// bit-identical to the unsharded run (src/batch/shard.h); the plain modes
-// keep the paper's measured accumulation behaviour.
+// Compensated accumulation (domain-decomposition support): any mode can
+// additionally be constructed `compensated`, which keeps a Neumaier error
+// term alongside every sum so each cell carries its deposits to roughly
+// twice working precision.  After merge() the stored cell value is the
+// once-rounded sum of the cell's deposit *multiset* — independent of
+// deposit order, thread count and OpenMP schedule.  That invariance is what
+// lets a domain-decomposed run stitch to a tally bit-identical to the
+// undecomposed compensated run at any thread count (src/batch/domain.h);
+// the plain modes keep the paper's measured accumulation behaviour.
 #pragma once
 
 #include <cassert>
@@ -54,7 +54,7 @@ struct PendingDeposit {
 
 /// A detached copy of a merged tally: the per-cell sums plus (for
 /// compensated tallies) the per-cell error terms.  This is the value a
-/// shard job returns to the reducer after its Simulation is destroyed.
+/// subdomain's partial solve hands to the stitch (batch::run_domains).
 struct TallyImage {
   aligned_vector<double> hi;  ///< per-cell sums (what data() exposes)
   aligned_vector<double> lo;  ///< per-cell compensation; empty if plain
@@ -129,9 +129,9 @@ class EnergyTally {
   /// Fold another merged tally into this one, cell by cell, carrying both
   /// words of each pair (double-double addition).  This tally must be
   /// compensated and share the cell count; call merge() on `other` first,
-  /// and on this tally after the last accumulate().  This is the shard
-  /// reduction primitive: folding shard tallies in any order reproduces the
-  /// unsharded compensated tally bit-for-bit.
+  /// and on this tally after the last accumulate().  Folding partial
+  /// tallies of one deposit multiset in any order reproduces the single
+  /// compensated tally bit-for-bit (the domain stitch folds through it).
   void accumulate(const EnergyTally& other);
   void accumulate(const TallyImage& image);
 

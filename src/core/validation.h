@@ -55,7 +55,7 @@ struct EnergyBudget {
     return conservation_error() <= tol && tally_consistency_error() <= tol;
   }
 
-  /// Merge another budget in (shard reduction): every term is extensive, so
+  /// Merge another budget in (domain reduction): every term is extensive, so
   /// a sum of conserved budgets is conserved.
   EnergyBudget& operator+=(const EnergyBudget& o) {
     initial += o.initial;

@@ -7,7 +7,7 @@
 // the facet-distance arithmetic or the boundary tests (they read edge
 // coordinates and the full mesh extents), it only remaps *storage*, so a
 // windowed transport replays bit-identical particle histories and differs
-// from the unsharded run only in which slab its deposits land on.
+// from the undecomposed run only in which slab its deposits land on.
 #pragma once
 
 #include <cstdint>

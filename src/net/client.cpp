@@ -70,7 +70,6 @@ std::uint64_t NeutralClient::submit(const SubmitRequest& request) {
   if (request.threads > 0) {
     fields["threads"] = std::to_string(request.threads);
   }
-  if (request.shards > 0) fields["shards"] = std::to_string(request.shards);
   const Fields reply = call(fields);
   return static_cast<std::uint64_t>(field_int(reply, "id", 0));
 }

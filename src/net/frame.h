@@ -2,7 +2,7 @@
 //
 // Every protocol message — request, reply, streamed event — is a single
 // '\n'-terminated line holding a flat JSON object whose keys and values
-// are both strings: {"op":"submit","deck":"...","shards":"4"}.  Multi-line
+// are both strings: {"op":"submit","deck":"...","domains":"2x2"}.  Multi-line
 // payloads (deck text, sweep specs) ride inside a value with '\n' escaped,
 // so the framing layer never needs a length prefix and a human can drive
 // the daemon with netcat.  Numbers travel as strings too: a checksum is

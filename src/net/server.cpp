@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <utility>
 
 #include "batch/executor.h"
@@ -658,6 +659,16 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
         " submissions in flight (per-connection bound)");
   }
 
+  // A key this handler does not read would otherwise be dropped without a
+  // word — a misspelt "domain" would run plain — so refuse it by name.
+  static const std::set<std::string> kSubmitKeys = {
+      "op",     "deck",  "spec",     "label",   "scheme",
+      "layout", "tally", "schedule", "threads", "domains"};
+  for (const auto& field : request) {
+    NEUTRAL_REQUIRE(kSubmitKeys.count(field.first) != 0,
+                    "submit does not accept the field '" + field.first + "'");
+  }
+
   auto sub = std::make_shared<Submission>();
   const auto deck_it = request.find("deck");
   const auto spec_it = request.find("spec");
@@ -674,7 +685,6 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
   copy("schedule", sub->schedule);
   copy("domains", sub->domains);
   sub->threads = static_cast<std::int32_t>(field_int(request, "threads", 0));
-  sub->shards = static_cast<std::int32_t>(field_int(request, "shards", 0));
 
   // Validate everything parseable up front so the client hears about a
   // bad deck/spec/knob now, not from a failed row later.  The executor
@@ -687,8 +697,8 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
     sub->spec_text = spec_it->second;
     jobs = batch::sweep_size(batch::parse_sweep(sub->spec_text));
     // A sweep spec names its own base knobs; per-request overrides would
-    // be silently ignored, so refuse them (shards/domains are execution
-    // options and still apply).
+    // be silently ignored, so refuse them (domains is an execution option
+    // and still applies).
     NEUTRAL_REQUIRE(sub->scheme.empty() && sub->layout.empty() &&
                         sub->tally.empty() && sub->schedule.empty() &&
                         sub->threads == 0,
@@ -699,7 +709,7 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
   if (!sub->layout.empty()) (void)layout_from_string(sub->layout);
   if (!sub->tally.empty()) (void)tally_mode_from_string(sub->tally);
   if (!sub->schedule.empty()) (void)schedule_from_string(sub->schedule);
-  (void)batch::Decomposition::parse(sub->shards, sub->domains);
+  (void)batch::Decomposition::parse(sub->domains);
 
   {
     MutexLock lock(mutex_);
@@ -908,7 +918,7 @@ void NeutralServer::execute(const std::shared_ptr<Submission>& sub) {
       spec.base.threads = sub->threads;
     }
     const batch::Decomposition how =
-        batch::Decomposition::parse(sub->shards, sub->domains);
+        batch::Decomposition::parse(sub->domains);
     std::vector<Job> sweep_jobs = batch::expand_sweep(spec, how.domains());
     if (!sub->label.empty() && sweep_jobs.size() == 1) {
       sweep_jobs.front().label = sub->label;

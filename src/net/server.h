@@ -1,6 +1,6 @@
 // neutrald's serving core: an event-loop TCP front-end for the batch engine.
 //
-// The PR 1–4 runtime (engine × shards × domains × schemes × layouts) is a
+// The batch runtime (engine × domains × schemes × layouts) is a
 // fork-join library: a caller builds jobs, blocks in BatchEngine::run, and
 // exits.  NeutralServer turns it into a long-lived service: clients
 // connect over TCP, submit decks or whole sweep specs, and the daemon runs
@@ -8,7 +8,7 @@
 // WorldCache, and a thousand submissions of one geometry build its World
 // once.  Physics is untouched: a loopback-submitted deck returns the same
 // bit-identical checksum/population as an in-process run of the same
-// configuration, for every scheme × layout × shard × domain combination
+// configuration, for every scheme × layout × domain combination
 // (test_net pins this).
 //
 // Protocol (see net/frame.h for the framing): one flat JSON object per
@@ -17,10 +17,11 @@
 //   {"op":"ping"}                      -> {"ok":"1",...}
 //   {"op":"submit","deck":<.params text>,
 //    "scheme":..,"layout":..,"tally":..,"schedule":..,"threads":..,
-//    "shards":..,"domains":"RxC","label":..}
+//    "domains":"RxC","label":..}
 //                                      -> {"ok":"1","id":N,"jobs":K}
-//   {"op":"submit","spec":<sweep spec text>,"shards":..,"domains":..}
+//   {"op":"submit","spec":<sweep spec text>,"domains":..}
 //                                      -> same; the spec expands server-side
+//   (a submit carrying any other key is refused with an error naming it)
 //   {"op":"status"}                    -> server totals + world-cache stats
 //   {"op":"status","id":N}             -> submission state + progress
 //   {"op":"watch","id":N}              -> {"event":"job",...} per completed
@@ -135,8 +136,8 @@ struct ServerOptions {
   std::string trace_path;
 };
 
-/// One finished row of a submission — one sweep job (plain), one reduced
-/// fork-join group (--shards), or one decomposed solve (--domains).
+/// One finished row of a submission — one sweep job (plain) or one
+/// decomposed solve (--domains).
 struct RemoteRow {
   std::string label;
   std::int64_t particles = 0;
@@ -199,7 +200,6 @@ class NeutralServer {
     std::string spec_text;
     std::string scheme, layout, tally, schedule;
     std::int32_t threads = 0;
-    std::int32_t shards = 0;
     std::string domains;  ///< "RxC" or empty
     State state = State::kQueued;
     std::string status;  ///< final submission status once kDone

@@ -70,7 +70,7 @@ class PhaseProfiler {
   }
 
   /// Aggregated results across threads.  Extensive: summing reports from
-  /// shard/domain partial solves yields the whole solve's profile.
+  /// domain partial solves yields the whole solve's profile.
   struct Report {
     std::array<std::uint64_t, kNumPhases> cycles{};
     std::array<std::uint64_t, kNumPhases> visits{};

@@ -90,15 +90,16 @@ TEST_P(BankLayouts, ExtractCompactsAndInjectConverts) {
   EXPECT_EQ(bank.get(4).rng_counter, make_particle(3, {}).rng_counter);
 }
 
-TEST_P(BankLayouts, SourceSpanMatchesSampleBirth) {
-  const ProblemDeck deck = csp_deck(/*mesh_scale=*/0.01, /*particle_scale=*/1.0);
+TEST_P(BankLayouts, SourceMatchesSampleBirth) {
+  ProblemDeck deck = csp_deck(/*mesh_scale=*/0.01, /*particle_scale=*/1.0);
+  deck.n_particles = 20;
   const StructuredMesh2D mesh(deck.nx, deck.ny, deck.width_cm,
                               deck.height_cm);
   ParticleBank bank(GetParam());
-  bank.source_span(deck, mesh, /*first_id=*/7, /*count=*/20);
+  bank.source(deck, mesh);
   ASSERT_EQ(bank.size(), 20u);
   for (std::size_t i = 0; i < bank.size(); ++i) {
-    const Particle expect = sample_birth(deck, mesh, 7 + i);
+    const Particle expect = sample_birth(deck, mesh, i);
     const Particle got = bank.get(i);
     EXPECT_EQ(got.id, expect.id);
     EXPECT_EQ(got.x, expect.x);

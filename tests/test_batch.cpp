@@ -1,8 +1,8 @@
 // Tests for the batch execution engine: sweep expansion, the bounded
 // priority queue (including its deadline policy and cancelled-group
-// tombstone lifetime), the shared world cache, end-to-end determinism of
-// batched runs against serial Simulation::run(), and the CLI's exit-status
-// contract.
+// tombstone lifetime), group cancellation, the shared world cache,
+// end-to-end determinism of batched runs against serial Simulation::run(),
+// and the CLI's exit-status, record and table contracts.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,6 +59,16 @@ SimulationConfig tiny_config(std::int64_t particles = 400) {
 
 Job job_with_priority(std::uint64_t id, std::int32_t priority) {
   return batch::make_job(id, tiny_config(), priority);
+}
+
+/// A two-timestep job in fork-join group `group` (0 = ungrouped).
+Job grouped_job(std::uint64_t id, std::uint64_t group,
+                std::int64_t particles = 100) {
+  SimulationConfig cfg = tiny_config(particles);
+  cfg.deck.n_timesteps = 2;
+  Job job = batch::make_job(id, cfg);
+  job.group = group;
+  return job;
 }
 
 // ---------------------------------------------------------------------------
@@ -318,6 +329,35 @@ TEST(JobQueueTest, ShutdownWakesBlockedConsumers) {
   for (std::thread& t : consumers) t.join();
   // Every job pushed before close() was processed; nobody deadlocked.
   EXPECT_EQ(popped.load(), kJobs);
+}
+
+TEST(JobQueueCancel, RemovesOnlyTheGroupAndPoisonsIt) {
+  JobQueue queue(16);
+  ASSERT_TRUE(queue.try_push(grouped_job(1, 7)));
+  ASSERT_TRUE(queue.try_push(grouped_job(2, 8)));
+  ASSERT_TRUE(queue.try_push(grouped_job(3, 7)));
+
+  const std::vector<Job> removed = queue.cancel_pending(7);
+  ASSERT_EQ(removed.size(), 2u);
+  EXPECT_TRUE(queue.group_cancelled(7));
+  EXPECT_FALSE(queue.group_cancelled(8));
+
+  // Later pushes of the cancelled group are refused; other groups flow.
+  EXPECT_FALSE(queue.try_push(grouped_job(4, 7)));
+  EXPECT_TRUE(queue.try_push(grouped_job(5, 8)));
+
+  queue.close();
+  EXPECT_EQ(queue.pop()->id, 2u);
+  EXPECT_EQ(queue.pop()->id, 5u);
+  EXPECT_FALSE(queue.pop().has_value());
+}
+
+TEST(JobQueueCancel, GroupZeroIsNeverCancelled) {
+  JobQueue queue(4);
+  ASSERT_TRUE(queue.try_push(grouped_job(1, 0)));
+  EXPECT_TRUE(queue.cancel_pending(0).empty());
+  EXPECT_FALSE(queue.group_cancelled(0));
+  EXPECT_EQ(queue.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -607,6 +647,57 @@ TEST(Engine, RunWallDeadlineTimesOutAndCancelsTheGroup) {
   EXPECT_TRUE(report.jobs[0].timed_out);
   EXPECT_TRUE(report.jobs[1].cancelled);
   EXPECT_EQ(report.timed_out(), 1u);
+}
+
+TEST(Engine, FailedGroupMemberCancelsItsSiblings) {
+  // One worker, so the bad job's siblings are still queued (or not yet
+  // submitted) when it fails; all of them must end cancelled, not run.
+  std::vector<Job> jobs;
+  SimulationConfig bad = tiny_config();
+  bad.deck.n_particles = 0;  // Simulation rejects an empty bank
+  Job bad_job = batch::make_job(0, bad);
+  bad_job.group = 5;
+  jobs.push_back(std::move(bad_job));
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    jobs.push_back(grouped_job(id, 5, 4000));
+  }
+  // An ungrouped bystander must survive the purge.
+  jobs.push_back(grouped_job(5, 0));
+
+  EngineOptions options;
+  options.workers = 1;
+  BatchEngine engine(options);
+  const BatchReport report = engine.run(std::move(jobs));
+  ASSERT_EQ(report.jobs.size(), 6u);
+  EXPECT_FALSE(report.jobs[0].ok);
+  EXPECT_FALSE(report.jobs[0].cancelled);
+  for (std::size_t i = 1; i <= 4; ++i) {
+    EXPECT_FALSE(report.jobs[i].ok) << i;
+    EXPECT_TRUE(report.jobs[i].cancelled) << i;
+    EXPECT_FALSE(report.jobs[i].error.empty());
+  }
+  EXPECT_TRUE(report.jobs[5].ok);
+  EXPECT_EQ(report.failed(), 5u);
+  EXPECT_EQ(report.cancelled(), 4u);
+}
+
+TEST(Engine, GroupCancellationCanBeDisabled) {
+  std::vector<Job> jobs;
+  SimulationConfig bad = tiny_config();
+  bad.deck.n_particles = 0;
+  Job bad_job = batch::make_job(0, bad);
+  bad_job.group = 5;
+  jobs.push_back(std::move(bad_job));
+  jobs.push_back(grouped_job(1, 5));
+
+  EngineOptions options;
+  options.workers = 1;
+  options.cancel_failed_groups = false;
+  BatchEngine engine(options);
+  const BatchReport report = engine.run(std::move(jobs));
+  EXPECT_FALSE(report.jobs[0].ok);
+  EXPECT_TRUE(report.jobs[1].ok);  // sibling still ran
+  EXPECT_EQ(report.cancelled(), 0u);
 }
 
 TEST(SimulationInterrupt, DeadlineAndCancelAbortBetweenTimesteps) {
@@ -960,16 +1051,16 @@ TEST(CliExitStatus, HealthySweepStillExitsZero) {
   std::remove(csv.c_str());
 }
 
-TEST(CliRecords, ShardedSweepWritesOneWholeDeckRecordPerJob) {
-  // --record-dir records the reduced row, not the shard jobs: one file per
-  // sweep job, holding the whole deck's particles and censuses.
+TEST(CliRecords, DecomposedSweepWritesOneWholeDeckRecordPerJob) {
+  // --record-dir records the stitched row, not the subdomain rounds: one
+  // file per sweep job, holding the whole deck's particles and censuses.
   namespace fs = std::filesystem;
   const std::string spec = scratch("records.spec");
   const fs::path plain_dir = scratch("records_plain");
-  const fs::path shard_dir = scratch("records_shards");
+  const fs::path domain_dir = scratch("records_domains");
   const std::string csv = scratch("records.csv");
   fs::create_directories(plain_dir);
-  fs::create_directories(shard_dir);
+  fs::create_directories(domain_dir);
   {
     std::ofstream out(spec);
     out << "deck csp\nmesh_scale 0.02\ntimesteps 1\nthreads 1\n"
@@ -977,23 +1068,73 @@ TEST(CliRecords, ShardedSweepWritesOneWholeDeckRecordPerJob) {
   }
   const std::string common = "--spec " + spec + " --quiet --csv " + csv;
   ASSERT_EQ(run_cli(common + " --record-dir " + plain_dir.string()), 0);
-  ASSERT_EQ(
-      run_cli(common + " --shards 2 --record-dir " + shard_dir.string()), 0);
+  ASSERT_EQ(run_cli(common + " --domains 2x2 --record-dir " +
+                    domain_dir.string()),
+            0);
 
-  const auto files = std::distance(fs::directory_iterator(shard_dir),
+  const auto files = std::distance(fs::directory_iterator(domain_dir),
                                    fs::directory_iterator());
   EXPECT_EQ(files, 2);
   for (const char* name : {"job_0.results", "job_1.results"}) {
     const ExpectedResults plain = load_results((plain_dir / name).string());
-    const ExpectedResults sharded =
-        load_results((shard_dir / name).string());
-    EXPECT_EQ(sharded.particles, plain.particles) << name;
-    EXPECT_EQ(sharded.censuses, plain.censuses) << name;
-    EXPECT_EQ(sharded.facets, plain.facets) << name;
-    EXPECT_EQ(sharded.collisions, plain.collisions) << name;
+    const ExpectedResults decomposed =
+        load_results((domain_dir / name).string());
+    EXPECT_EQ(decomposed.particles, plain.particles) << name;
+    EXPECT_EQ(decomposed.censuses, plain.censuses) << name;
+    EXPECT_EQ(decomposed.facets, plain.facets) << name;
+    EXPECT_EQ(decomposed.collisions, plain.collisions) << name;
   }
   fs::remove_all(plain_dir);
-  fs::remove_all(shard_dir);
+  fs::remove_all(domain_dir);
+  std::remove(spec.c_str());
+  std::remove(csv.c_str());
+}
+
+/// Split one CSV line on commas (the rows under test quote nothing).
+std::vector<std::string> csv_fields(const std::string& line) {
+  std::vector<std::string> fields;
+  std::istringstream in(line);
+  for (std::string field; std::getline(in, field, ',');) {
+    fields.push_back(field);
+  }
+  return fields;
+}
+
+TEST(CliTable, EventsPerSecondIsEventsOverSolveSecondsOnEveryRow) {
+  // One definition of events/s for every row: events / solve [s].  A
+  // domain row's result.total_seconds sums its subdomains' transport time,
+  // which is not the row's wall time, so the rate must not come from it.
+  const std::string spec = scratch("rate.spec");
+  const std::string csv = scratch("rate.csv");
+  {
+    std::ofstream out(spec);
+    out << "deck csp\nmesh_scale 0.02\ntimesteps 1\nthreads 1\n"
+           "particles 20000\n";
+  }
+  for (const char* mode : {"", " --domains 2x2"}) {
+    SCOPED_TRACE(mode[0] != '\0' ? mode : "plain");
+    ASSERT_EQ(run_cli("--spec " + spec + " --quiet --csv " + csv + mode), 0);
+    std::ifstream in(csv);
+    std::string header;
+    std::string line;
+    ASSERT_TRUE(std::getline(in, header));
+    ASSERT_TRUE(std::getline(in, line));
+    const std::vector<std::string> head = csv_fields(header);
+    const std::vector<std::string> row = csv_fields(line);
+    ASSERT_EQ(row.size(), head.size()) << line;
+    ASSERT_EQ(head[4], "events");
+    ASSERT_EQ(head[5], "events/s");
+    ASSERT_EQ(head[6], "solve [s]");
+    const double events = std::strtod(row[4].c_str(), nullptr);
+    const double rate = std::strtod(row[5].c_str(), nullptr);
+    const double solve = std::strtod(row[6].c_str(), nullptr);
+    ASSERT_GT(events, 0.0);
+    ASSERT_GT(solve, 0.005) << "solve too short to resolve the rate";
+    // solve [s] prints to the millisecond and events/s to 6 significant
+    // digits: the rate must fall inside the interval that rounding allows.
+    EXPECT_GE(rate * (1.0 + 1e-5), events / (solve + 0.0005)) << line;
+    EXPECT_LE(rate * (1.0 - 1e-5), events / (solve - 0.0005)) << line;
+  }
   std::remove(spec.c_str());
   std::remove(csv.c_str());
 }
@@ -1003,12 +1144,12 @@ TEST(CliRecords, ShardedSweepWritesOneWholeDeckRecordPerJob) {
 #ifdef NEUTRAL_BIN
 
 TEST(CliReport, DecomposedWallclockIsTheWallNotTheSummedPartTime) {
-  // Four shards overlap in time, so their summed seconds exceed the wall
-  // clock; the `wallclock` line must report the wall, agreeing with the
-  // `decomposition` line's.
+  // Four subdomains overlap in time, so their summed seconds need not be
+  // the wall clock; the `wallclock` line must report the wall, agreeing
+  // with the `decomposition` line's.
   const std::string cmd = std::string(NEUTRAL_BIN) +
                           " --problem scatter --mesh-scale 0.02 "
-                          "--particles 4000 --shards 4 --threads 4 2>&1";
+                          "--particles 4000 --domains 2x2 2>&1";
   FILE* pipe = ::popen(cmd.c_str(), "r");
   ASSERT_NE(pipe, nullptr);
   double wallclock = -1.0;
@@ -1016,7 +1157,7 @@ TEST(CliReport, DecomposedWallclockIsTheWallNotTheSummedPartTime) {
   char line[512];
   while (std::fgets(line, sizeof line, pipe) != nullptr) {
     // "wallclock      : 0.1092 s ..." and
-    // "decomposition  : 4 shards on 4 workers, 0.1103 s wall ...".
+    // "decomposition  : 2x2 domains on 4 workers, 0.1103 s wall ...".
     const std::string text(line);
     if (text.rfind("wallclock", 0) == 0) {
       wallclock = std::strtod(text.c_str() + text.find(':') + 1, nullptr);

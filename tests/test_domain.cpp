@@ -2,7 +2,7 @@
 // worlds and Simulations, particle migration, and the stitched reduction's
 // bit-identity against the undecomposed run — over the FULL scheme x
 // layout matrix (the ParticleBank refactor makes domains compose with
-// Over Events, SoA, and nested bank shards).
+// Over Events and SoA) and at any OpenMP thread count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -158,20 +158,19 @@ TEST(WindowedSimulation, SourcesOnlyParticlesBornInside) {
   EXPECT_EQ(total, 500);
 }
 
-TEST(WindowedSimulation, ComposesWithEverySchemeLayoutAndSpan) {
-  // The restrictions PR 4 lifted: windows now construct with any scheme,
-  // any layout, and a particle span (the bank converts at the boundary).
+TEST(WindowedSimulation, ComposesWithEverySchemeAndLayout) {
+  // Windows construct with any scheme and any layout (the bank converts
+  // at the boundary).
   for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
     for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
       SimulationConfig cfg = tiny_config(200);
       cfg.scheme = scheme;
       cfg.layout = layout;
       cfg.window = DomainWindow{0, 0, cfg.deck.nx, cfg.deck.ny};
-      cfg.span = ParticleSpan{50, 100};
       Simulation sim(cfg);
       EXPECT_EQ(sim.bank().layout(), layout);
-      // A full-mesh window with a span sources exactly the span's ids.
-      EXPECT_EQ(sim.sourced_count(), 100);
+      // A full-mesh window sources the whole bank.
+      EXPECT_EQ(sim.sourced_count(), 200);
     }
   }
 }
@@ -181,12 +180,8 @@ TEST(WindowedSimulation, RejectsGenuinelyInvalidConfigs) {
   // A window that does not fit the mesh is invalid in any composition.
   cfg.window = DomainWindow{0, 0, cfg.deck.nx + 1, cfg.deck.ny};
   EXPECT_THROW(Simulation{cfg}, Error);
-  // So is a span that is not a slice of the deck bank.
-  cfg.window = DomainWindow{0, 0, cfg.deck.nx, cfg.deck.ny};
-  cfg.span = ParticleSpan{0, cfg.deck.n_particles + 1};
-  EXPECT_THROW(Simulation{cfg}, Error);
   // step() is the whole-mesh driver; windowed runs use transport_round.
-  cfg.span = ParticleSpan{};
+  cfg.window = DomainWindow{0, 0, cfg.deck.nx, cfg.deck.ny};
   Simulation windowed(cfg);
   EXPECT_THROW(windowed.step(), Error);
   Simulation plain(tiny_config());
@@ -256,7 +251,7 @@ TEST_P(DomainMatrix, BitIdenticalAcrossGridsAndWorkers) {
         EXPECT_GT(report.migrations, 0);
       }
 
-      // The stitched image matches the unsharded compensated tally cell
+      // The stitched image matches the undecomposed compensated tally cell
       // by cell, not just through the checksum.
       ASSERT_NE(report.merged.tally, nullptr);
       ASSERT_EQ(report.merged.tally->cells(), reference.tally->cells());
@@ -297,43 +292,34 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) == Layout::kAoS ? "AoS" : "SoA");
     });
 
-// Bank shards nested inside subdomains: --shards x --domains composes and
-// the reduction stays bit-identical at any worker count.
-TEST(RunDomains, ComposesWithBankShards) {
-  SimulationConfig base = tiny_config(400);
-  const RunResult reference = run_compensated(base);
-
+// Thread-count invariance at bench size: a subdomain's team may be any
+// width (a wider team privatizes its compensated tally), and the stitched
+// result must still equal the 1-thread compensated reference bit for bit.
+// DomainMatrix cannot show this on a small host: its "4 workers" case
+// leaves each subdomain one thread.
+TEST(RunDomains, ThreadCountInvariantAtBenchSize) {
   for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
-    for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
-      SimulationConfig cfg = base;
-      cfg.scheme = scheme;
-      cfg.layout = layout;
-      for (std::int32_t workers : {1, 4}) {
-        EngineOptions options;
-        options.workers = workers;
-        BatchEngine engine(options);
+    SimulationConfig base = tiny_config(20000, /*timesteps=*/1);
+    base.scheme = scheme;
+    const RunResult reference = run_compensated(base);
+    for (const std::int32_t grid : {1, 2}) {
+      for (const std::int32_t threads : {1, 2, 4}) {
+        SCOPED_TRACE(std::string(to_string(scheme)) + " " +
+                     std::to_string(grid) + "x" + std::to_string(grid) +
+                     " at " + std::to_string(threads) + " threads");
+        SimulationConfig cfg = base;
+        cfg.threads = threads;
+        BatchEngine engine;
         DomainOptions opt;
-        opt.rows = 2;
-        opt.cols = 2;
-        opt.shards = 3;
+        opt.rows = grid;
+        opt.cols = grid;
         const DomainRunReport report = run_domains(engine, cfg, opt);
         ASSERT_TRUE(report.ok) << report.error;
-        SCOPED_TRACE(std::string(to_string(scheme)) + "/" +
-                     to_string(layout) + " on " + std::to_string(workers) +
-                     " workers");
-
-        EXPECT_EQ(report.shards, 3);
-        // One partial solve per (subdomain, span); together they source
-        // the whole bank exactly once.
-        EXPECT_EQ(report.sourced.size(), report.grid.count() * 3);
-        EXPECT_EQ(std::accumulate(report.sourced.begin(),
-                                  report.sourced.end(), std::int64_t{0}),
-                  base.deck.n_particles);
+        EXPECT_EQ(report.config.threads, threads);
         EXPECT_EQ(report.merged.tally_checksum, reference.tally_checksum);
         EXPECT_EQ(report.merged.population, reference.population);
         EXPECT_EQ(report.merged.counters.total_events(),
                   reference.counters.total_events());
-        EXPECT_TRUE(report.merged.budget.conserved(1e-9));
       }
     }
   }
@@ -372,7 +358,10 @@ TEST(RunDomains, MultiThreadedRoundsStayBitIdentical) {
   base.threads = 2;  // atomic tally must be promoted
   const DomainRunReport report = run_domains(engine, base, opt);
   ASSERT_TRUE(report.ok) << report.error;
-  EXPECT_EQ(report.threads, 2);
+  // The report carries the config as executed.
+  EXPECT_EQ(report.config.threads, 2);
+  EXPECT_EQ(report.config.tally_mode, TallyMode::kPrivatized);
+  EXPECT_TRUE(report.config.compensated_tally);
   EXPECT_EQ(report.merged.tally_checksum, reference.tally_checksum);
   EXPECT_EQ(report.merged.population, reference.population);
 }
@@ -388,7 +377,7 @@ TEST(RunDomains, MultipleTimestepsDrainEveryBuffer) {
   const DomainRunReport report = run_domains(engine, base, opt);
   ASSERT_TRUE(report.ok) << report.error;
   // At least one wake round per timestep, and steps fold back to the
-  // deck's timestep count with exactly the unsharded per-step events.
+  // deck's timestep count with exactly the undecomposed per-step events.
   EXPECT_GE(report.rounds, base.deck.n_timesteps);
   ASSERT_EQ(report.merged.steps.size(),
             static_cast<std::size_t>(base.deck.n_timesteps));
@@ -401,9 +390,23 @@ TEST(RunDomains, MultipleTimestepsDrainEveryBuffer) {
   EXPECT_EQ(report.merged.population, reference.population);
 }
 
+TEST(PartJobs, InheritPriorityAndJoinTheSweepJobsGroup) {
+  const batch::Job parent =
+      batch::make_job(8, tiny_config(100), /*priority=*/3);
+  const batch::Job part = batch::make_part_job(parent, 20, "part");
+  EXPECT_EQ(part.id, 20u);
+  EXPECT_EQ(part.group, 9u);  // non-zero even for sweep job 0
+  EXPECT_EQ(part.priority, 3);
+  EXPECT_EQ(part.label, "part");
+  EXPECT_EQ(batch::make_part_job(batch::make_job(0, tiny_config(100)), 1,
+                                 "first")
+                .group,
+            1u);
+}
+
 // Round jobs are make_part_job parts of the sweep job (which also carries
-// its priority over — see PartJobs in test_shard): they join group
-// job.id + 1, not a fixed default, so two decks' rounds never share one.
+// its priority over — see PartJobs above): they join group job.id + 1,
+// not a fixed default, so two decks' rounds never share one.
 TEST(RunDomains, RoundJobsJoinTheSweepJobsGroup) {
   const std::string path = "test_domain_rounds.jsonl";
   std::remove(path.c_str());
@@ -433,19 +436,15 @@ TEST(RunDomains, RoundJobsJoinTheSweepJobsGroup) {
 
 TEST(RunDomains, RejectsInvalidBases) {
   BatchEngine engine;
-  // The decomposition owns both axes: a base that already carries a span
-  // or a window cannot be decomposed again.
-  SimulationConfig spanned = tiny_config();
-  spanned.span = ParticleSpan{0, 100};
-  EXPECT_THROW(run_domains(engine, spanned), Error);
-
+  // The decomposition owns the window: a base that already carries one
+  // cannot be decomposed again.
   SimulationConfig windowed = tiny_config();
   windowed.window = DomainWindow{0, 0, 4, 4};
   EXPECT_THROW(run_domains(engine, windowed), Error);
 
-  DomainOptions no_shards;
-  no_shards.shards = 0;
-  EXPECT_THROW(run_domains(engine, tiny_config(), no_shards), Error);
+  DomainOptions empty;
+  empty.rows = 0;
+  EXPECT_THROW(run_domains(engine, tiny_config(), empty), Error);
 }
 
 }  // namespace

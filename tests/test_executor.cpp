@@ -1,10 +1,9 @@
 // Tests for the one sweep executor (batch::run_sweep) and the rules every
 // front-end shares through it: the decomposition spelling, the tally-mode
 // default, one reduced row per sweep job in sweep order, and per-row
-// failure isolation — across plain, sharded and domain-decomposed runs.
+// failure isolation — across plain and domain-decomposed runs.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <iterator>
 #include <optional>
@@ -50,12 +49,9 @@ RunResult run_compensated(SimulationConfig cfg) {
 }
 
 // The decompositions the executor must agree across.
-const char* const kModes[][2] = {
-    {"0", ""}, {"1", ""}, {"2", ""}, {"0", "1x1"}, {"2", "2x1"}};
+const char* const kModes[] = {"", "1x1", "2x1"};
 
-Decomposition mode(std::size_t m) {
-  return Decomposition::parse(std::stoi(kModes[m][0]), kModes[m][1]);
-}
+Decomposition mode(std::size_t m) { return Decomposition::parse(kModes[m]); }
 
 TEST(TallyDefault, OneRuleForEveryFrontEnd) {
   const auto named = [](TallyMode m) { return std::optional<TallyMode>(m); };
@@ -76,8 +72,7 @@ TEST(TallyDefault, OneRuleForEveryFrontEnd) {
                                         domains),
               TallyMode::kAtomic);
   }
-  // Unnamed Over Events: deferred for plain and sharded runs, atomic for
-  // domain runs.
+  // Unnamed Over Events: deferred for plain runs, atomic for domain runs.
   EXPECT_EQ(batch::resolve_tally_mode(Scheme::kOverEvents, std::nullopt,
                                       /*domain_run=*/false),
             TallyMode::kDeferredAtomic);
@@ -86,25 +81,22 @@ TEST(TallyDefault, OneRuleForEveryFrontEnd) {
             TallyMode::kAtomic);
 }
 
-TEST(DecompositionSpelling, ShardsFromOneAndGridsDecompose) {
-  const Decomposition plain = Decomposition::parse(0, "");
-  EXPECT_FALSE(plain.decomposed());
+TEST(DecompositionSpelling, EmptyIsPlainAndGridsDecompose) {
+  const Decomposition plain = Decomposition::parse("");
+  EXPECT_FALSE(plain.domains());
   EXPECT_EQ(plain.describe(), "plain");
 
-  // N >= 1 decomposes — including N = 1.
-  const Decomposition one = Decomposition::parse(1, "");
-  EXPECT_TRUE(one.decomposed());
-  EXPECT_FALSE(one.domains());
-  EXPECT_EQ(one.describe(), "1 shard");
+  // 1x1 decomposes: one subdomain through the compensated stitch.
+  EXPECT_TRUE(Decomposition::parse("1x1").domains());
 
-  const Decomposition grid = Decomposition::parse(2, "2x3");
+  const Decomposition grid = Decomposition::parse("2x3");
   EXPECT_TRUE(grid.domains());
   EXPECT_EQ(grid.rows, 2);
   EXPECT_EQ(grid.cols, 3);
-  EXPECT_EQ(grid.describe(), "2x3 domains x 2 shards");
+  EXPECT_EQ(grid.describe(), "2x3 domains");
 
-  EXPECT_THROW(Decomposition::parse(-1, ""), Error);
-  EXPECT_THROW(Decomposition::parse(0, "2by2"), Error);
+  EXPECT_THROW(Decomposition::parse("2by2"), Error);
+  EXPECT_THROW(Decomposition::parse("0x2"), Error);
 }
 
 TEST(RunSweep, EveryDecompositionMatchesTheReferenceRowByRow) {
@@ -132,16 +124,15 @@ TEST(RunSweep, EveryDecompositionMatchesTheReferenceRowByRow) {
       EXPECT_EQ(row.config.tally_mode, events && !how.domains()
                                            ? TallyMode::kDeferredAtomic
                                            : TallyMode::kAtomic);
-      const RunResult reference = how.decomposed()
+      const RunResult reference = how.domains()
                                       ? run_compensated(jobs[i].config)
                                       : run_plain(jobs[i].config);
       EXPECT_EQ(row.result.tally_checksum, reference.tally_checksum);
       EXPECT_EQ(row.result.population, reference.population);
       EXPECT_EQ(row.result.counters.total_events(),
                 reference.counters.total_events());
-      EXPECT_EQ(row.split.shards, how.decomposed() ? std::max(how.shards, 1)
-                                                   : 0);
       EXPECT_EQ(row.split.grid_rows, how.rows);
+      EXPECT_EQ(row.config.compensated_tally, how.domains());
     }
   }
 }

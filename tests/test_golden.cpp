@@ -152,7 +152,7 @@ TEST_P(GoldenSchemes, DomainDecompositionPreservesEverySchemeAndLayout) {
       batch::BatchEngine engine(options);
       const batch::BatchReport report = batch::run_sweep(
           engine, {batch::make_job(0, cfg)},
-          batch::Decomposition::parse(0, "2x2"));
+          batch::Decomposition::parse("2x2"));
       const RunResult& merged = report.jobs.front().result;
       ASSERT_TRUE(report.jobs.front().ok) << report.jobs.front().error;
       SCOPED_TRACE(std::string(to_string(scheme)) + "/" + to_string(layout));

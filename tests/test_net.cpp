@@ -1,6 +1,6 @@
 // Tests for the TCP front-end (src/net/): frame codec strictness, loopback
 // round-trips that must be bit-identical to in-process runs for every
-// scheme x layout x shard x domain combination, deadline expiry under a
+// scheme x layout x domain combination, deadline expiry under a
 // QueuePolicy, malformed-frame rejection, cooperative cancellation, and
 // concurrent clients sharing one world cache.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "batch/engine.h"
@@ -131,13 +132,13 @@ TEST(NetServer, LoopbackDeckMatchesInProcessRunExactly) {
   EXPECT_EQ(result.rows[0].label, "roundtrip");
 }
 
-TEST(NetServer, MatrixSchemesLayoutsShardsDomainsAllBitIdentical) {
-  // Every scheme x layout x shard x domain combination submitted over
-  // loopback must return the same checksum/population/tally as the
-  // executor's in-process row (batch::run_sweep) — shards are sent as
-  // given, so `shards 1` decomposes on both sides.  The tally mode is
-  // NAMED atomic so it is never defaulted; a multi-thread part would
-  // still promote it, and the rows must agree on that too.
+TEST(NetServer, MatrixSchemesLayoutsDomainsAllBitIdentical) {
+  // Every scheme x layout x domain combination submitted over loopback
+  // must return the same checksum/population/tally as the executor's
+  // in-process row (batch::run_sweep) — domains are sent as given, so
+  // `1x1` decomposes on both sides.  The tally mode is NAMED atomic so it
+  // is never defaulted; a multi-thread subdomain would still promote it,
+  // and the rows must agree on that too.
   TestServer server;
   NeutralClient client = server.connect();
   batch::BatchEngine local_engine;
@@ -145,48 +146,44 @@ TEST(NetServer, MatrixSchemesLayoutsShardsDomainsAllBitIdentical) {
   const ProblemDeck deck = tiny_deck(300, 2);
   for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
     for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
-      for (const std::int32_t shards : {0, 1, 2}) {
-        for (const char* domains : {"", "2x1"}) {
-          SimulationConfig config;
-          config.deck = deck;
-          config.scheme = scheme;
-          config.layout = layout;
-          config.tally_mode = TallyMode::kAtomic;
-          config.threads = 1;
-          const batch::BatchReport local = batch::run_sweep(
-              local_engine, {batch::make_job(0, config)},
-              batch::Decomposition::parse(shards, domains));
-          const batch::JobOutcome& want = local.jobs.front();
-          ASSERT_TRUE(want.ok) << want.error;
+      for (const char* domains : {"", "1x1", "2x1"}) {
+        SimulationConfig config;
+        config.deck = deck;
+        config.scheme = scheme;
+        config.layout = layout;
+        config.tally_mode = TallyMode::kAtomic;
+        config.threads = 1;
+        const batch::BatchReport local = batch::run_sweep(
+            local_engine, {batch::make_job(0, config)},
+            batch::Decomposition::parse(domains));
+        const batch::JobOutcome& want = local.jobs.front();
+        ASSERT_TRUE(want.ok) << want.error;
 
-          SubmitRequest request;
-          request.deck_text = format_deck(deck);
-          request.scheme = to_string(scheme);
-          request.layout = to_string(layout);
-          request.tally = "atomic";
-          request.threads = 1;
-          request.shards = shards;
-          request.domains = domains;
-          // Streamed wait (the watch op): domain-mode events carry
-          // worker = -1 and must still parse client-side.
-          std::size_t events_seen = 0;
-          const RemoteResult result = client.wait(
-              client.submit(request),
-              [&events_seen](const net::RemoteEvent&) { ++events_seen; });
-          const std::string cell = std::string(to_string(scheme)) + "/" +
-                                   to_string(layout) + "/shards=" +
-                                   std::to_string(shards) + "/domains=" +
-                                   (domains[0] ? domains : "-");
-          EXPECT_GE(events_seen, 1u) << cell;
-          ASSERT_EQ(result.status, "ok") << cell << ": " << result.error;
-          ASSERT_EQ(result.rows.size(), 1u) << cell;
-          EXPECT_EQ(result.rows[0].checksum, want.result.tally_checksum)
-              << cell;
-          EXPECT_EQ(result.rows[0].population, want.result.population)
-              << cell;
-          EXPECT_EQ(result.rows[0].tally, to_string(want.config.tally_mode))
-              << cell;
-        }
+        SubmitRequest request;
+        request.deck_text = format_deck(deck);
+        request.scheme = to_string(scheme);
+        request.layout = to_string(layout);
+        request.tally = "atomic";
+        request.threads = 1;
+        request.domains = domains;
+        // Streamed wait (the watch op): domain-mode events carry
+        // worker = -1 and must still parse client-side.
+        std::size_t events_seen = 0;
+        const RemoteResult result = client.wait(
+            client.submit(request),
+            [&events_seen](const net::RemoteEvent&) { ++events_seen; });
+        const std::string cell = std::string(to_string(scheme)) + "/" +
+                                 to_string(layout) + "/domains=" +
+                                 (domains[0] ? domains : "-");
+        EXPECT_GE(events_seen, 1u) << cell;
+        ASSERT_EQ(result.status, "ok") << cell << ": " << result.error;
+        ASSERT_EQ(result.rows.size(), 1u) << cell;
+        EXPECT_EQ(result.rows[0].checksum, want.result.tally_checksum)
+            << cell;
+        EXPECT_EQ(result.rows[0].population, want.result.population)
+            << cell;
+        EXPECT_EQ(result.rows[0].tally, to_string(want.config.tally_mode))
+            << cell;
       }
     }
   }
@@ -245,7 +242,7 @@ TEST(NetServer, RunWallDeadlineTimesOutAndServerKeepsServing) {
   EXPECT_EQ(ok.status, "ok") << ok.error;
 }
 
-TEST(NetServer, RunWallDeadlineCancelsShardSiblings) {
+TEST(NetServer, RunWallDeadlineCancelsSubdomainSiblings) {
   ServerOptions options;
   options.engine.workers = 1;  // siblings still queued when the first expires
   options.engine.policy.max_run_wall = std::chrono::milliseconds(60);
@@ -255,7 +252,7 @@ TEST(NetServer, RunWallDeadlineCancelsShardSiblings) {
   SubmitRequest request;
   request.deck_text = format_deck(tiny_deck(2000, 500));
   request.threads = 1;
-  request.shards = 3;
+  request.domains = "3x1";
   const RemoteResult result = client.wait(client.submit(request));
   EXPECT_EQ(result.status, "timed_out") << result.error;
   ASSERT_EQ(result.rows.size(), 1u);
@@ -390,6 +387,40 @@ TEST(NetServer, SubmitRejectsBadDecksSpecsAndKnobs) {
   good.deck_text = format_deck(tiny_deck(100));
   good.threads = 1;
   EXPECT_EQ(client.wait(client.submit(good)).status, "ok");
+}
+
+TEST(NetServer, SubmitRefusesFieldsItDoesNotRead) {
+  // A key the daemon does not read is refused by name, not dropped: the
+  // retired bank-shard field, or a misspelt `domains`, would otherwise run
+  // plain without a word.
+  TestServer server;
+  NeutralClient client = server.connect();
+  for (const auto& [key, value] :
+       {std::pair<std::string, std::string>{"shards", "2"},
+        std::pair<std::string, std::string>{"domain", "2x2"}}) {
+    const Fields request{{"op", "submit"},
+                         {"deck", format_deck(tiny_deck(100))},
+                         {key, value}};
+    try {
+      (void)client.call(request);
+      ADD_FAILURE() << "submit accepted the unknown field '" << key << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Every field NeutralClient::submit sends is accepted.
+  SubmitRequest full;
+  full.deck_text = format_deck(tiny_deck(100));
+  full.label = "all fields";
+  full.scheme = "events";
+  full.layout = "soa";
+  full.tally = "atomic";
+  full.schedule = "static";
+  full.threads = 1;
+  full.domains = "2x1";
+  EXPECT_EQ(client.wait(client.submit(full)).status, "ok");
 }
 
 // ---------------------------------------------------------------------------

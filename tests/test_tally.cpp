@@ -172,7 +172,7 @@ TEST(Tally, TotalIncludesUnmergedPrivateCopies) {
 }
 
 // ---------------------------------------------------------------------------
-// Compensated accumulation + cross-shard reduction primitives
+// Compensated accumulation + cross-partition reduction primitives
 // ---------------------------------------------------------------------------
 
 TEST(TallyCompensated, RecoversBitsPlainSummationLoses) {
@@ -211,27 +211,27 @@ TEST(TallyCompensated, CellValueInvariantToDepositOrder) {
 }
 
 TEST(TallyCompensated, AccumulateSplitsMatchTheWhole) {
-  // Partition a deposit sequence arbitrarily across "shards"; folding the
-  // shard tallies through accumulate() reproduces the single-tally result
+  // Partition a deposit sequence arbitrarily across two partial tallies;
+  // folding them through accumulate() reproduces the single-tally result
   // bit-for-bit, in any fold order.
   const std::int64_t cells = 16;
   EnergyTally whole(cells, TallyMode::kAtomic, 1, true);
-  EnergyTally shard_a(cells, TallyMode::kAtomic, 1, true);
-  EnergyTally shard_b(cells, TallyMode::kAtomic, 1, true);
+  EnergyTally part_a(cells, TallyMode::kAtomic, 1, true);
+  EnergyTally part_b(cells, TallyMode::kAtomic, 1, true);
   for (int i = 0; i < 5000; ++i) {
     const std::int64_t cell = (i * 7919) % cells;
     const double amount = std::pow(1.1, i % 40) * ((i % 3) ? 1.0 : -0.5);
     whole.deposit(cell, amount, 0);
-    (i % 2 ? shard_a : shard_b).deposit(cell, amount, 0);
+    (i % 2 ? part_a : part_b).deposit(cell, amount, 0);
   }
   whole.merge();
-  shard_a.merge();
-  shard_b.merge();
+  part_a.merge();
+  part_b.merge();
 
   for (int order = 0; order < 2; ++order) {
     EnergyTally reduced(cells, TallyMode::kAtomic, 1, true);
-    reduced.accumulate(order == 0 ? shard_a : shard_b);
-    reduced.accumulate(order == 0 ? shard_b : shard_a);
+    reduced.accumulate(order == 0 ? part_a : part_b);
+    reduced.accumulate(order == 0 ? part_b : part_a);
     reduced.merge();
     for (std::int64_t c = 0; c < cells; ++c) {
       EXPECT_EQ(reduced.at(c), whole.at(c)) << "cell " << c;
@@ -260,8 +260,8 @@ TEST(TallyCompensated, AccumulateAcceptsImagesAndValidates) {
 
 TEST(TallyCompensated, PrivatizedMergeIsThreadCountInvariant) {
   // The same deposit multiset through 1, 2 and 8 private copies must merge
-  // to identical doubles — the property that lets shard jobs run at any
-  // width.
+  // to identical doubles — the property that lets a subdomain's team run
+  // at any width.
   const std::int64_t cells = 8;
   double reference[8] = {};
   for (const int threads : {1, 2, 8}) {
