@@ -1,13 +1,12 @@
-// Figure 3: parallel efficiency vs thread count — neutral (both schemes)
-// against the bandwidth-bound arch proxies flow and hot (§VI-B).
+// Figure 3: parallel efficiency vs thread count for the bandwidth-bound
+// arch proxies flow and hot (§VI-B), beside the machine model's curves.
 //
 // Two parts:
-//   1. measured host sweep (on a 1-core VM the oversubscribed points are
-//      still printed, but flagged);
+//   1. measured host sweep of the proxies up to the host's logical CPUs
+//      (neutral's own thread scaling is a row group of the bench_transport
+//      record: its `scaling_eff` column);
 //   2. machine-model efficiency curves for the paper's dual-socket
 //      Broadwell and POWER8, where the NUMA/SMT structure lives.
-#include <omp.h>
-
 #include "bench_common.h"
 #include "proxies/flow.h"
 #include "proxies/hot.h"
@@ -24,28 +23,13 @@ int main(int argc, char** argv) {
       banner("fig03_thread_scaling", "Fig 3 (parallel efficiency)", scale);
 
   const std::int32_t hw = probe_host().logical_cpus;
-  std::vector<std::int32_t> threads{1};
-  for (std::int32_t t = 2; t <= 2 * hw; t *= 2) threads.push_back(t);
-
   ResultTable table("Fig 3a — measured parallel efficiency (this host)",
-                    {"threads", "neutral-OP eff", "neutral-OE eff",
-                     "flow eff", "hot eff"});
+                    {"threads", "flow eff", "hot eff"});
 
   // Baselines at 1 thread.
-  double base_op = 0.0, base_oe = 0.0, base_flow = 0.0, base_hot = 0.0;
-  for (const std::int32_t t : threads) {
+  double base_flow = 0.0, base_hot = 0.0;
+  for (std::int32_t t = 1; t <= hw; t *= 2) {
     set_thread_count(t);
-
-    SimulationConfig op;
-    op.deck = scale.deck("csp");
-    op.threads = t;
-    const double t_op = run_sim(op).total_seconds;
-
-    SimulationConfig oe = op;
-    oe.scheme = Scheme::kOverEvents;
-    oe.layout = Layout::kSoA;
-    oe.tally_mode = TallyMode::kDeferredAtomic;
-    const double t_oe = run_sim(oe).total_seconds;
 
     FlowConfig fc;
     fc.nx = fc.ny = static_cast<std::int32_t>(512 * scale.mesh_scale / 0.08);
@@ -60,8 +44,6 @@ int main(int argc, char** argv) {
     const double t_hot = hot.solve().seconds;
 
     if (t == 1) {
-      base_op = t_op;
-      base_oe = t_oe;
       base_flow = t_flow;
       base_hot = t_hot;
     }
@@ -69,18 +51,12 @@ int main(int argc, char** argv) {
       return base / (now * static_cast<double>(t));
     };
     table.add_row({ResultTable::cell(static_cast<long>(t)),
-                   ResultTable::cell(eff(base_op, t_op), 3),
-                   ResultTable::cell(eff(base_oe, t_oe), 3),
                    ResultTable::cell(eff(base_flow, t_flow), 3),
                    ResultTable::cell(eff(base_hot, t_hot), 3)});
   }
   set_thread_count(hw);
   table.print();
   table.write_csv(csv);
-  if (hw == 1) {
-    std::printf("NOTE: 1 logical CPU — points beyond 1 thread are "
-                "oversubscribed; see the model curves below.\n");
-  }
 
   // Part 2: the model's efficiency curves for the paper's CPUs.
   SimScale sim_scale;

@@ -69,7 +69,7 @@ struct EngineMetrics {
     if (outcome.ok) {
       jobs_ok->add();
       job_wall->observe(outcome.seconds);
-      job_events_per_second->observe(outcome.result.events_per_second());
+      job_events_per_second->observe(outcome.events_per_second());
       const EventCounters& c = outcome.result.counters;
       ev_facets->add(c.facets);
       ev_collisions->add(c.collisions);
@@ -105,7 +105,8 @@ class RunRecorder {
               const BatchEngine::CompletionCallback& on_complete,
               std::unordered_map<std::uint64_t, std::size_t> slot_of,
               std::unordered_map<std::uint64_t, std::size_t> group_remaining,
-              std::vector<std::uint64_t> group_by_slot)
+              std::vector<std::uint64_t> group_by_slot,
+              std::vector<bool> custom_by_slot)
       : report_(report),
         queue_(queue),
         metrics_(metrics),
@@ -113,6 +114,7 @@ class RunRecorder {
         on_complete_(on_complete),
         slot_of_(std::move(slot_of)),
         group_by_slot_(std::move(group_by_slot)),
+        custom_by_slot_(std::move(custom_by_slot)),
         group_remaining_(std::move(group_remaining)) {}
 
   /// Submission-order slot of a job id.  slot_of_ is immutable after
@@ -122,15 +124,16 @@ class RunRecorder {
   }
 
   /// Record one outcome (and its metrics/trace/callback side effects)
-  /// under the lock.  The last outcome of a group evicts its cancellation
-  /// tombstone: every job of the group is accounted for, so no push can
-  /// resurrect it.
+  /// under the lock.  A custom-work job is part of a row its caller
+  /// assembles and counts (BatchEngine::note), so it skips the metrics.
+  /// The last outcome of a group evicts its cancellation tombstone: every
+  /// job of the group is accounted for, so no push can resurrect it.
   void record(JobOutcome&& outcome) NEUTRAL_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     const std::size_t slot = slot_of_.at(outcome.job_id);
     report_.jobs[slot] = std::move(outcome);
     const JobOutcome& done = report_.jobs[slot];
-    metrics_.note(done);
+    if (!custom_by_slot_[slot]) metrics_.note(done);
     if (trace_ != nullptr) {
       obs::TraceEvent event;
       event.event = terminal_event(done);
@@ -163,6 +166,7 @@ class RunRecorder {
   const BatchEngine::CompletionCallback& on_complete_;
   const std::unordered_map<std::uint64_t, std::size_t> slot_of_;
   const std::vector<std::uint64_t> group_by_slot_;
+  const std::vector<bool> custom_by_slot_;
   std::unordered_map<std::uint64_t, std::size_t> group_remaining_
       NEUTRAL_GUARDED_BY(mutex_);
 };
@@ -248,6 +252,10 @@ std::pair<std::int32_t, std::int32_t> BatchEngine::thread_budget(
   return {workers, threads};
 }
 
+void BatchEngine::note(const JobOutcome& row) const {
+  EngineMetrics(options_.metrics).note(row);
+}
+
 std::size_t BatchEngine::queue_depth(std::int32_t workers) const {
   return options_.queue_capacity > 0
              ? options_.queue_capacity
@@ -271,6 +279,7 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
   std::unordered_map<std::uint64_t, std::size_t> slot_of;
   std::unordered_map<std::uint64_t, std::size_t> group_remaining;
   std::vector<std::uint64_t> group_by_slot(jobs.size(), 0);
+  std::vector<bool> custom_by_slot(jobs.size(), false);
   slot_of.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     NEUTRAL_REQUIRE(slot_of.emplace(jobs[i].id, i).second,
@@ -278,6 +287,7 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
     report.jobs[i].job_id = jobs[i].id;
     report.jobs[i].label = jobs[i].label;
     group_by_slot[i] = jobs[i].group;
+    custom_by_slot[i] = static_cast<bool>(jobs[i].work);
     if (jobs[i].group != 0) ++group_remaining[jobs[i].group];
   }
 
@@ -287,7 +297,7 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
   obs::TraceLog* const trace = options_.trace;
   RunRecorder recorder(report, queue, metrics, trace, on_complete,
                        std::move(slot_of), std::move(group_remaining),
-                       std::move(group_by_slot));
+                       std::move(group_by_slot), std::move(custom_by_slot));
   // Written by the producer before each push, read by the worker that pops
   // the job — the queue mutex orders the two, so no per-slot atomics.
   std::vector<std::chrono::steady_clock::time_point> submitted_at(

@@ -169,6 +169,12 @@ class BatchEngine {
   [[nodiscard]] std::pair<std::int32_t, std::int32_t> thread_budget(
       std::size_t n_jobs) const;
 
+  /// Count one finished row in the metrics series (EngineOptions::
+  /// metrics).  run() counts every job it runs from a config; a row built
+  /// from custom-work parts (a domain-decomposed solve) is counted here,
+  /// once, by whoever assembles it.
+  void note(const JobOutcome& row) const;
+
   /// The bounded queue depth run() would use with `workers` workers.
   [[nodiscard]] std::size_t queue_depth(std::int32_t workers) const;
 

@@ -75,6 +75,7 @@ BatchReport domain_sweep(BatchEngine& engine, const std::vector<Job>& sweep,
       }
     }
     settle(row, cancel);
+    engine.note(row);
     if (on_complete) on_complete(row);
     report.jobs.push_back(std::move(row));
   }

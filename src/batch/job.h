@@ -46,7 +46,9 @@ struct Job {
   /// phases (domain-decomposition transport rounds, which keep per-
   /// subdomain Simulations alive across calls) ride the worker pool.  The
   /// functor runs on a worker thread; exceptions mark the job failed, and
-  /// group cancellation applies as usual.  The world cache is bypassed.
+  /// group cancellation applies as usual.  The world cache is bypassed,
+  /// and the job is not counted in the job metrics: it is part of a row
+  /// its caller counts (BatchEngine::note).
   std::function<RunResult()> work;
 };
 

@@ -21,11 +21,13 @@
 #include <vector>
 
 #include "batch/engine.h"
+#include "batch/executor.h"
 #include "batch/queue.h"
 #include "batch/sweep.h"
 #include "batch/world_cache.h"
 #include "core/simulation.h"
 #include "io/results_io.h"
+#include "obs/metrics.h"
 #include "rng/stream.h"
 #include "runtime/host_info.h"
 #include "util/error.h"
@@ -940,6 +942,43 @@ TEST(Engine, ReportsWorldCacheHitsAndThroughput) {
   const BatchReport again = engine.run(batch::expand_sweep(spec));
   EXPECT_EQ(again.cache.misses, 0u);
   EXPECT_EQ(again.cache.hits, 4u);
+}
+
+TEST(Engine, DecomposedRowIsCountedOnceWithItsMergedResult) {
+  // A 2x2 sweep runs many subdomain round jobs per row; the job metrics
+  // must count rows, with the stitched result's events, not the rounds.
+  SweepSpec spec;
+  spec.base = tiny_config(300);
+  spec.axes.schemes = {Scheme::kOverParticles, Scheme::kOverEvents};
+  spec.axes.particles = {200, 300};
+  obs::MetricsRegistry registry;
+  EngineOptions options;
+  options.threads_per_job = 1;
+  options.metrics = &registry;
+  BatchEngine engine(options);
+  const BatchReport report =
+      batch::run_sweep(engine, batch::expand_sweep(spec, true),
+                       batch::Decomposition::parse("2x2"));
+  ASSERT_EQ(report.completed(), 4u);
+
+  EventCounters rows;
+  for (const JobOutcome& row : report.jobs) rows += row.result.counters;
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  auto counter = [&snap](const char* name) {
+    const obs::MetricValue* m = snap.find(name);
+    return m == nullptr ? ~std::uint64_t{0} : m->counter;
+  };
+  EXPECT_EQ(counter("neutral_jobs_ok_total"), report.jobs.size());
+  EXPECT_EQ(snap.find("neutral_job_wall_seconds")->histogram.count,
+            report.jobs.size());
+  EXPECT_GT(rows.collisions, 0u);
+  EXPECT_EQ(counter("neutral_events_facets_total"), rows.facets);
+  EXPECT_EQ(counter("neutral_events_collisions_total"), rows.collisions);
+  EXPECT_EQ(counter("neutral_events_censuses_total"), rows.censuses);
+  EXPECT_EQ(counter("neutral_events_rng_draws_total"), rows.rng_draws);
+  EXPECT_EQ(counter("neutral_events_xs_lookups_total"), rows.xs_lookups);
+  EXPECT_EQ(counter("neutral_events_tally_flushes_total"),
+            rows.tally_flushes);
 }
 
 TEST(Engine, CompletionCallbackSeesEveryJob) {

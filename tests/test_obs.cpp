@@ -427,12 +427,14 @@ obs::BenchDocument sample_document() {
   doc.cpu_model = "test cpu";
   doc.logical_cpus = 4;
   doc.openmp_max_threads = 4;
-  doc.threads = 1;
   doc.repeats = 2;
   obs::BenchResult result;
   result.deck = "golden_csp";
   result.scheme = "particles";
   result.layout = "aos";
+  result.threads = 1;
+  result.tally = "atomic";
+  result.schedule = "static";
   result.particles = 400;
   result.timesteps = 2;
   result.events = 12345;
@@ -442,6 +444,8 @@ obs::BenchDocument sample_document() {
   result.population = 100;
   result.peak_mesh_bytes = 1 << 20;
   result.peak_bank_bytes = 1 << 16;
+  result.tally_bytes = 1 << 12;
+  result.scaling_eff = 1.0;
   obs::BenchPhase phase;
   phase.phase = "collision";
   phase.ns_per_event = 18.0;
@@ -462,27 +466,6 @@ TEST(BenchRecord, GeneratedDocumentValidates) {
   EXPECT_DOUBLE_EQ(
       doc.find("results")->array[0].find("checksum")->number, -3.25);
   EXPECT_EQ(doc.find("schema")->string, obs::kBenchTransportSchema);
-}
-
-TEST(BenchRecord, V1RecordsStillValidate) {
-  // The PR-6 era baseline predates the run-config and repeat-stat fields;
-  // it must keep validating so bench_compare can diff the perf trajectory
-  // across the repo's own history.
-  const std::string v1 = R"({
-    "schema": "neutral.bench_transport/v1",
-    "host": {"cpu_model": "test", "logical_cpus": 1,
-             "openmp_max_threads": 1},
-    "run": {"threads": 1, "repeats": 1},
-    "results": [
-      {"deck": "golden_stream", "scheme": "particles", "layout": "aos",
-       "particles": 100, "timesteps": 2, "events": 1000, "seconds": 0.5,
-       "events_per_second": 2000.0, "checksum": 1.5, "population": 100,
-       "peak_mesh_bytes": 1024, "peak_bank_bytes": 1024, "phases": []}
-    ]
-  })";
-  const std::vector<std::string> problems = obs::validate_bench_record(v1);
-  EXPECT_TRUE(problems.empty())
-      << (problems.empty() ? "" : problems.front());
 }
 
 TEST(BenchRecord, CorruptionIsDetected) {
@@ -507,6 +490,61 @@ TEST(BenchRecord, CorruptionIsDetected) {
   ASSERT_NE(at, std::string::npos);
   json.replace(at, needle.size(), "\"events_per_sec\":");
   EXPECT_FALSE(obs::validate_bench_record(json).empty());
+}
+
+TEST(BenchRecord, RowsWithoutTheStudyAxesAreRejected) {
+  const std::string json = sample_document().to_json();
+  for (const char* key : {"threads", "tally", "schedule"}) {
+    std::string missing = json;
+    const std::string needle = std::string("\"") + key + "\":";
+    const std::size_t at = missing.find(needle);
+    ASSERT_NE(at, std::string::npos) << key;
+    missing.replace(at, needle.size(), "\"renamed\":");
+    EXPECT_FALSE(obs::validate_bench_record(missing).empty()) << key;
+  }
+  obs::BenchDocument no_threads = sample_document();
+  no_threads.results[0].threads = 0;
+  EXPECT_FALSE(obs::validate_bench_record(no_threads.to_json()).empty());
+}
+
+TEST(BenchRecord, OlderSchemasAreRejected) {
+  for (const int version : {1, 2}) {
+    obs::BenchDocument old = sample_document();
+    old.schema = "neutral.bench_transport/v" + std::to_string(version);
+    EXPECT_FALSE(obs::validate_bench_record(old.to_json()).empty())
+        << old.schema;
+  }
+}
+
+TEST(BenchRecord, RowsThatDisagreeOnPhysicsAreRejected) {
+  // A second layout and a 4-thread row of the same deck: consistent as
+  // generated, then broken one invariant at a time.
+  obs::BenchDocument doc = sample_document();
+  obs::BenchResult soa = doc.results[0];
+  soa.layout = "soa";
+  obs::BenchResult threaded = doc.results[0];
+  threaded.threads = 4;
+  threaded.checksum *= 1.0 + 1e-12;  // another deposit order: tolerated
+  doc.results.push_back(soa);
+  doc.results.push_back(threaded);
+  EXPECT_TRUE(doc.consistency_problems().empty());
+  EXPECT_TRUE(obs::validate_bench_record(doc.to_json()).empty());
+
+  obs::BenchDocument layout_drift = doc;
+  layout_drift.results[1].checksum *= 1.0 + 1e-15;  // not bit-identical
+  EXPECT_FALSE(obs::validate_bench_record(layout_drift.to_json()).empty());
+
+  obs::BenchDocument thread_drift = doc;
+  thread_drift.results[2].checksum *= 1.0 + 1e-6;  // beyond 1e-9
+  EXPECT_FALSE(obs::validate_bench_record(thread_drift.to_json()).empty());
+
+  obs::BenchDocument event_drift = doc;
+  event_drift.results[2].events += 1;
+  EXPECT_FALSE(obs::validate_bench_record(event_drift.to_json()).empty());
+
+  obs::BenchDocument no_reference = doc;
+  no_reference.results.erase(no_reference.results.begin());
+  EXPECT_FALSE(obs::validate_bench_record(no_reference.to_json()).empty());
 }
 
 // ---------------------------------------------------------------------------
