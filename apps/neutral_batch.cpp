@@ -16,8 +16,8 @@
 // TCP, completion events stream back as jobs finish server-side, and the
 // table/CSV carry the daemon's bit-identical results (columns match the
 // local table, so the two CSVs diff directly).  Engine knobs (--workers,
-// --threads-per-job, --queue-capacity, --cache-mb, --no-cache) belong to
-// the daemon in this mode and are rejected here.
+// --threads-per-job, --cache-mb, --no-cache) belong to the daemon in this
+// mode and are rejected here.
 //
 // Exit status is non-zero when ANY row is not "ok" — failed, timed out,
 // cancelled, un-reduced, or energy-non-conserving — in every mode, local
@@ -222,8 +222,6 @@ int main(int argc, char** argv) {
         cli.option_int("workers", 0, "worker threads (0 = auto)"));
     options.threads_per_job = static_cast<std::int32_t>(cli.option_int(
         "threads-per-job", 0, "OpenMP threads per job (0 = auto)"));
-    options.queue_capacity = static_cast<std::size_t>(cli.option_int(
-        "queue-capacity", 0, "bounded queue depth (0 = auto)"));
     options.reuse_worlds =
         !cli.flag("no-cache", "rebuild the world for every job");
     const std::string csv =
@@ -247,11 +245,6 @@ int main(int argc, char** argv) {
         "job to one bit-identical row");
     const auto cache_mb = cli.option_int(
         "cache-mb", 0, "world cache byte budget in MiB (0 = unbounded)");
-    const long aging_ms = cli.option_int(
-        "priority-aging-ms", 0,
-        "queued jobs gain one effective priority level per this many ms "
-        "waited, so saturating high-priority traffic cannot starve "
-        "low-priority work (0 = strict priority)");
     const std::string connect = cli.option(
         "connect", "",
         "run the sweep against a neutrald at host:port instead of "
@@ -267,8 +260,6 @@ int main(int argc, char** argv) {
         "(src/obs/trace.h)");
     if (!cli.finish()) return 0;
     const Decomposition how = Decomposition::parse(domains);
-    NEUTRAL_REQUIRE(aging_ms >= 0, "--priority-aging-ms must be >= 0");
-    options.policy.priority_aging = std::chrono::milliseconds(aging_ms);
     options.cache.max_bytes =
         static_cast<std::uint64_t>(std::max(cache_mb, 0L)) << 20;
 
@@ -291,13 +282,10 @@ int main(int argc, char** argv) {
                       "engine; start neutrald with --trace-log for the "
                       "daemon side");
       NEUTRAL_REQUIRE(options.workers == 0 && options.threads_per_job == 0 &&
-                          options.queue_capacity == 0 &&
-                          options.reuse_worlds && cache_mb == 0 &&
-                          aging_ms == 0,
+                          options.reuse_worlds && cache_mb == 0,
                       "engine knobs (--workers, --threads-per-job, "
-                      "--queue-capacity, --no-cache, --cache-mb, "
-                      "--priority-aging-ms) configure the daemon; set them "
-                      "when starting neutrald");
+                      "--no-cache, --cache-mb) configure the daemon; set "
+                      "them when starting neutrald");
       const std::string spec_text =
           spec_path.empty() ? kDefaultSpec : read_file(spec_path);
       return run_remote(connect, spec_text, domains, csv, quiet);

@@ -15,7 +15,9 @@
 // The deadline flags are what make the daemon safe to leave running: a job
 // that exceeds --max-run-wall-ms completes as `timed_out` (cancelling its
 // fork-join group) instead of holding a worker forever, and a job that
-// waits past --max-queue-wait-ms is answered `timed_out` without running.
+// waits past --max-queue-wait-ms — counted from the daemon accepting its
+// submission, so time spent behind earlier submissions counts — is
+// answered `timed_out` without running.
 // A clean stop is a client `shutdown` op (the daemon drains and exits 0).
 #include <cstdio>
 #include <string>
@@ -38,23 +40,17 @@ int main(int argc, char** argv) {
         cli.option_int("workers", 0, "engine worker threads (0 = auto)"));
     options.engine.threads_per_job = static_cast<std::int32_t>(cli.option_int(
         "threads-per-job", 0, "OpenMP threads per job (0 = auto)"));
-    options.engine.queue_capacity = static_cast<std::size_t>(cli.option_int(
-        "queue-capacity", 0, "bounded job queue depth (0 = auto)"));
     const long queue_wait_ms = cli.option_int(
         "max-queue-wait-ms", 0,
-        "max time a job may wait for queue space or a worker before it "
-        "completes as timed_out (0 = unbounded)");
+        "max time from the daemon accepting a submission until a worker "
+        "starts each of its jobs (earlier submissions' run time counts); a "
+        "job past it completes as timed_out unrun (0 = unbounded)");
     const long run_wall_ms = cli.option_int(
         "max-run-wall-ms", 0,
         "max running wall clock per job before it completes as "
         "timed_out (0 = unbounded)");
     const auto cache_mb = cli.option_int(
         "cache-mb", 0, "world cache byte budget in MiB (0 = unbounded)");
-    const long aging_ms = cli.option_int(
-        "priority-aging-ms", 0,
-        "queued jobs gain one effective priority level per this many ms "
-        "waited, so saturating high-priority traffic cannot starve "
-        "low-priority work (0 = strict priority)");
     options.max_pending_submissions = static_cast<std::size_t>(cli.option_int(
         "max-pending", 64, "refuse submits beyond this many in flight"));
     options.max_retained_results = static_cast<std::size_t>(cli.option_int(
@@ -84,7 +80,6 @@ int main(int argc, char** argv) {
     options.metrics_port = static_cast<std::uint16_t>(metrics_port_raw);
     NEUTRAL_REQUIRE(queue_wait_ms >= 0 && run_wall_ms >= 0,
                     "--max-queue-wait-ms / --max-run-wall-ms must be >= 0");
-    NEUTRAL_REQUIRE(aging_ms >= 0, "--priority-aging-ms must be >= 0");
     NEUTRAL_REQUIRE(max_connections > 0, "--max-connections must be > 0");
     NEUTRAL_REQUIRE(max_inflight > 0, "--max-inflight must be > 0");
     options.port = static_cast<std::uint16_t>(port_raw);
@@ -92,7 +87,6 @@ int main(int argc, char** argv) {
         std::chrono::milliseconds(queue_wait_ms);
     options.engine.policy.max_run_wall =
         std::chrono::milliseconds(run_wall_ms);
-    options.engine.policy.priority_aging = std::chrono::milliseconds(aging_ms);
     options.max_connections = static_cast<std::size_t>(max_connections);
     options.max_inflight_per_connection =
         static_cast<std::size_t>(max_inflight);

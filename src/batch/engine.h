@@ -1,12 +1,14 @@
 // Batch execution engine: run many jobs concurrently on a worker pool.
 //
-// The engine wires the batch pieces together: jobs flow through a bounded
-// priority JobQueue to N std::thread workers; each worker resolves its
-// job's World through the shared WorldCache, constructs a Simulation
-// against it, and runs with a nested OpenMP team of `threads_per_job`
-// threads.  Because OpenMP's nthreads setting is per host thread, worker
-// teams do not interfere: the node runs workers x threads_per_job hot
-// threads.
+// The engine wires the batch pieces together: run() receives its whole
+// job list up front, and N std::thread workers take jobs from it in
+// submission order by advancing one shared cursor (the same fixed index
+// range a timestep's particles are split over an OpenMP team by).  Each
+// worker resolves its job's World through the shared WorldCache,
+// constructs a Simulation against it, and runs with a nested OpenMP team
+// of `threads_per_job` threads.  Because OpenMP's nthreads setting is per
+// host thread, worker teams do not interfere: the node runs workers x
+// threads_per_job hot threads.
 //
 // Oversubscription policy: workers x threads_per_job <= hw_concurrency
 // (probe_host().logical_cpus).  Defaults derive one from the other —
@@ -17,19 +19,24 @@
 // worker count is honoured as given, even beyond the cpu count (useful
 // for tests and I/O-bound jobs); threads_per_job then pins to 1.
 //
+// Fork-join groups: when a grouped job fails (or times out), a worker
+// that later reaches one of its siblings records it cancelled without
+// running it — a failed domain round's fork-join result is already lost,
+// so its siblings are pure waste.  Siblings already running finish.
+//
 // Determinism: a job's physics depends only on its SimulationConfig (the
 // RNG is counter-based, keyed by deck.seed — rng/stream.h), so per-job
 // results are invariant to worker count and completion order.  The report
 // lists outcomes in submission order regardless of completion order.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "batch/job.h"
-#include "batch/queue.h"
 #include "batch/world_cache.h"
 #include "core/simulation.h"
 
@@ -40,32 +47,35 @@ class TraceLog;
 
 namespace neutral::batch {
 
+/// Deadline policy for long-lived deployments (neutrald).  Zero means
+/// unbounded — the fork-join CLI default, where waits are known finite.
+struct QueuePolicy {
+  /// Bounds how long a job may wait before a worker starts it: run()
+  /// caps each Job::deadline at its start + this, and an expired job
+  /// completes as timed_out without running.
+  std::chrono::milliseconds max_queue_wait{0};
+  /// Bounds one job's running wall clock.  Enforced through the
+  /// cooperative SimulationConfig::deadline (checked at timestep and
+  /// transport-round boundaries); an expired run completes as timed_out
+  /// and cancels its group like a failure.
+  std::chrono::milliseconds max_run_wall{0};
+};
+
 struct EngineOptions {
   /// Worker threads; 0 = min(logical cpus, job count).
   std::int32_t workers = 0;
   /// OpenMP threads per job; 0 = logical cpus / workers (>= 1).
   std::int32_t threads_per_job = 0;
-  /// Bounded queue depth; 0 = max(2 x workers, 16).
-  std::size_t queue_capacity = 0;
   /// Share Worlds between jobs with identical geometry.
   bool reuse_worlds = true;
   /// World cache byte budget / eviction policy.
   WorldCacheOptions cache;
-  /// When a grouped job (Job::group != 0) fails, cancel its still-pending
-  /// siblings instead of running them to completion — a failed domain
-  /// round's fork-join result is already lost, so its siblings are pure
-  /// waste.
-  bool cancel_failed_groups = true;
-  /// Deadline policy for long-lived deployments (neutrald).  max_queue_wait
-  /// bounds both a blocked push and a job's time in queue (stamped onto
-  /// Job::deadline; an expired job completes as timed_out unrun).
-  /// max_run_wall bounds each config-driven job's running wall clock via
-  /// the cooperative SimulationConfig::deadline; custom-work jobs
-  /// (Job::work) enforce their own — run_domains stamps it (and `profile`)
-  /// into every subdomain's config.  Zero = unbounded, the
-  /// fork-join CLI default.
+  /// Deadline policy (see QueuePolicy).  max_run_wall reaches config-driven
+  /// jobs through SimulationConfig::deadline; custom-work jobs (Job::work)
+  /// enforce their own — run_domains stamps it (and `profile`) into every
+  /// subdomain's config.
   QueuePolicy policy;
-  /// Optional registry: queue, cache, per-outcome and per-event series
+  /// Optional registry: queue-wait, cache, per-outcome and per-event series
   /// land there (src/obs/metrics.h).  Also forwarded to cache.metrics when
   /// that is unset.  Null = unobserved, no overhead beyond nullptr tests.
   obs::MetricsRegistry* metrics = nullptr;
@@ -95,15 +105,15 @@ struct JobOutcome {
   SimulationConfig config;     ///< as executed (threads budget filled in)
   RunResult result;            ///< default-constructed when !ok
   double seconds = 0.0;        ///< wall clock including world acquisition
-  /// Seconds between submission and a worker popping the job (0 when the
+  /// Seconds between run() start and a worker taking the job (0 when the
   /// job never reached a worker).
   double queue_wait_seconds = 0.0;
   bool world_cache_hit = false;
   std::int32_t worker = -1;    ///< which worker ran it (-1: never ran)
   bool ok = false;
-  bool cancelled = false;      ///< removed unrun after a sibling failed
-  /// Subset of !ok: the job hit a QueuePolicy deadline — expired in the
-  /// queue (max_queue_wait) or aborted mid-run (max_run_wall).  Kept
+  bool cancelled = false;      ///< skipped unrun after a sibling failed
+  /// Subset of !ok: the job hit a QueuePolicy deadline — expired before
+  /// it started (max_queue_wait) or aborted mid-run (max_run_wall).  Kept
   /// distinct from plain failure so a serving layer can report
   /// `timed_out` and a client can retry with a longer budget.
   bool timed_out = false;
@@ -155,8 +165,9 @@ class BatchEngine {
   using CompletionCallback = std::function<void(const JobOutcome&)>;
 
   /// Run every job to completion and return the aggregated report.
-  /// Job ids must be unique within the submission.  Safe to call
-  /// repeatedly; the world cache persists across runs.
+  /// Workers start jobs in submission order.  Job ids must be unique
+  /// within the submission.  Safe to call repeatedly; the world cache
+  /// persists across runs.
   BatchReport run(std::vector<Job> jobs,
                   const CompletionCallback& on_complete = {});
 
@@ -174,9 +185,6 @@ class BatchEngine {
   /// from custom-work parts (a domain-decomposed solve) is counted here,
   /// once, by whoever assembles it.
   void note(const JobOutcome& row) const;
-
-  /// The bounded queue depth run() would use with `workers` workers.
-  [[nodiscard]] std::size_t queue_depth(std::int32_t workers) const;
 
  private:
   EngineOptions options_;

@@ -1,6 +1,7 @@
 #include "batch/executor.h"
 
 #include <algorithm>
+#include <chrono>
 #include <tuple>
 
 #include "batch/domain.h"
@@ -54,6 +55,9 @@ BatchReport domain_sweep(BatchEngine& engine, const std::vector<Job>& sweep,
     if (cancel_requested(cancel)) {
       row.cancelled = true;
       row.error = "cancelled";
+    } else if (std::chrono::steady_clock::now() > job.deadline) {
+      row.timed_out = true;
+      row.error = "timed out waiting in queue (max_queue_wait)";
     } else {
       try {
         DomainRunReport solve = run_domains(engine, job, opt);

@@ -11,8 +11,10 @@
 //     subdomain rounds over the pool.
 //   - threads: a partial domain solve runs its job's pinned `threads`, or
 //     else the engine's thread_budget over the subdomains.
-//   - group and priority: every round job is a make_part_job of its sweep
-//     job.
+//   - groups: every round job is a make_part_job of its sweep job.
+//   - start deadline: a plain job's Job::deadline is checked by the engine
+//     when a worker reaches it; a decomposed row whose deadline passed
+//     before its solve starts reports timed_out unrun.
 //   - reduction and checks: each decomposed job's subdomains stitch back
 //     to ONE row through the compensated reduction, and a row whose result
 //     does not conserve energy fails.
@@ -56,7 +58,8 @@ struct Decomposition {
 /// A row whose result does not conserve energy fails ("energy not
 /// conserved"); a job that cannot be decomposed fails only its own row.
 /// `cancel` (may be null) is stamped on every job, and a failure it caused
-/// reports cancelled.  `on_complete` sees each row as it finishes (a
+/// reports cancelled.  A job whose Job::deadline passed before it started
+/// reports timed_out unrun.  `on_complete` sees each row as it finishes (a
 /// domain sweep's round jobs are internal).  The report's pool and cache
 /// figures cover the whole sweep.
 BatchReport run_sweep(BatchEngine& engine, std::vector<Job> jobs,

@@ -9,11 +9,9 @@ std::string describe(const SimulationConfig& config) {
          std::to_string(config.deck.n_particles);
 }
 
-Job make_job(std::uint64_t id, SimulationConfig config, std::int32_t priority,
-             std::string label) {
+Job make_job(std::uint64_t id, SimulationConfig config, std::string label) {
   Job job;
   job.id = id;
-  job.priority = priority;
   job.fingerprint = world_fingerprint(config.deck);
   job.label = label.empty() ? describe(config) : std::move(label);
   job.config = std::move(config);
@@ -24,7 +22,6 @@ Job make_part_job(const Job& parent, std::uint64_t id, std::string label) {
   Job part;
   part.id = id;
   part.group = parent.id + 1;
-  part.priority = parent.priority;
   part.label = std::move(label);
   return part;
 }

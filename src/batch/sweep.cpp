@@ -118,7 +118,7 @@ std::vector<Job> expand_sweep(const SweepSpec& spec, bool domain_run) {
                       ? std::optional<TallyMode>(spec.base.tally_mode)
                       : std::nullopt,
                   domain_run);
-              jobs.push_back(make_job(id, std::move(cfg), spec.priority));
+              jobs.push_back(make_job(id, std::move(cfg)));
               ++id;
             }
           }
@@ -212,9 +212,6 @@ SweepSpec parse_sweep(const std::string& text) {
     } else if (key == "batch_seed") {
       need(1);
       spec.batch_seed = parse_uint(args[0], line_no);
-    } else if (key == "priority") {
-      need(1);
-      spec.priority = static_cast<std::int32_t>(parse_int(args[0], line_no));
     } else if (key == "axis") {
       need_at_least(2);
       const std::string& axis = args[0];

@@ -26,7 +26,6 @@
 //   threads <n>                 per-job OpenMP threads (0 = engine budget)
 //   timesteps/particles/seed <n>  deck overrides
 //   batch_seed <n>              per-job substream derivation (see above)
-//   priority <n>                queue priority for every expanded job
 //   axis particles <n...>       sweep axes (cross product):
 //   axis mesh_scale <f...>        regenerates named decks per scale
 //   axis nx <n...>                raw nx=ny override (custom decks)
@@ -73,8 +72,6 @@ struct SweepSpec {
   SweepAxes axes;
   /// Non-zero: derive each job's deck seed from (batch_seed, job id).
   std::uint64_t batch_seed = 0;
-  /// Priority stamped on every expanded job.
-  std::int32_t priority = 0;
 };
 
 /// The tally mode a job runs with — the one rule every front-end shares

@@ -727,6 +727,7 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
           std::to_string(options_.max_pending_submissions) + " in flight)");
     }
     sub->id = next_id_++;
+    sub->accepted = std::chrono::steady_clock::now();
     sub->owner_inflight = conn.inflight;
     conn.inflight->fetch_add(1);
     submissions_.emplace(sub->id, sub);
@@ -922,6 +923,10 @@ void NeutralServer::execute(const std::shared_ptr<Submission>& sub) {
     std::vector<Job> sweep_jobs = batch::expand_sweep(spec, how.domains());
     if (!sub->label.empty() && sweep_jobs.size() == 1) {
       sweep_jobs.front().label = sub->label;
+    }
+    const auto max_queue_wait = engine_.options().policy.max_queue_wait;
+    if (max_queue_wait.count() > 0) {
+      for (Job& job : sweep_jobs) job.deadline = sub->accepted + max_queue_wait;
     }
     {
       MutexLock lock(mutex_);

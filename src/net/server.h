@@ -54,13 +54,13 @@
 // Execution model: submissions queue FIFO and one executor thread drains
 // them, so concurrent clients share the node the same way one CLI sweep
 // does (the engine's worker pool parallelises; the executor serialises).
-// Deadlines come from EngineOptions::policy: max_queue_wait bounds queue
-// residence, max_run_wall bounds each run — an expired job completes as
-// `timed_out`, its group cancels like a failure, and the daemon keeps
-// serving.  QueuePolicy::priority_aging (--priority-aging-ms) bounds
-// priority starvation inside each run's queue.  A client `cancel` flips
-// the submission's cooperative flag (SimulationConfig::cancel), stopping
-// in-flight work at the next timestep/round boundary.
+// Deadlines come from EngineOptions::policy: max_queue_wait bounds the
+// wait from the daemon accepting a submission to a worker starting each of
+// its jobs (time spent behind earlier submissions included), max_run_wall
+// bounds each run — an expired job completes as `timed_out`, its group
+// cancels like a failure, and the daemon keeps serving.  A client `cancel`
+// flips the submission's cooperative flag (SimulationConfig::cancel),
+// stopping in-flight work at the next timestep/round boundary.
 #pragma once
 
 #include <atomic>
@@ -94,8 +94,8 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral; read the bound port back from start().
   std::uint16_t port = 0;
-  /// Engine shared by every connection (QueuePolicy deadlines and
-  /// priority aging ride here).
+  /// Engine shared by every connection (QueuePolicy deadlines ride
+  /// here).
   batch::EngineOptions engine;
   /// Reject frames longer than this (deck/spec payload bound); also the
   /// per-connection inbound buffer bound.
@@ -105,8 +105,7 @@ struct ServerOptions {
   std::size_t max_pending_submissions = 64;
   /// Keep at most this many FINISHED submissions queryable; older results
   /// are evicted oldest-first.  The registry stays bounded no matter how
-  /// long the daemon runs — the same lifetime discipline the queue's
-  /// cancelled-group tombstones got.
+  /// long the daemon runs.
   std::size_t max_retained_results = 256;
   /// Refuse connections beyond this many open at once (a best-effort
   /// `refused` frame is sent before the close).
@@ -201,6 +200,9 @@ class NeutralServer {
     std::string scheme, layout, tally, schedule;
     std::int32_t threads = 0;
     std::string domains;  ///< "RxC" or empty
+    /// When the daemon accepted the submission: its jobs' max_queue_wait
+    /// deadlines count from here, not from when the executor reaches it.
+    std::chrono::steady_clock::time_point accepted{};
     State state = State::kQueued;
     std::string status;  ///< final submission status once kDone
     std::string error;

@@ -1,6 +1,5 @@
-// Tests for the batch execution engine: sweep expansion, the bounded
-// priority queue (including its deadline policy and cancelled-group
-// tombstone lifetime), group cancellation, the shared world cache,
+// Tests for the batch execution engine: sweep expansion, submission-order
+// dispatch, deadline policy, group cancellation, the shared world cache,
 // end-to-end determinism of batched runs against serial Simulation::run(),
 // and the CLI's exit-status, record and table contracts.
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 
 #include "batch/engine.h"
 #include "batch/executor.h"
-#include "batch/queue.h"
 #include "batch/sweep.h"
 #include "batch/world_cache.h"
 #include "core/simulation.h"
@@ -40,9 +38,6 @@ using batch::BatchReport;
 using batch::EngineOptions;
 using batch::Job;
 using batch::JobOutcome;
-using batch::JobQueue;
-using batch::PushOutcome;
-using batch::QueuePolicy;
 using batch::SweepSpec;
 using batch::WorldCache;
 
@@ -57,10 +52,6 @@ SimulationConfig tiny_config(std::int64_t particles = 400) {
   cfg.deck = tiny_deck(particles);
   cfg.threads = 1;
   return cfg;
-}
-
-Job job_with_priority(std::uint64_t id, std::int32_t priority) {
-  return batch::make_job(id, tiny_config(), priority);
 }
 
 /// A two-timestep job in fork-join group `group` (0 = ungrouped).
@@ -268,300 +259,34 @@ TEST(SharedWorld, MismatchedWorldIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Job queue
+// Dispatch order, deadlines and group cancellation
 // ---------------------------------------------------------------------------
 
-TEST(JobQueueTest, PopsByPriorityThenFifo) {
-  JobQueue queue(16);
-  ASSERT_TRUE(queue.try_push(job_with_priority(1, 0)));
-  ASSERT_TRUE(queue.try_push(job_with_priority(2, 5)));
-  ASSERT_TRUE(queue.try_push(job_with_priority(3, 5)));
-  ASSERT_TRUE(queue.try_push(job_with_priority(4, 1)));
-  queue.close();
-  EXPECT_EQ(queue.pop()->id, 2u);  // highest priority, submitted first
-  EXPECT_EQ(queue.pop()->id, 3u);  // same priority, FIFO
-  EXPECT_EQ(queue.pop()->id, 4u);
-  EXPECT_EQ(queue.pop()->id, 1u);
-  EXPECT_FALSE(queue.pop().has_value());
+TEST(Engine, JobsStartInSubmissionOrder) {
+  // One worker takes the job list front to back: start order is
+  // submission order, whatever the ids.
+  const std::vector<std::uint64_t> ids = {4, 9, 1, 7, 0, 3};
+  std::vector<std::uint64_t> started;  // one worker: no lock needed
+  std::vector<Job> jobs;
+  for (std::uint64_t id : ids) {
+    Job job = batch::make_job(id, tiny_config(50));
+    job.work = [&started, id] {
+      started.push_back(id);
+      return RunResult{};
+    };
+    jobs.push_back(std::move(job));
+  }
+  EngineOptions options;
+  options.workers = 1;
+  BatchEngine engine(options);
+  const BatchReport report = engine.run(std::move(jobs));
+  EXPECT_EQ(report.completed(), ids.size());
+  EXPECT_EQ(started, ids);
 }
 
-TEST(JobQueueTest, BoundedCapacityRefusesWhenFull) {
-  JobQueue queue(2);
-  EXPECT_TRUE(queue.try_push(job_with_priority(1, 0)));
-  EXPECT_TRUE(queue.try_push(job_with_priority(2, 0)));
-  EXPECT_FALSE(queue.try_push(job_with_priority(3, 0)));
-  (void)queue.pop();
-  EXPECT_TRUE(queue.try_push(job_with_priority(3, 0)));
-}
-
-TEST(JobQueueTest, CloseRefusesPushesButDrainsInFlightJobs) {
-  JobQueue queue(8);
-  ASSERT_EQ(queue.push(job_with_priority(1, 0)), PushOutcome::kAccepted);
-  ASSERT_EQ(queue.push(job_with_priority(2, 0)), PushOutcome::kAccepted);
-  queue.close();
-  EXPECT_EQ(queue.push(job_with_priority(3, 0)), PushOutcome::kRefused);
-  EXPECT_TRUE(queue.closed());
-  // Jobs queued before close() still pop.
-  EXPECT_TRUE(queue.pop().has_value());
-  EXPECT_TRUE(queue.pop().has_value());
-  EXPECT_FALSE(queue.pop().has_value());
-}
-
-TEST(JobQueueTest, ShutdownWakesBlockedConsumers) {
-  JobQueue queue(4);
-  constexpr int kConsumers = 4;
-  constexpr std::uint64_t kJobs = 32;
-  std::atomic<std::uint64_t> popped{0};
-  std::vector<std::thread> consumers;
-  consumers.reserve(kConsumers);
-  for (int t = 0; t < kConsumers; ++t) {
-    consumers.emplace_back([&] {
-      while (queue.pop().has_value()) {
-        popped.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    });
-  }
-  for (std::uint64_t i = 0; i < kJobs; ++i) {
-    // Blocking push: the capacity-4 queue back-pressures this producer
-    // while consumers are mid-"job".
-    ASSERT_EQ(queue.push(job_with_priority(i, 0)), PushOutcome::kAccepted);
-  }
-  queue.close();
-  for (std::thread& t : consumers) t.join();
-  // Every job pushed before close() was processed; nobody deadlocked.
-  EXPECT_EQ(popped.load(), kJobs);
-}
-
-TEST(JobQueueCancel, RemovesOnlyTheGroupAndPoisonsIt) {
-  JobQueue queue(16);
-  ASSERT_TRUE(queue.try_push(grouped_job(1, 7)));
-  ASSERT_TRUE(queue.try_push(grouped_job(2, 8)));
-  ASSERT_TRUE(queue.try_push(grouped_job(3, 7)));
-
-  const std::vector<Job> removed = queue.cancel_pending(7);
-  ASSERT_EQ(removed.size(), 2u);
-  EXPECT_TRUE(queue.group_cancelled(7));
-  EXPECT_FALSE(queue.group_cancelled(8));
-
-  // Later pushes of the cancelled group are refused; other groups flow.
-  EXPECT_FALSE(queue.try_push(grouped_job(4, 7)));
-  EXPECT_TRUE(queue.try_push(grouped_job(5, 8)));
-
-  queue.close();
-  EXPECT_EQ(queue.pop()->id, 2u);
-  EXPECT_EQ(queue.pop()->id, 5u);
-  EXPECT_FALSE(queue.pop().has_value());
-}
-
-TEST(JobQueueCancel, GroupZeroIsNeverCancelled) {
-  JobQueue queue(4);
-  ASSERT_TRUE(queue.try_push(grouped_job(1, 0)));
-  EXPECT_TRUE(queue.cancel_pending(0).empty());
-  EXPECT_FALSE(queue.group_cancelled(0));
-  EXPECT_EQ(queue.size(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Queue deadlines (QueuePolicy) and cancelled-group tombstone lifetime
-// ---------------------------------------------------------------------------
-
-TEST(JobQueueDeadline, PushDistinguishesTimedOutFromRefused) {
-  QueuePolicy policy;
-  policy.max_queue_wait = std::chrono::milliseconds(30);
-  JobQueue queue(1, policy);
-  ASSERT_EQ(queue.push(job_with_priority(1, 0)), PushOutcome::kAccepted);
-  // Full queue, no consumer: the timed wait expires instead of hanging the
-  // producer forever — and reports kTimedOut (alive but saturated) ...
-  EXPECT_EQ(queue.push(job_with_priority(2, 0)), PushOutcome::kTimedOut);
-  // ... which is NOT the same answer as a closed queue.
-  queue.close();
-  EXPECT_EQ(queue.push(job_with_priority(3, 0)), PushOutcome::kRefused);
-}
-
-TEST(JobQueueDeadline, PushUntilHonoursAnExplicitDeadline) {
-  JobQueue queue(1);  // no policy: plain push() would wait forever
-  ASSERT_EQ(queue.push(job_with_priority(1, 0)), PushOutcome::kAccepted);
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(queue.push_until(job_with_priority(2, 0),
-                             start + std::chrono::milliseconds(30)),
-            PushOutcome::kTimedOut);
-  EXPECT_GE(std::chrono::steady_clock::now() - start,
-            std::chrono::milliseconds(25));
-}
-
-TEST(JobQueueDeadline, PopUntilReturnsEmptyOnDeadline) {
-  JobQueue queue(4);
-  // Empty queue, nobody pushing: the timed pop returns instead of blocking.
-  EXPECT_FALSE(queue
-                   .pop_until(std::chrono::steady_clock::now() +
-                              std::chrono::milliseconds(30))
-                   .has_value());
-  EXPECT_FALSE(queue.closed());  // a timeout is not a shutdown
-  ASSERT_TRUE(queue.try_push(job_with_priority(1, 0)));
-  EXPECT_EQ(queue
-                .pop_until(std::chrono::steady_clock::now() +
-                           std::chrono::milliseconds(30))
-                ->id,
-            1u);
-}
-
-TEST(JobQueueTombstones, ForgetGroupKeepsTheCancelledSetBounded) {
-  // Regression for the unbounded-lifetime bug: cancel_pending() inserted a
-  // tombstone per group and nothing ever erased it, so a daemon cancelling
-  // N distinct groups leaked N entries.  forget_group() is the eviction.
-  JobQueue queue(8);
-  for (std::uint64_t group = 1; group <= 512; ++group) {
-    Job job = job_with_priority(group, 0);
-    job.group = group;
-    ASSERT_TRUE(queue.try_push(std::move(job)));
-    EXPECT_EQ(queue.cancel_pending(group).size(), 1u);
-    EXPECT_TRUE(queue.group_cancelled(group));
-    queue.forget_group(group);  // last job of the group accounted for
-    EXPECT_FALSE(queue.group_cancelled(group));
-  }
-  EXPECT_EQ(queue.cancelled_group_count(), 0u);
-  // A forgotten group id is usable again (ids recycle in a long-lived
-  // daemon once their submission is fully retired).
-  Job again = job_with_priority(9999, 0);
-  again.group = 7;
-  EXPECT_TRUE(queue.try_push(std::move(again)));
-}
-
-TEST(JobQueueTombstones, CancelPendingLeavesLazyTombstonesWithoutRebuild) {
-  // Regression for the O(n) heap rebuild: cancel_pending() used to copy
-  // every surviving entry into a fresh heap.  It now marks matching
-  // entries dead in place, so right after a cancel the dead entries are
-  // still *inside* the heap (lazily purged as they surface at the top).
-  // Sequential and timing-insensitive by construction.
-  JobQueue queue(64);
-  // Groups 1 and 3 at priority 5 (heap top), group 2 at priority 0
-  // (heap bottom) — so cancelling group 2 cannot be cleaned up by the
-  // drop-dead-top pass and MUST leave lazy tombstones behind.
-  for (std::uint64_t id = 1; id <= 10; ++id) {
-    Job job = job_with_priority(id, 5);
-    job.group = 1;
-    ASSERT_TRUE(queue.try_push(std::move(job)));
-  }
-  for (std::uint64_t id = 11; id <= 20; ++id) {
-    Job job = job_with_priority(id, 0);
-    job.group = 2;
-    ASSERT_TRUE(queue.try_push(std::move(job)));
-  }
-  for (std::uint64_t id = 21; id <= 30; ++id) {
-    Job job = job_with_priority(id, 5);
-    job.group = 3;
-    ASSERT_TRUE(queue.try_push(std::move(job)));
-  }
-  const std::vector<Job> removed = queue.cancel_pending(2);
-  // Removed jobs come back in submission order (the engine records them
-  // as cancelled outcomes in this order).
-  ASSERT_EQ(removed.size(), 10u);
-  for (std::size_t i = 0; i < removed.size(); ++i) {
-    EXPECT_EQ(removed[i].id, 11u + i);
-  }
-  EXPECT_EQ(queue.size(), 20u);
-  // The lazy-cancellation proof: tombstones are still physically in the
-  // heap (a rebuild would have dropped them all immediately).
-  EXPECT_EQ(queue.dead_entries(), 10u);
-  // Survivors drain in the exact order strict priority demands, skipping
-  // the dead entries as they surface.
-  queue.close();
-  for (std::uint64_t expect : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u}) {
-    EXPECT_EQ(queue.pop()->id, expect);
-  }
-  for (std::uint64_t expect = 21; expect <= 30; ++expect) {
-    EXPECT_EQ(queue.pop()->id, expect);
-  }
-  EXPECT_FALSE(queue.pop().has_value());
-  // Draining the live entries purged every tombstone on the way out.
-  EXPECT_EQ(queue.dead_entries(), 0u);
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Priority aging (QueuePolicy::priority_aging)
-// ---------------------------------------------------------------------------
-
-TEST(JobQueueAging, StrictPriorityProvablyStarvesUnderSaturation) {
-  // The failure mode aging exists to fix, demonstrated sequentially so it
-  // is a proof, not a race: with aging off, a priority-0 job queued FIRST
-  // still pops LAST behind every priority-9 job, no matter how long it
-  // has waited.
-  JobQueue queue(32);
-  ASSERT_TRUE(queue.try_push(job_with_priority(777, 0)));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  for (std::uint64_t id = 1; id <= 31; ++id) {
-    ASSERT_TRUE(queue.try_push(job_with_priority(id, 9)));
-  }
-  queue.close();
-  for (std::uint64_t expect = 1; expect <= 31; ++expect) {
-    EXPECT_EQ(queue.pop()->id, expect);
-  }
-  EXPECT_EQ(queue.pop()->id, 777u);  // starved to the very end
-}
-
-TEST(JobQueueAging, AgedLowPriorityJobOvertakesYoungerHighPriority) {
-  // With --priority-aging-ms T, a queued job gains one effective priority
-  // level per T ms waited.  A priority-0 job that has waited > 9T beats a
-  // freshly queued priority 9.  The bound is oversleep-robust: sleeping
-  // LONGER only ages the low-priority job further.
-  QueuePolicy policy;
-  policy.priority_aging = std::chrono::milliseconds(10);
-  JobQueue queue(32, policy);
-  ASSERT_TRUE(queue.try_push(job_with_priority(777, 0)));
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));  // > 9 x 10ms
-  for (std::uint64_t id = 1; id <= 8; ++id) {
-    ASSERT_TRUE(queue.try_push(job_with_priority(id, 9)));
-  }
-  queue.close();
-  EXPECT_EQ(queue.pop()->id, 777u);  // aged past every fresh nine
-  for (std::uint64_t expect = 1; expect <= 8; ++expect) {
-    EXPECT_EQ(queue.pop()->id, expect);  // nines stay FIFO among themselves
-  }
-}
-
-TEST(JobQueueAging, AgingBoundsPriorityZeroWaitUnderSaturatedNines) {
-  // Concurrent saturation: a producer floods priority-9 jobs through a
-  // small queue while a consumer drains it slowly.  A priority-9 job
-  // enqueued at time t has rank 9 - t/T; the priority-0 job enqueued at
-  // t~0 has rank ~0 — so only nines enqueued within the first 9T = 45ms
-  // can beat it.  With capacity 8 and a consumer that spends >= 2ms per
-  // pop, at most 8 + 45/2 ~ 31 jobs are enqueued in that window; assert
-  // the generous bound 50.  A slower machine only shrinks the window's
-  // throughput, so the test cannot flake slow.
-  QueuePolicy policy;
-  policy.priority_aging = std::chrono::milliseconds(5);
-  JobQueue queue(8, policy);
-  constexpr std::uint64_t kNines = 200;
-  ASSERT_TRUE(queue.try_push(job_with_priority(777, 0)));
-  std::thread producer([&] {
-    for (std::uint64_t id = 1; id <= kNines; ++id) {
-      ASSERT_EQ(queue.push(job_with_priority(id, 9)),
-                PushOutcome::kAccepted);
-    }
-    queue.close();
-  });
-  std::size_t position = 0;
-  std::size_t zero_at = 0;
-  while (auto job = queue.pop()) {
-    ++position;
-    if (job->id == 777u) zero_at = position;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  producer.join();
-  EXPECT_EQ(position, kNines + 1);  // everything drained
-  ASSERT_GT(zero_at, 0u);
-  EXPECT_LE(zero_at, 50u)
-      << "priority-0 job starved past the aging bound under p9 saturation";
-}
-
-TEST(Engine, EvictsGroupTombstonesOnceGroupsComplete) {
-  // Engine wiring for the eviction: many failing groups in one run; every
-  // job gets exactly one outcome (fail or cancelled), nothing hangs, and
-  // the per-group bookkeeping drains.  (The queue is per-run; what this
-  // pins is that record-keeping reaches zero for every group, the
-  // precondition forget_group relies on.)
+TEST(Engine, EveryJobOfManyFailingGroupsGetsOneOutcome) {
+  // Many failing groups in one run: every job gets exactly one outcome
+  // (its leader failed or it was cancelled), and nothing hangs.
   std::vector<Job> jobs;
   for (std::uint64_t group = 1; group <= 16; ++group) {
     SimulationConfig bad = tiny_config();
@@ -576,12 +301,18 @@ TEST(Engine, EvictsGroupTombstonesOnceGroupsComplete) {
   EngineOptions options;
   options.workers = 1;
   BatchEngine engine(options);
-  const BatchReport report = engine.run(std::move(jobs));
+  std::size_t callbacks = 0;  // serialised callback: no lock needed
+  const BatchReport report = engine.run(
+      std::move(jobs), [&callbacks](const JobOutcome&) { ++callbacks; });
   ASSERT_EQ(report.jobs.size(), 32u);
-  for (const JobOutcome& outcome : report.jobs) {
-    EXPECT_FALSE(outcome.ok);  // leader failed or sibling cancelled
+  EXPECT_EQ(callbacks, 32u);
+  for (std::size_t i = 0; i < report.jobs.size(); ++i) {
+    const JobOutcome& outcome = report.jobs[i];
+    EXPECT_FALSE(outcome.ok);
+    // One worker: each sibling is reached after its leader failed.
+    EXPECT_EQ(outcome.cancelled, i % 2 == 1) << i;
   }
-  EXPECT_GT(report.cancelled(), 0u);
+  EXPECT_EQ(report.cancelled(), 16u);
 }
 
 TEST(Engine, QueueWaitDeadlineExpiresQueuedJobs) {
@@ -652,8 +383,8 @@ TEST(Engine, RunWallDeadlineTimesOutAndCancelsTheGroup) {
 }
 
 TEST(Engine, FailedGroupMemberCancelsItsSiblings) {
-  // One worker, so the bad job's siblings are still queued (or not yet
-  // submitted) when it fails; all of them must end cancelled, not run.
+  // One worker, so no worker has reached the bad job's siblings when it
+  // fails; all of them must end cancelled, not run.
   std::vector<Job> jobs;
   SimulationConfig bad = tiny_config();
   bad.deck.n_particles = 0;  // Simulation rejects an empty bank
@@ -663,43 +394,28 @@ TEST(Engine, FailedGroupMemberCancelsItsSiblings) {
   for (std::uint64_t id = 1; id <= 4; ++id) {
     jobs.push_back(grouped_job(id, 5, 4000));
   }
-  // An ungrouped bystander must survive the purge.
+  // An ungrouped bystander and a job of another group must survive.
   jobs.push_back(grouped_job(5, 0));
+  jobs.push_back(grouped_job(6, 6));
 
   EngineOptions options;
   options.workers = 1;
   BatchEngine engine(options);
   const BatchReport report = engine.run(std::move(jobs));
-  ASSERT_EQ(report.jobs.size(), 6u);
+  ASSERT_EQ(report.jobs.size(), 7u);
   EXPECT_FALSE(report.jobs[0].ok);
   EXPECT_FALSE(report.jobs[0].cancelled);
   for (std::size_t i = 1; i <= 4; ++i) {
     EXPECT_FALSE(report.jobs[i].ok) << i;
     EXPECT_TRUE(report.jobs[i].cancelled) << i;
-    EXPECT_FALSE(report.jobs[i].error.empty());
+    EXPECT_NE(report.jobs[i].error.find("sibling job 0 failed"),
+              std::string::npos)
+        << report.jobs[i].error;
   }
   EXPECT_TRUE(report.jobs[5].ok);
+  EXPECT_TRUE(report.jobs[6].ok) << report.jobs[6].error;
   EXPECT_EQ(report.failed(), 5u);
   EXPECT_EQ(report.cancelled(), 4u);
-}
-
-TEST(Engine, GroupCancellationCanBeDisabled) {
-  std::vector<Job> jobs;
-  SimulationConfig bad = tiny_config();
-  bad.deck.n_particles = 0;
-  Job bad_job = batch::make_job(0, bad);
-  bad_job.group = 5;
-  jobs.push_back(std::move(bad_job));
-  jobs.push_back(grouped_job(1, 5));
-
-  EngineOptions options;
-  options.workers = 1;
-  options.cancel_failed_groups = false;
-  BatchEngine engine(options);
-  const BatchReport report = engine.run(std::move(jobs));
-  EXPECT_FALSE(report.jobs[0].ok);
-  EXPECT_TRUE(report.jobs[1].ok);  // sibling still ran
-  EXPECT_EQ(report.cancelled(), 0u);
 }
 
 TEST(SimulationInterrupt, DeadlineAndCancelAbortBetweenTimesteps) {
@@ -838,7 +554,6 @@ TEST(Sweep, ParsesSpecText) {
       "seed 7\n"
       "layout soa\n"
       "schedule dynamic,4\n"
-      "priority 3\n"
       "axis particles 100 200\n"
       "axis scheme particles events\n");
   EXPECT_EQ(spec.deck_name, "csp");
@@ -848,14 +563,12 @@ TEST(Sweep, ParsesSpecText) {
   EXPECT_EQ(spec.base.layout, Layout::kSoA);
   EXPECT_EQ(spec.base.schedule.kind, ScheduleKind::kDynamic);
   EXPECT_EQ(spec.base.schedule.chunk, 4);
-  EXPECT_EQ(spec.priority, 3);
   ASSERT_EQ(spec.axes.particles.size(), 2u);
   ASSERT_EQ(spec.axes.schemes.size(), 2u);
   EXPECT_EQ(batch::sweep_size(spec), 4u);
 
   const std::vector<Job> jobs = batch::expand_sweep(spec);
   for (const Job& job : jobs) {
-    EXPECT_EQ(job.priority, 3);
     EXPECT_EQ(job.config.deck.n_timesteps, 2);
   }
 }
@@ -866,6 +579,7 @@ TEST(Sweep, RejectsMalformedSpecs) {
   EXPECT_THROW(batch::parse_sweep("nxq\n"), Error);
   EXPECT_THROW(batch::parse_sweep("axis particles twelve\n"), Error);
   EXPECT_THROW(batch::parse_sweep("deck csp\ndeck_file x.params\n"), Error);
+  EXPECT_THROW(batch::parse_sweep("priority 3\n"), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -1075,6 +789,11 @@ TEST(CliExitStatus, MalformedDeckInASweepFailsLoudly) {
   std::remove(deck.c_str());
   std::remove(spec.c_str());
   std::remove(csv.c_str());
+}
+
+TEST(CliExitStatus, RemovedEngineFlagsAreRefused) {
+  EXPECT_EQ(run_cli("--priority-aging-ms 5 --write-spec /dev/null"), 2);
+  EXPECT_EQ(run_cli("--queue-capacity 4 --write-spec /dev/null"), 2);
 }
 
 TEST(CliExitStatus, HealthySweepStillExitsZero) {

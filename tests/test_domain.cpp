@@ -390,13 +390,11 @@ TEST(RunDomains, MultipleTimestepsDrainEveryBuffer) {
   EXPECT_EQ(report.merged.population, reference.population);
 }
 
-TEST(PartJobs, InheritPriorityAndJoinTheSweepJobsGroup) {
-  const batch::Job parent =
-      batch::make_job(8, tiny_config(100), /*priority=*/3);
+TEST(PartJobs, JoinTheSweepJobsGroup) {
+  const batch::Job parent = batch::make_job(8, tiny_config(100));
   const batch::Job part = batch::make_part_job(parent, 20, "part");
   EXPECT_EQ(part.id, 20u);
   EXPECT_EQ(part.group, 9u);  // non-zero even for sweep job 0
-  EXPECT_EQ(part.priority, 3);
   EXPECT_EQ(part.label, "part");
   EXPECT_EQ(batch::make_part_job(batch::make_job(0, tiny_config(100)), 1,
                                  "first")
@@ -404,9 +402,9 @@ TEST(PartJobs, InheritPriorityAndJoinTheSweepJobsGroup) {
             1u);
 }
 
-// Round jobs are make_part_job parts of the sweep job (which also carries
-// its priority over — see PartJobs above): they join group job.id + 1,
-// not a fixed default, so two decks' rounds never share one.
+// Round jobs are make_part_job parts of the sweep job (see PartJobs
+// above): they join group job.id + 1, not a fixed default, so two decks'
+// rounds never share one.
 TEST(RunDomains, RoundJobsJoinTheSweepJobsGroup) {
   const std::string path = "test_domain_rounds.jsonl";
   std::remove(path.c_str());
@@ -419,7 +417,7 @@ TEST(RunDomains, RoundJobsJoinTheSweepJobsGroup) {
     opt.rows = 2;
     opt.cols = 1;
     const DomainRunReport report = batch::run_domains(
-        engine, batch::make_job(5, tiny_config(200), /*priority=*/4), opt);
+        engine, batch::make_job(5, tiny_config(200)), opt);
     ASSERT_TRUE(report.ok) << report.error;
   }
   std::ifstream in(path);

@@ -302,6 +302,43 @@ TEST(NetServer, CancelBeforeStartSkipsExecution) {
   EXPECT_TRUE(result.rows.empty());  // never expanded, never ran
 }
 
+TEST(NetServer, QueueWaitCountsTimeSpentBehindEarlierSubmissions) {
+  // max_queue_wait counts from the daemon accepting a submission: quick
+  // submissions stuck behind a slow one past the bound come back
+  // timed_out without running, plain or decomposed, even though their own
+  // engine runs start only when the slow one is gone.
+  ServerOptions options;
+  options.engine.workers = 1;
+  options.engine.policy.max_queue_wait = std::chrono::milliseconds(100);
+  TestServer server(options);
+  NeutralClient client = server.connect();
+
+  SubmitRequest slow;
+  slow.deck_text = format_deck(tiny_deck(2000, 2000));
+  slow.threads = 1;
+  const std::uint64_t first = client.submit(slow);
+  while (client.status(first).at("state") == "queued") {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  SubmitRequest quick;
+  quick.deck_text = format_deck(tiny_deck(100, 1));
+  quick.threads = 1;
+  const std::uint64_t second = client.submit(quick);
+  quick.domains = "2x1";
+  const std::uint64_t third = client.submit(quick);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  client.cancel(first);
+
+  for (const std::uint64_t id : {second, third}) {
+    const RemoteResult late = client.wait(id);
+    EXPECT_EQ(late.status, "timed_out") << id << ": " << late.error;
+    ASSERT_EQ(late.rows.size(), 1u);
+    EXPECT_EQ(late.rows[0].status, "timed_out");
+    EXPECT_EQ(late.rows[0].events, 0u);  // never ran
+  }
+  EXPECT_EQ(client.wait(first).status, "cancelled");
+}
+
 TEST(NetServer, MalformedFramesAreRejectedWithoutKillingTheServer) {
   TestServer server;
 
@@ -671,8 +708,7 @@ TEST(NetServer, MetricsOpReportsQueueCacheAndOutcomeSeries) {
   EXPECT_EQ(field_u64(after, "neutral_submissions_total"), 1u);
   EXPECT_EQ(field_u64(after, "neutral_submissions_pending"), 0u);
   EXPECT_EQ(field_u64(after, "neutral_jobs_ok_total"), 1u);
-  EXPECT_EQ(field_u64(after, "neutral_queue_pushed_total"), 1u);
-  EXPECT_EQ(field_u64(after, "neutral_queue_depth"), 0u);
+  EXPECT_EQ(field_u64(after, "neutral_queue_pop_wait_seconds_count"), 1u);
   EXPECT_EQ(field_u64(after, "neutral_job_wall_seconds_count"), 1u);
   EXPECT_EQ(field_u64(after, "neutral_world_cache_misses_total"), 1u);
   EXPECT_EQ(field_u64(after, "neutral_world_cache_resident_worlds"), 1u);

@@ -2,12 +2,12 @@
 //
 // One shared MetricsRegistry + TraceLog observed by everything at once:
 // N client threads run mixed submit/watch/cancel traffic through batch
-// engines (each run() spins its own worker pool; the registry, trace log
-// and world cache are the shared surfaces), a failing grouped job
-// exercises the cancel-pending/tombstone path, a canceller thread flips a
-// cooperative cancel flag mid-run, and a scraper thread loops
-// MetricsRegistry::snapshot() the whole time.  Under ThreadSanitizer this
-// covers exactly the audit targets ISSUE 10 names: the relaxed-ordering
+// engines (each run() spins its own worker pool over one shared job
+// cursor; the registry, trace log and world cache are the shared
+// surfaces), a failing grouped job exercises the failed-group
+// cancellation path, a canceller thread flips a cooperative cancel flag
+// mid-run, and a scraper thread loops MetricsRegistry::snapshot() the
+// whole time.  Under ThreadSanitizer this covers the relaxed-ordering
 // counter shards racing a live scraper, concurrent TraceLog writes, and
 // group-cancellation bookkeeping.
 //
@@ -53,7 +53,7 @@ ProblemDeck stress_deck(std::int64_t particles) {
 
 Job stress_job(std::uint64_t id, std::int64_t particles,
                std::uint64_t group = 0) {
-  Job job = batch::make_job(id, SimulationConfig{}, /*priority=*/0);
+  Job job = batch::make_job(id, SimulationConfig{});
   job.group = group;
   job.config.deck = stress_deck(particles);
   job.config.threads = 1;
@@ -147,8 +147,8 @@ TEST(TsanStress, ConcurrentSubmitWatchCancelWithLiveScraper) {
         }
         if (round % 2 == 1) {
           // A fork-join group whose middle job cannot build its world:
-          // the failure cancels still-pending siblings, exercising the
-          // tombstone path while the scraper watches.
+          // the failure cancels siblings no worker has reached yet,
+          // exercising the failed-group map while the scraper watches.
           for (int j = 0; j < 3; ++j) {
             Job job = stress_job(next_id++, kParticles, /*group=*/7);
             if (j == 1) job.config.deck.nx = 0;  // world build throws
