@@ -28,10 +28,10 @@
 // batch/engine.h).
 //
 // --domains RxC decomposes every sweep job's mesh through batch::run_sweep
-// (src/batch/executor.h), which stitches each job back to one row: the
-// merged checksum and population are bit-identical for any grid at any
-// worker or thread count.  (Decomposed runs use compensated tallies, so
-// their checksums compare across grids but not with the plain path.)
+// (src/batch/executor.h), which stitches each job back to one row.  Tally
+// cells are exact integer sums (core/tally.h), so the checksum and
+// population columns are bit-identical for every grid, worker count,
+// thread count and tally mode, plain or decomposed.
 // Every mode prints the same table: the plain columns, then the domain
 // columns, `-` where a mode has none.  events/s is events / solve [s] on
 // every row: the row's wall rate.
@@ -71,12 +71,13 @@ constexpr const char* kDefaultSpec =
     "axis scheme particles events\n"
     "axis layout aos soa\n";
 
-/// Re-run one row's exact config serially and compare checksums.
-/// Bit-exact by construction when the job ran with threads=1 (counter-based
-/// RNG + one OpenMP thread leave no reassociation freedom) and for any
-/// decomposed row (its config is the whole deck, compensated).
+/// Re-run one row's config as one plain single-thread solve and compare
+/// checksums: bit-exact for any row, whatever its team width or grid
+/// (exact integer tallies, counter-based RNG).
 bool check_against_serial(const JobOutcome& outcome) {
-  Simulation sim(outcome.config);
+  SimulationConfig serial_config = outcome.config;
+  serial_config.threads = 1;
+  Simulation sim(std::move(serial_config));
   const RunResult serial = sim.run();
   const bool same = serial.tally_checksum == outcome.result.tally_checksum &&
                     serial.counters.total_events() ==
@@ -234,9 +235,8 @@ int main(int argc, char** argv) {
         "write-spec", "", "write the default sweep spec here and exit");
     const bool check_serial = cli.flag(
         "check-serial",
-        "re-run each job serially and compare checksums (pins jobs to 1 "
-        "thread: atomic tallies only reproduce bit-exactly single-threaded; "
-        "a decomposed job re-runs as one compensated solve)");
+        "re-run each job as one plain 1-thread solve and compare "
+        "checksums bit for bit");
     const bool quiet = cli.flag("quiet", "suppress per-job progress lines");
     const std::string domains = cli.option(
         "domains", "",
@@ -290,11 +290,6 @@ int main(int argc, char** argv) {
           spec_path.empty() ? kDefaultSpec : read_file(spec_path);
       return run_remote(connect, spec_text, domains, csv, quiet);
     }
-
-    // Bit-exact comparison requires one OpenMP thread per job: with more,
-    // atomic tally adds reorder between runs and checksums legitimately
-    // wobble in the last bits.
-    if (check_serial) options.threads_per_job = 1;
 
     const SweepSpec spec = spec_path.empty() ? parse_sweep(kDefaultSpec)
                                              : load_sweep(spec_path);

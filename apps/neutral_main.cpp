@@ -164,7 +164,8 @@ int main(int argc, char** argv) {
       print_report(config, result, result.total_seconds);
       if (config.profile) print_profile(result);
       if (!heatmap.empty()) {
-        write_heatmap_ppm(heatmap, sim.mesh(), sim.tally().data());
+        write_heatmap_ppm(heatmap, sim.mesh(),
+                          sim.tally().merged().values().data());
         std::printf("heatmap        : wrote %s\n", heatmap.c_str());
       }
     } else {
@@ -213,14 +214,8 @@ int main(int argc, char** argv) {
         const StructuredMesh2D mesh(config.deck.nx, config.deck.ny,
                                     config.deck.width_cm,
                                     config.deck.height_cm);
-        write_heatmap_ppm(heatmap, mesh, result.tally->hi.data());
+        write_heatmap_ppm(heatmap, mesh, result.tally->values().data());
         std::printf("heatmap        : wrote %s\n", heatmap.c_str());
-      }
-      if (!record.empty() || !verify.empty()) {
-        std::printf("note           : decomposed runs (--domains) "
-                    "use the compensated tally pipeline; their "
-                    "records/checksums only compare against other "
-                    "decomposed runs, not the plain path\n");
       }
     }
     if (!record.empty()) {

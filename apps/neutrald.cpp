@@ -39,7 +39,9 @@ int main(int argc, char** argv) {
     options.engine.workers = static_cast<std::int32_t>(
         cli.option_int("workers", 0, "engine worker threads (0 = auto)"));
     options.engine.threads_per_job = static_cast<std::int32_t>(cli.option_int(
-        "threads-per-job", 0, "OpenMP threads per job (0 = auto)"));
+        "threads-per-job", 0,
+        "OpenMP threads per job (0 = auto: one logical cpu is left to the "
+        "event loop)"));
     const long queue_wait_ms = cli.option_int(
         "max-queue-wait-ms", 0,
         "max time from the daemon accepting a submission until a worker "

@@ -8,9 +8,10 @@
 //   * host shape: records from different machines are refused outright —
 //     a baseline was once taken on a 1-logical-CPU container and silently
 //     read as "no regression";
-//   * checksums: when two 1-thread rows ran the same problem, their tally
-//     checksums must be bit-identical even if their XS lookups differ.
-//     That turns every perf comparison into a correctness check, for free.
+//   * checksums: when two matched rows ran the same problem, their tally
+//     checksums must be bit-identical whatever their thread count or XS
+//     lookup (tallies are exact integer sums).  That turns every perf
+//     comparison into a correctness check, for free.
 //
 //   $ bench_compare --candidate fresh.json   # against the committed record
 //   $ bench_compare ... --threshold 1.3      # demand a 1.3x speedup
@@ -103,10 +104,10 @@ int main(int argc, char** argv) {
                                ? cand->events_per_second /
                                      base.events_per_second
                                : 0.0;
-      // Same problem at 1 thread -> bit-identical physics whichever XS
-      // lookup either record used.
+      // Same problem -> bit-identical physics whichever XS lookup either
+      // record used.
       std::string checksum_note = "n/a";
-      if (base.threads == 1 && base.particles == cand->particles &&
+      if (base.particles == cand->particles &&
           base.timesteps == cand->timesteps) {
         const bool same = base.checksum == cand->checksum &&
                           base.population == cand->population;

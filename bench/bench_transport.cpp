@@ -24,10 +24,9 @@
 // figure; its checksum must match the timed runs bit-exactly.
 //
 // The record checks its own physics before it is written
-// (BenchDocument::consistency_problems): one deck's rows agree on events
-// and population, 1-thread rows agree bit-exactly across layouts, and
-// every checksum is within 1e-9 of the deck's 1-thread Over Particles/AoS
-// row.
+// (BenchDocument::consistency_problems): every row of a deck has the
+// events, population and checksum of the deck's 1-thread Over
+// Particles/AoS row, bit for bit.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>

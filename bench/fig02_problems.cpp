@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
                    ResultTable::cell(r.budget.tally_total, 3),
                    ResultTable::cell(r.total_seconds, 3)});
 
-    write_heatmap_ppm("fig02_" + name + ".ppm", sim.mesh(), sim.tally().data());
+    write_heatmap_ppm("fig02_" + name + ".ppm", sim.mesh(),
+                      sim.tally().merged().values().data());
     std::printf("wrote fig02_%s.ppm\n", name.c_str());
   }
 

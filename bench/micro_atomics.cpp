@@ -40,14 +40,13 @@ BENCHMARK(BM_OmpAtomicAdd);
 /// Tally deposit through each mode (single-threaded cost of the interface).
 template <TallyMode Mode>
 void BM_TallyDeposit(benchmark::State& state) {
-  EnergyTally tally(1024, Mode, omp_get_max_threads());
+  EnergyTally tally(1024, Mode, omp_get_max_threads(), 1.0e6);
   std::int64_t i = 0;
   for (auto _ : state) {
     tally.deposit(i, 1.0, 0);
     i = (i + 1) & 1023;
   }
-  tally.merge();
-  benchmark::DoNotOptimize(tally.total());
+  benchmark::DoNotOptimize(tally.merged().total());
 }
 BENCHMARK(BM_TallyDeposit<TallyMode::kAtomic>);
 BENCHMARK(BM_TallyDeposit<TallyMode::kPrivatized>);
@@ -72,7 +71,7 @@ BENCHMARK(BM_ContendedAtomics)->Arg(1)->Arg(16)->Arg(1024)->ThreadRange(1, 4);
 /// Deferred mode end-to-end: buffer then drain (the §VI-G workaround).
 void BM_DeferredDrain(benchmark::State& state) {
   const auto n = static_cast<std::int64_t>(state.range(0));
-  EnergyTally tally(1024, TallyMode::kDeferredAtomic, 1);
+  EnergyTally tally(1024, TallyMode::kDeferredAtomic, 1, 1.0e6);
   for (auto _ : state) {
     for (std::int64_t i = 0; i < n; ++i) tally.deposit(i & 1023, 1.0, 0);
     tally.drain_deferred();

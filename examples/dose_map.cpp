@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
 
   // Depth-dose: sum tally columns into 20 depth slabs.
   const StructuredMesh2D& mesh = sim.mesh();
-  const double* tally = sim.tally().data();
+  const std::vector<double> tally = sim.tally().merged().values();
   const int slabs = 20;
   std::vector<double> dose(slabs, 0.0);
   for (std::int32_t j = 0; j < mesh.ny(); ++j) {
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   std::printf("\nexpect the dose to build through the tissue, spike inside\n"
               "the dense bone slab (18-24 cm), and fall beyond it.\n");
 
-  write_heatmap_ppm(out, mesh, tally);
+  write_heatmap_ppm(out, mesh, tally.data());
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }

@@ -64,7 +64,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  write_heatmap_ppm(out, sim_op.mesh(), sim_op.tally().data());
+  write_heatmap_ppm(out, sim_op.mesh(),
+                    sim_op.tally().merged().values().data());
   std::printf("wrote %s — beam entering from the bottom-left, heating\n"
               "concentrated where it strikes the dense centre square.\n",
               out.c_str());

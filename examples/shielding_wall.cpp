@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
 
     // Dose tallied inside the detector slab.
     const StructuredMesh2D& mesh = sim.mesh();
-    const double* tally = sim.tally().data();
+    const std::vector<double> tally = sim.tally().merged().values();
     double beyond = 0.0;
     for (std::int32_t j = 0; j < mesh.ny(); ++j) {
       for (std::int32_t i = 0; i < mesh.nx(); ++i) {

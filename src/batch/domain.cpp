@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "core/init.h"
-#include "core/validation.h"
 #include "obs/trace.h"
 #include "runtime/timer.h"
 #include "util/error.h"
@@ -38,53 +37,41 @@ std::int32_t find_extent(const std::vector<std::int32_t>& starts,
 }
 
 /// The config every partial solve runs with (DomainRunReport::config):
-/// `base`, compensated and pinned to `threads`, atomic moved to privatized
-/// for a wider team.
+/// `base`, pinned to `threads`.
 SimulationConfig part_config(SimulationConfig base, std::int32_t threads) {
-  base.compensated_tally = true;
   base.threads = threads;
-  if (base.tally_mode == TallyMode::kAtomic && threads > 1) {
-    base.tally_mode = TallyMode::kPrivatized;
-  }
   return base;
 }
 
 /// Merge the subdomains' results into one: extensive sums via
 /// RunResult::operator+= (which max-merges peak_mesh_bytes, so the merged
-/// result reports the largest slab: the per-node memory bound), then stitch
-/// the disjoint tally slabs into the full nx x ny grid and fold it through
-/// one compensated tally to recompute checksum, tally total and image.
-/// Each cell lives in exactly one slab, so its (sum, comp) pair carries its
-/// whole deposit multiset.
+/// result reports the largest slab: the per-node memory bound), then copy
+/// the disjoint integer tally slabs into the full nx x ny grid and read
+/// checksum and tally total off it.  Each cell lives in exactly one slab,
+/// so its words are the undecomposed run's.
 RunResult stitch(const std::vector<std::unique_ptr<Simulation>>& sims,
                  std::int32_t nx, std::int32_t ny) {
-  const std::int64_t full_cells = static_cast<std::int64_t>(nx) * ny;
   TallyImage stitched;
-  stitched.hi.assign(static_cast<std::size_t>(full_cells), 0.0);
-  stitched.lo.assign(static_cast<std::size_t>(full_cells), 0.0);
+  stitched.cells.resize(static_cast<std::size_t>(nx) *
+                        static_cast<std::size_t>(ny));
   RunResult merged;
   for (const auto& sim : sims) {
     const RunResult part = sim->summary();
     NEUTRAL_REQUIRE(part.tally != nullptr,
                     "subdomain result must carry a tally image");
     merged += part;
+    stitched.quantum = part.tally->quantum;
     const DomainWindow& w = sim->window();
     for (std::int32_t j = 0; j < w.ny; ++j) {
       const auto src = static_cast<std::ptrdiff_t>(j) * w.nx;
       const auto dst = static_cast<std::ptrdiff_t>(w.y0 + j) * nx + w.x0;
-      std::copy_n(part.tally->hi.begin() + src, w.nx,
-                  stitched.hi.begin() + dst);
-      std::copy_n(part.tally->lo.begin() + src, w.nx,
-                  stitched.lo.begin() + dst);
+      std::copy_n(part.tally->cells.begin() + src, w.nx,
+                  stitched.cells.begin() + dst);
     }
   }
-  EnergyTally reduced(full_cells, TallyMode::kAtomic, /*threads=*/1,
-                      /*compensated=*/true);
-  reduced.accumulate(stitched);
-  reduced.merge();
-  merged.tally_checksum = positional_checksum(reduced.data(), full_cells);
-  merged.budget.tally_total = reduced.total();
-  merged.tally = std::make_shared<const TallyImage>(reduced.image());
+  merged.tally_checksum = stitched.checksum();
+  merged.budget.tally_total = stitched.total();
+  merged.tally = std::make_shared<const TallyImage>(std::move(stitched));
   return merged;
 }
 

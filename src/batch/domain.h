@@ -18,13 +18,13 @@
 // Determinism: per-particle physics depends only on edge coordinates, the
 // (windowed but value-identical) density, and the id-keyed counter RNG —
 // none of which the decomposition touches — so every cell receives exactly
-// the undecomposed run's deposit multiset.  Subdomain tallies are
-// compensated (core/tally.h), their slabs are stitched into the full grid
-// and folded through one compensated tally, so the merged checksum and
-// population are bit-identical to the undecomposed compensated run for ANY
-// grid at ANY worker or thread count.  (OpenMC's distributed tally
-// offloading and MC/DC's mesh-partitioned transport take the same
-// architectural shape, without the bit-identical guarantee.)
+// the undecomposed run's deposit multiset.  Tally cells are exact integer
+// sums of that multiset (core/tally.h), and the stitch copies each
+// subdomain's slab of cells into the full grid, so the merged checksum and
+// population are bit-identical to the plain run for ANY grid at ANY worker
+// or thread count.  (OpenMC's distributed tally offloading and MC/DC's
+// mesh-partitioned transport take the same architectural shape, without
+// the bit-identical guarantee.)
 //
 // Execution: each transport round is a fork-join batch of custom-work jobs
 // (Job::work) over the shared BatchEngine — subdomain state persists
@@ -86,11 +86,7 @@ struct DomainRunReport {
   RunResult merged;
   DomainGrid grid;
   /// The config every partial solve ran with, window unset: the job's,
-  /// compensated, pinned to its OpenMP team (`threads`), and with an
-  /// atomic tally moved to the privatized one for a team wider than one
-  /// thread (compensated atomic updates are single-thread only;
-  /// compensation makes the privatized merge exact, so the stitched
-  /// result is unchanged).
+  /// pinned to its OpenMP team (`threads`).
   SimulationConfig config;
   /// Initial bank size of each subdomain (particles born in its slab).
   std::vector<std::int64_t> sourced;
@@ -103,11 +99,10 @@ struct DomainRunReport {
 /// Every scheme × layout composes: the ParticleBank converts migrant
 /// checkpoints at layout boundaries and Over Events rounds re-stream their
 /// workspace.  The merged tally checksum and population are bit-identical
-/// to the undecomposed compensated run for any grid at any worker or
-/// thread count.  The job's config must carry no window (the decomposition
-/// owns it); its `threads` pins each partial solve's team, and 0 takes the
-/// engine's thread_budget over the subdomains.  Round jobs are
-/// make_part_job parts of `job`.
+/// to the plain run for any grid at any worker or thread count.  The job's
+/// config must carry no window (the decomposition owns it); its `threads`
+/// pins each partial solve's team, and 0 takes the engine's thread_budget
+/// over the subdomains.  Round jobs are make_part_job parts of `job`.
 DomainRunReport run_domains(BatchEngine& engine, const Job& job,
                             const DomainOptions& opt = {});
 

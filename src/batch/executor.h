@@ -16,7 +16,7 @@
 //     when a worker reaches it; a decomposed row whose deadline passed
 //     before its solve starts reports timed_out unrun.
 //   - reduction and checks: each decomposed job's subdomains stitch back
-//     to ONE row through the compensated reduction, and a row whose result
+//     to ONE row through the exact slab stitch, and a row whose result
 //     does not conserve energy fails.
 //   - cancellation: a client cancel flag rides on every job, and the
 //     aborts it causes report as cancelled.

@@ -99,7 +99,7 @@ Simulation::Simulation(SimulationConfig config,
       tally_(window_.num_cells(),
              config_.tally_mode,
              config_.threads > 0 ? config_.threads : omp_get_max_threads(),
-             config_.compensated_tally),
+             max_flush_energy(config_.deck, world_->capture_rate)),
       bank_(config_.layout) {
   NEUTRAL_REQUIRE(config_.deck.n_particles > 0, "deck must define particles");
   NEUTRAL_REQUIRE(window_.within(world_->mesh),
@@ -298,33 +298,32 @@ void Simulation::inject_migrants(const Particle* migrants,
   note_bank_peak();
 }
 
-RunResult Simulation::summary() const {
+RunResult Simulation::summary() {
   RunResult r;
   r.total_seconds = total_seconds_;
   r.steps = step_results_;
   r.counters = accumulated_;
   r.kernel_times = accumulated_kernel_times_;
 
-  // Budget requires merged tallies; merge is safe/idempotent here.
-  const_cast<EnergyTally&>(tally_).merge();
   // Windowed runs source only the particles born in their slab; the
   // per-subdomain budgets telescope to the full bank under merging.
   r.budget.initial = initial_bank_energy(config_.deck, sourced_count_);
   r.budget.released = accumulated_.released_energy;
   r.budget.in_flight = bank_in_flight_energy();
-  r.budget.tally_total = tally_.total();
+  const TallyImage& cells = tally_.merged();
+  r.budget.tally_total = cells.total();
   r.budget.path_heating = accumulated_.path_heating;
   r.budget.roulette_gained = accumulated_.roulette_gained_energy;
   r.budget.roulette_killed = accumulated_.roulette_killed_energy;
-  r.tally_checksum = positional_checksum(tally_.data(), tally_.cells());
+  r.tally_checksum = cells.checksum();
   r.population = surviving_population();
   r.tally_footprint_bytes = tally_.footprint_bytes();
   r.peak_mesh_bytes =
       tally_.footprint_bytes() +
       static_cast<std::uint64_t>(world_->density.size()) * sizeof(double);
   r.peak_bank_bytes = peak_bank_bytes_;
-  if (config_.compensated_tally) {
-    r.tally = std::make_shared<const TallyImage>(tally_.image());
+  if (config_.window.active()) {
+    r.tally = std::make_shared<const TallyImage>(cells);
   }
   if (profiler_ != nullptr) r.phases = profiler_->report();
   return r;
@@ -360,7 +359,6 @@ RunResult& RunResult::operator+=(const RunResult& o) {
 
 RunResult Simulation::run() {
   for (std::int32_t s = 0; s < config_.deck.n_timesteps; ++s) step();
-  tally_.merge();
   return summary();
 }
 

@@ -61,11 +61,6 @@ struct SimulationConfig {
   /// Enable §VI-A phase profiling (Over Particles only).
   bool profile = false;
   OverEventsOptions over_events;
-  /// Carry a Neumaier error term per tally cell so each cell rounds once —
-  /// the property that makes domain-decomposed runs reduce bit-identically
-  /// (tally.h) — and copy the merged tally into RunResult::tally, so the
-  /// stitch can fold it after the Simulation is gone.
-  bool compensated_tally = false;
   /// Domain decomposition: the mesh slab this run owns.  Inactive (the
   /// default) = the full mesh.  An active window allocates density/tally
   /// storage only for the slab, sources only the particles *born* inside
@@ -114,8 +109,9 @@ struct RunResult {
   /// migrant injection.  Max-merged like peak_mesh_bytes, so a decomposed
   /// run reports its hungriest partial solve.
   std::uint64_t peak_bank_bytes = 0;
-  /// Merged tally snapshot; only populated by compensated runs
-  /// (SimulationConfig::compensated_tally) and by the domain stitch.
+  /// The merged tally's integer cells; only windowed runs carry them (the
+  /// domain stitch copies their slabs into the full grid), so a plain run
+  /// holds no second copy of its mesh.
   std::shared_ptr<const TallyImage> tally;
   /// §VI-A phase profile; all-zero unless the run profiled
   /// (SimulationConfig::profile on a scheme with probes).  Extensive —
@@ -165,8 +161,9 @@ class Simulation {
   /// (including the energy budget and tally checksum).
   RunResult run();
 
-  /// Recompute budget/checksum without advancing (used after step() calls).
-  [[nodiscard]] RunResult summary() const;
+  /// Recompute budget/checksum without advancing (used after step() calls);
+  /// merges the tally first.
+  [[nodiscard]] RunResult summary();
 
   [[nodiscard]] const SimulationConfig& config() const { return config_; }
   [[nodiscard]] const StructuredMesh2D& mesh() const { return world_->mesh; }

@@ -2,7 +2,7 @@
 //
 // Every facet encounter flushes a register-accumulated energy deposit onto
 // the mesh — an atomic read-modify-write that the paper measures at ~50% of
-// Over Particles runtime.  Three thread-safety strategies are provided:
+// Over Particles runtime.  Four thread-safety strategies are provided:
 //
 //   * kAtomic — one shared mesh, `omp atomic` adds (the baseline).
 //   * kPrivatized — one mesh copy per thread, merged after the solve
@@ -15,19 +15,21 @@
 //     that moves the atomics out of the (vectorisable) event kernels, used
 //     by the Over Events scheme.
 //
-// Compensated accumulation (domain-decomposition support): any mode can
-// additionally be constructed `compensated`, which keeps a Neumaier error
-// term alongside every sum so each cell carries its deposits to roughly
-// twice working precision.  After merge() the stored cell value is the
-// once-rounded sum of the cell's deposit *multiset* — independent of
-// deposit order, thread count and OpenMP schedule.  That invariance is what
-// lets a domain-decomposed run stitch to a tally bit-identical to the
-// undecomposed compensated run at any thread count (src/batch/domain.h);
-// the plain modes keep the paper's measured accumulation behaviour.
+// Exact accumulation: each cell is a 128-bit integer count of a per-tally
+// quantum q = 2^(ceil(log2 B) - 63), B bounding one flush
+// (max_flush_energy, core/world.h; q = 2^-43 eV when a deck can absorb a
+// whole 1 MeV source particle in one timestep's flight).  A deposit is
+// truncated to whole quanta once; after that only integer adds touch the
+// cell, and integer addition is associative, so a cell's words
+// depend only on the multiset of its deposits: every mode, thread count,
+// schedule, scheme and domain grid yields the same tally bit for bit, in
+// the style of Demmel & Nguyen's ReproBLAS.  The strategies differ in
+// contention and memory only.  The price is resolution: a deposit below
+// one quantum truncates to zero, so on a deck whose dense material sets B
+// (csp), cells in its near-vacuum part read exactly 0.
 #pragma once
 
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -45,6 +47,22 @@ enum class TallyMode : std::uint8_t {
 
 const char* to_string(TallyMode mode);
 
+/// One tally cell: a 128-bit count of the tally's quantum, split into an
+/// unsigned low and a signed high word.
+struct TallyCell {
+  std::uint64_t lo = 0;
+  std::int64_t hi = 0;
+
+  friend bool operator==(const TallyCell&, const TallyCell&) = default;
+
+  /// 128-bit add: the carry out of `lo` goes into `hi`.
+  TallyCell& operator+=(const TallyCell& o) {
+    lo += o.lo;
+    hi += o.hi + static_cast<std::int64_t>(lo < o.lo);
+    return *this;
+  }
+};
+
 /// One buffered deposit (kDeferredAtomic): the flat cell index and the
 /// amount.
 struct PendingDeposit {
@@ -52,91 +70,69 @@ struct PendingDeposit {
   double amount;
 };
 
-/// A detached copy of a merged tally: the per-cell sums plus (for
-/// compensated tallies) the per-cell error terms.  This is the value a
-/// subdomain's partial solve hands to the stitch (batch::run_domains).
+/// A tally's cells and the quantum they count; a windowed run's result
+/// carries a copy for the domain stitch.  Read-out takes the nearest double
+/// to a cell's count times the quantum, and throws once a cell's high word
+/// reaches 2^62.
 struct TallyImage {
-  aligned_vector<double> hi;  ///< per-cell sums (what data() exposes)
-  aligned_vector<double> lo;  ///< per-cell compensation; empty if plain
+  aligned_vector<TallyCell> cells;
+  double quantum = 0.0;  ///< energy of one count [eV]
 
-  [[nodiscard]] std::int64_t cells() const {
-    return static_cast<std::int64_t>(hi.size());
+  [[nodiscard]] std::int64_t size() const {
+    return static_cast<std::int64_t>(cells.size());
   }
+  /// Cell `flat` in eV.
+  [[nodiscard]] double value(std::int64_t flat) const;
+  /// Every cell in eV, row-major (heatmaps, dose maps).
+  [[nodiscard]] std::vector<double> values() const;
+  /// The exact sum of every cell, converted once.
+  [[nodiscard]] double total() const;
+  /// positional_checksum (core/validation.h) over value().
+  [[nodiscard]] double checksum() const;
 };
 
 class EnergyTally {
  public:
-  /// `compensated` enables the Neumaier error tracking described above.
-  /// Compensated kAtomic is only meaningful single-threaded (a two-double
-  /// update cannot be a single atomic), so that combination requires
-  /// `threads == 1`; use a privatized mode for compensated multi-threading.
+  /// `flush_bound` bounds one deposit (max_flush_energy); it sets the
+  /// quantum (see the file comment).
   ///
-  /// A plain tally built for exactly one thread deposits directly: with
-  /// nothing to be atomic against, a kAtomic deposit is a plain
-  /// load/add/store instead of a `lock cmpxchg` retry loop (x86 has no
-  /// atomic double add, so the `omp atomic` form costs tens of cycles per
-  /// flush).  The deposits, their values and their per-cell order are
-  /// unchanged, so the result is bit-identical to the atomic form.  As
-  /// with the per-thread privatized and deferred slots, `threads` bounds
-  /// the OpenMP team that may deposit into the tally.
+  /// A tally built for exactly one thread deposits directly: with nothing
+  /// to be atomic against, a kAtomic deposit is a plain add-with-carry
+  /// instead of a `lock xadd`.  As with the per-thread privatized and
+  /// deferred slots, `threads` bounds the OpenMP team that may deposit
+  /// into the tally.
   EnergyTally(std::int64_t cells, TallyMode mode, std::int32_t threads,
-              bool compensated = false);
+              double flush_bound);
 
   /// Hot path: deposit `e` into flat cell index `flat` from `thread`.
   void deposit(std::int64_t flat, double e, std::int32_t thread) {
     const auto f = static_cast<std::size_t>(flat);
     switch (mode_) {
-      case TallyMode::kAtomic: {
-        if (compensated_) {
-          two_sum_add(global_[f], comp_[f], e);  // single-thread only
-        } else if (direct_) {
+      case TallyMode::kAtomic:
+        if (direct_) {
           assert(thread == 0 && "team wider than the tally was built for");
-          global_[f] += e;  // single-thread fast path: no lock prefix
+          global_.cells[f] += units(e);
         } else {
-          double& slot = global_[f];
-#pragma omp atomic update
-          slot += e;
+          add_atomic(global_.cells[f], units(e));
         }
         break;
-      }
       case TallyMode::kDeferredAtomic:
         deferred_[static_cast<std::size_t>(thread)].value.push_back({flat, e});
         break;
-      default: {
-        const auto t = static_cast<std::size_t>(thread);
-        if (compensated_) {
-          two_sum_add(privates_[t][f], privates_comp_[t][f], e);
-        } else {
-          privates_[t][f] += e;
-        }
-      }
+      default:
+        privates_[static_cast<std::size_t>(thread)][f] += units(e);
     }
   }
 
   /// Apply and clear all deferred deposits (kDeferredAtomic only); the
   /// driver calls this as its separate tally loop.  Safe to call in any
-  /// mode (no-op otherwise).  Compensated tallies drain the per-thread
-  /// buffers sequentially in thread order — no atomics, deterministic.
+  /// mode (no-op otherwise).
   void drain_deferred();
 
   /// Fold the per-thread copies into the global mesh (no-op for kAtomic).
   /// Called once after the solve (kPrivatized) or after every timestep
-  /// (kPrivatizedMergeEveryStep) by the drivers.  For compensated tallies
-  /// this also normalises each (sum, comp) pair so data()[c] is the
-  /// once-rounded cell total; idempotent in every mode.
+  /// (kPrivatizedMergeEveryStep) by the drivers; idempotent.
   void merge();
-
-  /// Fold another merged tally into this one, cell by cell, carrying both
-  /// words of each pair (double-double addition).  This tally must be
-  /// compensated and share the cell count; call merge() on `other` first,
-  /// and on this tally after the last accumulate().  Folding partial
-  /// tallies of one deposit multiset in any order reproduces the single
-  /// compensated tally bit-for-bit (the domain stitch folds through it).
-  void accumulate(const EnergyTally& other);
-  void accumulate(const TallyImage& image);
-
-  /// Detached copy of the merged (sum, comp) arrays; call merge() first.
-  [[nodiscard]] TallyImage image() const;
 
   /// Whether the driver must merge at the end of each timestep.
   [[nodiscard]] bool merge_each_step() const {
@@ -144,23 +140,12 @@ class EnergyTally {
   }
 
   [[nodiscard]] TallyMode mode() const { return mode_; }
-  [[nodiscard]] bool compensated() const { return compensated_; }
-  [[nodiscard]] std::int64_t cells() const {
-    return static_cast<std::int64_t>(global_.size());
-  }
+  [[nodiscard]] std::int64_t cells() const { return global_.size(); }
 
-  /// Merged tally data (call merge() first for privatized modes).
-  [[nodiscard]] const double* data() const { return global_.data(); }
-  [[nodiscard]] double at(std::int64_t flat) const {
-    return global_[static_cast<std::size_t>(flat)];
-  }
-  /// Per-cell compensation terms (nullptr unless compensated).
-  [[nodiscard]] const double* compensation_data() const {
-    return compensated_ ? comp_.data() : nullptr;
-  }
-
-  /// Sum over all cells (compensated; stable across schemes).
-  [[nodiscard]] double total() const;
+  /// Every deposit so far: merges (drains and folds the per-thread
+  /// copies), then returns the cells; throws if any deposit was negative,
+  /// non-finite or out of range.
+  [[nodiscard]] const TallyImage& merged();
 
   /// Zero everything.
   void reset();
@@ -169,38 +154,44 @@ class EnergyTally {
   [[nodiscard]] std::uint64_t footprint_bytes() const;
 
  private:
-  /// Neumaier running sum: sum += x with the rounding error folded into
-  /// comp.  (sum + comp) tracks the exact sum to ~2x working precision.
-  static void two_sum_add(double& sum, double& comp, double x) {
-    const double t = sum + x;
-    if (std::abs(sum) >= std::abs(x)) {
-      comp += (sum - t) + x;
-    } else {
-      comp += (x - t) + sum;
+  /// `e` in whole quanta, truncated.  Deposits below 2^63 quanta (the
+  /// flush bound) take one multiply and one signed cast; the rest go out
+  /// of line.
+  TallyCell units(double e) {
+    const double x = e * scale_;  // scale_ is a power of two: exact
+    if (x >= 0.0 && x < 0x1p63) {
+      return {static_cast<std::uint64_t>(static_cast<std::int64_t>(x)), 0};
     }
-    sum = t;
+    return wide_units(x);
   }
+  TallyCell wide_units(double x);
 
-  /// Double-double accumulate: (hi, lo) += (bhi, blo).
-  static void dd_add(double& hi, double& lo, double bhi, double blo) {
-    const double s = hi + bhi;
-    const double err =
-        std::abs(hi) >= std::abs(bhi) ? (hi - s) + bhi : (bhi - s) + hi;
-    lo += err + blo;
-    hi = s;
+  /// One integer `lock xadd` on the low word; the high word is touched
+  /// only on a carry or a deposit of 2^64 quanta or more.  However the
+  /// adds interleave, the carries out of `lo` sum to the same count, so
+  /// the cell ends exactly where the sequential sum would.
+  static void add_atomic(TallyCell& cell, TallyCell add) {
+    std::uint64_t before;
+#pragma omp atomic capture
+    {
+      before = cell.lo;
+      cell.lo += add.lo;
+    }
+    const std::int64_t hi =
+        add.hi + static_cast<std::int64_t>(before + add.lo < add.lo);
+    if (hi != 0) {
+#pragma omp atomic update
+      cell.hi += hi;
+    }
   }
-
-  void accumulate(const double* hi, const double* lo, std::int64_t cells);
-  void normalise();
 
   TallyMode mode_;
-  bool compensated_ = false;
   bool direct_ = false;  ///< single-thread plain deposits (see ctor)
-  aligned_vector<double> global_;
-  aligned_vector<double> comp_;  ///< per-cell error terms (compensated only)
-  std::vector<aligned_vector<double>> privates_;
-  std::vector<aligned_vector<double>> privates_comp_;
+  double scale_ = 0.0;   ///< 1 / quantum
+  TallyImage global_;
+  std::vector<aligned_vector<TallyCell>> privates_;
   std::vector<Padded<std::vector<PendingDeposit>>> deferred_;
+  std::int64_t invalid_deposits_ = 0;  ///< see merged()
 };
 
 }  // namespace neutral

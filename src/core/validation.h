@@ -91,9 +91,26 @@ std::int64_t population(const View& v) {
   return n;
 }
 
-/// Order-independent positional checksum of a field: catches deposits
-/// landing in the wrong cells even when the total matches.  Mixes each
-/// index through a splitmix64-style hash into a deterministic weight.
-double positional_checksum(const double* field, std::int64_t n);
+/// Weight of cell `i` in the positional checksum: the index's splitmix64
+/// hash mapped to [0.5, 1.5) — never zero, so every cell contributes;
+/// position-dependent, so swaps change the sum.
+inline double positional_weight(std::int64_t i) {
+  auto z = static_cast<std::uint64_t>(i) + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return 0.5 + static_cast<double>((z ^ (z >> 31)) >> 11) * 0x1.0p-53;
+}
+
+/// Positional checksum of a field of `n` cells read through `value(i)`:
+/// catches deposits landing in the wrong cells even when the total
+/// matches.
+template <class CellValue>
+double positional_checksum(std::int64_t n, const CellValue& value) {
+  KahanSum sum;
+  for (std::int64_t i = 0; i < n; ++i) {
+    sum.add(value(i) * positional_weight(i));
+  }
+  return sum.value();
+}
 
 }  // namespace neutral

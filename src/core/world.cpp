@@ -1,5 +1,9 @@
 #include "core/world.h"
 
+#include <algorithm>
+#include <cmath>
+
+#include "core/constants.h"
 #include "util/error.h"
 #include "xs/synthetic.h"
 
@@ -20,7 +24,7 @@ DensityField make_density(const StructuredMesh2D& mesh,
   return field;
 }
 
-// splitmix64 finaliser: the same mixer validation.cpp uses for positional
+// splitmix64 finaliser: the same mixer validation.h uses for positional
 // checksums — cheap, well-distributed, and dependency-free.
 std::uint64_t mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -57,6 +61,7 @@ World::World(const ProblemDeck& deck, const DomainWindow& slab)
       density(make_density(mesh, window, deck)),
       xs_capture(make_capture_table(deck.xs)),
       xs_scatter(make_scatter_table(deck.xs)),
+      capture_rate(max_capture_rate(xs_capture)),
       fingerprint(domain_world_fingerprint(deck, window)) {
   NEUTRAL_REQUIRE(window.within(mesh), "domain window must fit the mesh");
   // One bin search and one interpolation weight serve both tables
@@ -82,6 +87,33 @@ std::uint64_t World::footprint_bytes() const {
   };
   return sizeof(World) + mesh_bytes + density_bytes + xs_bytes(xs_capture) +
          xs_bytes(xs_scatter);
+}
+
+double max_capture_rate(const CrossSectionTable& capture) {
+  double rate = 0.0;
+  for (std::int32_t i = 0; i < capture.size(); ++i) {
+    const double e = capture.energy(i);
+    rate = std::max(rate, e * kSpeedPerSqrtEv * std::sqrt(e) *
+                              capture.value(i));
+  }
+  return rate;
+}
+
+double max_flush_energy(const ProblemDeck& deck, double capture_rate) {
+  // A flight of one timestep scores at most w0 * n_max * dt * rate of
+  // track-length heating (the capture table's knots bound sigma_a between
+  // them).
+  double rho_max = deck.base_density_kg_m3;
+  for (const RegionSpec& r : deck.regions) {
+    rho_max = std::max(rho_max, r.density_kg_m3);
+  }
+  const double heating =
+      deck.initial_weight * deck.dt_s *
+      macroscopic(capture_rate, number_density(rho_max * kKgM3ToGCm3,
+                                               deck.molar_mass_g_mol));
+  // Floor well above underflow: a vacuum deck deposits nothing.
+  return std::clamp(heating, 0x1p-800,
+                    deck.initial_weight * deck.initial_energy_ev);
 }
 
 std::shared_ptr<const World> build_world(const ProblemDeck& deck) {

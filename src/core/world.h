@@ -43,6 +43,8 @@ struct World {
   DensityField density;
   CrossSectionTable xs_capture;
   CrossSectionTable xs_scatter;
+  /// max_capture_rate(xs_capture), taken once per world.
+  double capture_rate = 0.0;
 
   /// Fingerprint of the deck fields this world was built from (see
   /// world_fingerprint); lets caches detect reuse without keeping the deck.
@@ -53,6 +55,19 @@ struct World {
   /// estimate, not an allocator-exact figure.
   [[nodiscard]] std::uint64_t footprint_bytes() const;
 };
+
+/// Largest E * v(E) * sigma_a(E) over the capture table's knots [eV cm/s
+/// barns]: the heating rate per unit weight and number density.
+double max_capture_rate(const CrossSectionTable& capture);
+
+/// Bound on one tally flush [eV], which sets an EnergyTally's quantum:
+/// one source particle's weighted energy w0*E0, or less on a deck too thin
+/// to absorb that in a timestep's flight — the track-length heating that
+/// flight can score at `capture_rate` (max_capture_rate) in the deck's
+/// densest material — so near-vacuum decks keep their resolution.  Its
+/// inputs are the deck and the capture table every subdomain of a
+/// decomposed run shares, so all subdomains set one quantum.
+double max_flush_energy(const ProblemDeck& deck, double capture_rate);
 
 /// Build a world on the heap (the only way to obtain one).
 std::shared_ptr<const World> build_world(const ProblemDeck& deck);

@@ -18,8 +18,8 @@
 //   collisions <n>
 //   censuses <n>
 //
-// Floating-point comparisons use a relative tolerance: tallies reorder
-// across thread counts, so bitwise equality only holds single-threaded.
+// Floating-point comparisons take a relative tolerance; tallies are exact
+// integer sums, so any run configuration of the deck matches at 0.
 #pragma once
 
 #include <cstdint>

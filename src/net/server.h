@@ -95,7 +95,7 @@ struct ServerOptions {
   /// 0 = ephemeral; read the bound port back from start().
   std::uint16_t port = 0;
   /// Engine shared by every connection (QueuePolicy deadlines ride
-  /// here).
+  /// here).  threads_per_job 0 leaves one logical cpu to the event loop.
   batch::EngineOptions engine;
   /// Reject frames longer than this (deck/spec payload bound); also the
   /// per-connection inbound buffer bound.
@@ -165,7 +165,7 @@ class NeutralServer {
   void serve();
 
   /// Ask serve() to wind down (idempotent; callable from any thread).
-  void request_shutdown();
+  void request_shutdown() NEUTRAL_EXCLUDES(mutex_);
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
   [[nodiscard]] batch::BatchEngine& engine() { return engine_; }
@@ -262,9 +262,12 @@ class NeutralServer {
   void pump_watcher(Connection& conn) NEUTRAL_EXCLUDES(mutex_);
   void pump_watchers();
   void check_stalls();
-  /// Queue `frame` on the connection and flush opportunistically; applies
-  /// the slow-reader bound.
+  /// Queue `frame` on the connection and send what is queued.
   void send_frame(Connection& conn, const Fields& frame);
+  /// Flush the outbound buffer opportunistically; applies the slow-reader
+  /// bound.  A multi-frame reply queues every frame first and sends once,
+  /// so it leaves in as few segments as the socket allows.
+  void send_queued(Connection& conn);
   void flush(Connection& conn);
   void disconnect_slow_reader(Connection& conn, const std::string& why);
   void close_connection(Connection& conn, const std::string& reason);

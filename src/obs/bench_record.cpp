@@ -1,5 +1,6 @@
 #include "obs/bench_record.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -23,11 +24,6 @@ std::string quoted(const std::string& s) {
 }
 
 constexpr double kAnyNumber = -std::numeric_limits<double>::infinity();
-
-/// Largest relative checksum distance between any row and its deck's
-/// 1-thread Over Particles/AoS row (perfbench's CHECKSUM_RTOL): threaded
-/// and Over Events tallies deposit in another order, nothing more.
-constexpr double kChecksumRtol = 1e-9;
 
 void check_number(const JsonValue& obj, const char* key,
                   const std::string& where, double min,
@@ -244,44 +240,26 @@ std::string BenchDocument::to_json() const {
 
 std::vector<std::string> BenchDocument::consistency_problems() const {
   std::vector<std::string> problems;
-  auto reference = [this](const BenchResult& row) -> const BenchResult* {
-    for (const BenchResult& r : results) {
-      if (r.deck == row.deck && r.threads == 1 && r.scheme == "particles" &&
-          r.layout == "aos") {
-        return &r;
-      }
-    }
-    return nullptr;
-  };
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BenchResult& row = results[i];
-    const BenchResult* ref = reference(row);
-    if (ref == nullptr) {
+  for (const BenchResult& row : results) {
+    const auto ref = std::find_if(
+        results.begin(), results.end(), [&row](const BenchResult& r) {
+          return r.deck == row.deck && r.threads == 1 &&
+                 r.scheme == "particles" && r.layout == "aos";
+        });
+    if (ref == results.end()) {
       problems.push_back(row.key() +
                          ": deck has no 1-thread particles/aos row");
       continue;
     }
-    if (row.events != ref->events || row.population != ref->population) {
-      problems.push_back(row.key() + ": events/population differ from " +
-                         ref->key());
-    }
-    if (std::abs(row.checksum - ref->checksum) >
-        kChecksumRtol * std::abs(ref->checksum)) {
-      problems.push_back(row.key() + ": checksum " +
-                         json_number(row.checksum) + " is not within " +
-                         json_number(kChecksumRtol) + " of " +
-                         ref->key() + "'s " + json_number(ref->checksum));
-    }
-    if (row.threads != 1) continue;
-    for (std::size_t j = i + 1; j < results.size(); ++j) {
-      const BenchResult& other = results[j];
-      if (other.threads == 1 && other.deck == row.deck &&
-          other.scheme == row.scheme && other.tally == row.tally &&
-          other.schedule == row.schedule && other.layout != row.layout &&
-          other.checksum != row.checksum) {
-        problems.push_back(other.key() + ": checksum differs from " +
-                           row.key() + " at 1 thread");
-      }
+    // Tallies are exact integer sums, so every scheme, layout, tally mode,
+    // schedule and thread count reads the deck's one answer.
+    if (row.events != ref->events || row.population != ref->population ||
+        row.checksum != ref->checksum) {
+      problems.push_back(row.key() + ": events/population/checksum " +
+                         std::to_string(row.events) + "/" +
+                         std::to_string(row.population) + "/" +
+                         json_number(row.checksum) + " differ from " +
+                         ref->key() + "'s");
     }
   }
   return problems;

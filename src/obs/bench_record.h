@@ -83,12 +83,9 @@ struct BenchDocument {
   [[nodiscard]] BenchHostShape host_shape() const {
     return {logical_cpus, openmp_max_threads};
   }
-  /// The physics the rows must agree on (empty = consistent):
-  ///   - within a deck, every row has the same events and population;
-  ///   - at 1 thread, rows differing only in layout have bit-identical
-  ///     checksums;
-  ///   - every checksum is within 1e-9 relative of the deck's first
-  ///     1-thread Over Particles/AoS row.
+  /// The physics the rows must agree on (empty = consistent): within a
+  /// deck, every row has the events, population and checksum — bit for
+  /// bit — of the deck's first 1-thread Over Particles/AoS row.
   [[nodiscard]] std::vector<std::string> consistency_problems() const;
 };
 

@@ -7,6 +7,7 @@
 
 #include "core/init.h"
 #include "core/step.h"
+#include "core/world.h"
 #include "simt/cache.h"
 #include "util/error.h"
 #include "xs/synthetic.h"
@@ -440,7 +441,8 @@ struct SimWorld {
         density(mesh, cfg.deck.base_density_kg_m3),
         capture(make_capture_table(cfg.deck.xs)),
         scatter(make_scatter_table(cfg.deck.xs)),
-        tally(mesh.num_cells(), TallyMode::kAtomic, 1),
+        tally(mesh.num_cells(), TallyMode::kAtomic, 1,
+              max_flush_energy(cfg.deck, max_capture_rate(capture))),
         particles(static_cast<std::size_t>(cfg.deck.n_particles)),
         flight(static_cast<std::size_t>(cfg.deck.n_particles)) {
     for (const RegionSpec& r : cfg.deck.regions) {
@@ -552,9 +554,9 @@ SimtEstimate simulate_over_particles(const SimtConfig& cfg) {
   SimtEstimate out;
   engine.finalise(out);
   out.counters = ec;
-  out.tally_total = world.tally.total();
-  out.tally_checksum =
-      positional_checksum(world.tally.data(), world.tally.cells());
+  const TallyImage& cells = world.tally.merged();
+  out.tally_total = cells.total();
+  out.tally_checksum = cells.checksum();
   return out;
 }
 
@@ -698,9 +700,9 @@ SimtEstimate simulate_over_events(const SimtConfig& cfg) {
   SimtEstimate out;
   engine.finalise(out);
   out.counters = ec;
-  out.tally_total = world.tally.total();
-  out.tally_checksum =
-      positional_checksum(world.tally.data(), world.tally.cells());
+  const TallyImage& cells = world.tally.merged();
+  out.tally_total = cells.total();
+  out.tally_checksum = cells.checksum();
   return out;
 }
 

@@ -26,8 +26,8 @@ inline bool approx_equal(double a, double b, double rel = 1e-12,
   return diff <= rel * std::fmax(std::fabs(a), std::fabs(b));
 }
 
-/// Kahan-compensated accumulator: tally checksums must be stable enough to
-/// compare across parallelisation schemes whose additions reorder freely.
+/// Kahan summation (a running error term beside the sum): keeps serial
+/// reductions such as the tally checksum accurate over many cells.
 class KahanSum {
  public:
   void add(double x) {

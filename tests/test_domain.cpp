@@ -49,8 +49,8 @@ SimulationConfig tiny_config(std::int64_t particles = 400,
   return cfg;
 }
 
-RunResult run_compensated(SimulationConfig cfg) {
-  cfg.compensated_tally = true;
+/// The undecomposed (plain) run the decompositions must reproduce.
+RunResult run_plain(SimulationConfig cfg) {
   Simulation sim(std::move(cfg));
   return sim.run();
 }
@@ -203,7 +203,9 @@ TEST_P(DomainMatrix, BitIdenticalAcrossGridsAndWorkers) {
   SimulationConfig base = tiny_config(400);
   base.scheme = scheme;
   base.layout = layout;
-  const RunResult reference = run_compensated(base);
+  Simulation plain(base);
+  const RunResult reference = plain.run();
+  const TallyImage reference_cells = plain.tally().merged();
 
   std::uint64_t previous_peak = 0;
   const std::pair<std::int32_t, std::int32_t> grids[] = {
@@ -251,13 +253,14 @@ TEST_P(DomainMatrix, BitIdenticalAcrossGridsAndWorkers) {
         EXPECT_GT(report.migrations, 0);
       }
 
-      // The stitched image matches the undecomposed compensated tally cell
-      // by cell, not just through the checksum.
+      // The stitched image matches the undecomposed tally word for word,
+      // not just through the checksum.
       ASSERT_NE(report.merged.tally, nullptr);
-      ASSERT_EQ(report.merged.tally->cells(), reference.tally->cells());
-      for (std::int64_t cell = 0; cell < reference.tally->cells(); ++cell) {
-        ASSERT_EQ(report.merged.tally->hi[static_cast<std::size_t>(cell)],
-                  reference.tally->hi[static_cast<std::size_t>(cell)])
+      ASSERT_EQ(report.merged.tally->size(), reference_cells.size());
+      EXPECT_EQ(report.merged.tally->quantum, reference_cells.quantum);
+      for (std::int64_t cell = 0; cell < reference_cells.size(); ++cell) {
+        const auto u = static_cast<std::size_t>(cell);
+        ASSERT_TRUE(report.merged.tally->cells[u] == reference_cells.cells[u])
             << "cell " << cell;
       }
 
@@ -293,15 +296,15 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Thread-count invariance at bench size: a subdomain's team may be any
-// width (a wider team privatizes its compensated tally), and the stitched
-// result must still equal the 1-thread compensated reference bit for bit.
+// width, and the stitched result must still equal the plain 1-thread run
+// bit for bit.
 // DomainMatrix cannot show this on a small host: its "4 workers" case
 // leaves each subdomain one thread.
 TEST(RunDomains, ThreadCountInvariantAtBenchSize) {
   for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
     SimulationConfig base = tiny_config(20000, /*timesteps=*/1);
     base.scheme = scheme;
-    const RunResult reference = run_compensated(base);
+    const RunResult reference = run_plain(base);
     for (const std::int32_t grid : {1, 2}) {
       for (const std::int32_t threads : {1, 2, 4}) {
         SCOPED_TRACE(std::string(to_string(scheme)) + " " +
@@ -326,13 +329,13 @@ TEST(RunDomains, ThreadCountInvariantAtBenchSize) {
 }
 
 // An explicitly chosen deferred-atomic tally (the over-events §VI-G mode)
-// survives decomposition: compensated deferred drains are sequential and
-// exact, so the stitched result still matches the undecomposed run.
+// survives decomposition: the stitched result still matches the
+// undecomposed run.
 TEST(RunDomains, DeferredTallyUnderDomainsStaysBitIdentical) {
   SimulationConfig base = tiny_config(300);
   base.scheme = Scheme::kOverEvents;
   base.tally_mode = TallyMode::kDeferredAtomic;
-  const RunResult reference = run_compensated(base);
+  const RunResult reference = run_plain(base);
 
   BatchEngine engine;
   DomainOptions opt;
@@ -347,7 +350,7 @@ TEST(RunDomains, DeferredTallyUnderDomainsStaysBitIdentical) {
 
 TEST(RunDomains, MultiThreadedRoundsStayBitIdentical) {
   SimulationConfig base = tiny_config(400);
-  const RunResult reference = run_compensated(base);
+  const RunResult reference = run_plain(base);
 
   EngineOptions options;
   options.workers = 2;
@@ -355,20 +358,19 @@ TEST(RunDomains, MultiThreadedRoundsStayBitIdentical) {
   DomainOptions opt;
   opt.rows = 2;
   opt.cols = 2;
-  base.threads = 2;  // atomic tally must be promoted
+  base.threads = 2;
   const DomainRunReport report = run_domains(engine, base, opt);
   ASSERT_TRUE(report.ok) << report.error;
   // The report carries the config as executed.
   EXPECT_EQ(report.config.threads, 2);
-  EXPECT_EQ(report.config.tally_mode, TallyMode::kPrivatized);
-  EXPECT_TRUE(report.config.compensated_tally);
+  EXPECT_EQ(report.config.tally_mode, TallyMode::kAtomic);
   EXPECT_EQ(report.merged.tally_checksum, reference.tally_checksum);
   EXPECT_EQ(report.merged.population, reference.population);
 }
 
 TEST(RunDomains, MultipleTimestepsDrainEveryBuffer) {
   const SimulationConfig base = tiny_config(300, /*timesteps=*/3);
-  const RunResult reference = run_compensated(base);
+  const RunResult reference = run_plain(base);
 
   BatchEngine engine;
   DomainOptions opt;

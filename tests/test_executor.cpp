@@ -43,11 +43,6 @@ RunResult run_plain(SimulationConfig cfg) {
   return sim.run();
 }
 
-RunResult run_compensated(SimulationConfig cfg) {
-  cfg.compensated_tally = true;
-  return run_plain(std::move(cfg));
-}
-
 // The decompositions the executor must agree across.
 const char* const kModes[] = {"", "1x1", "2x1"};
 
@@ -86,7 +81,7 @@ TEST(DecompositionSpelling, EmptyIsPlainAndGridsDecompose) {
   EXPECT_FALSE(plain.domains());
   EXPECT_EQ(plain.describe(), "plain");
 
-  // 1x1 decomposes: one subdomain through the compensated stitch.
+  // 1x1 decomposes: one subdomain through the slab stitch.
   EXPECT_TRUE(Decomposition::parse("1x1").domains());
 
   const Decomposition grid = Decomposition::parse("2x3");
@@ -124,15 +119,12 @@ TEST(RunSweep, EveryDecompositionMatchesTheReferenceRowByRow) {
       EXPECT_EQ(row.config.tally_mode, events && !how.domains()
                                            ? TallyMode::kDeferredAtomic
                                            : TallyMode::kAtomic);
-      const RunResult reference = how.domains()
-                                      ? run_compensated(jobs[i].config)
-                                      : run_plain(jobs[i].config);
+      const RunResult reference = run_plain(jobs[i].config);
       EXPECT_EQ(row.result.tally_checksum, reference.tally_checksum);
       EXPECT_EQ(row.result.population, reference.population);
       EXPECT_EQ(row.result.counters.total_events(),
                 reference.counters.total_events());
       EXPECT_EQ(row.split.grid_rows, how.rows);
-      EXPECT_EQ(row.config.compensated_tally, how.domains());
     }
   }
 }

@@ -3,9 +3,8 @@
 // tests/golden/ holds canonical small decks (one per paper problem) plus
 // recorded population/checksum baselines (.results files).  This runner
 // replays each deck through the canonical configuration — Over Particles,
-// AoS, atomic tally, one OpenMP thread: zero reassociation freedom, so the
-// outputs are bit-stable — and fails on ANY drift from the baseline
-// (verify_results with rel_tol = 0, exact event counts).
+// AoS, atomic tally, one OpenMP thread — and fails on ANY drift from the
+// baseline (verify_results with rel_tol = 0, exact event counts).
 //
 // Regenerating baselines after an *intentional* physics change:
 //
@@ -15,12 +14,12 @@
 // comparisons (against the fresh files, so the run passes); commit the
 // diff alongside the change that caused it.
 //
-// The tier also anchors cross-scheme equivalence: on the same decks,
-// over_particles, over_events and the SIMT machine model must agree —
-// exactly where the pipeline is deterministic (compensated tallies round
-// every cell once, so both native schemes produce bit-identical
-// checksums), and within the documented 1e-9 relative tolerance for the
-// machine model's independently accumulated tally.
+// The tier also anchors cross-scheme equivalence: tally cells are exact
+// integer sums of their deposits (core/tally.h), so every scheme, layout,
+// lookup, tally mode, thread count and domain grid — and the SIMT machine
+// model, which replays the same deposits — reproduces the baseline bit for
+// bit.  test_golden_bench repeats the scheme x layout x mode matrix at
+// 20k particles on 1 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -69,9 +68,6 @@ RunResult run_scheme(const std::string& name, Scheme scheme, Layout layout) {
   SimulationConfig cfg = golden_config(name);
   cfg.scheme = scheme;
   cfg.layout = layout;
-  // Compensated tallies round each cell's deposit multiset once, which is
-  // what makes the cross-scheme checksums exactly equal, not just close.
-  cfg.compensated_tally = true;
   Simulation sim(std::move(cfg));
   return sim.run();
 }
@@ -92,8 +88,7 @@ TEST_P(GoldenBaseline, MatchesRecordedResultsExactly) {
     save_results(make_expected(cfg, result), baseline_path(name));
   }
   const ExpectedResults expected = load_results(baseline_path(name));
-  // rel_tol 0: single-threaded atomic accumulation leaves no
-  // reassociation freedom, so the tier fails on any drift at all.
+  // rel_tol 0: the tier fails on any drift at all.
   const ResultsCheck check =
       verify_results(expected, cfg, result, /*rel_tol=*/0.0);
   EXPECT_TRUE(check.passed) << check.detail;
@@ -126,7 +121,7 @@ TEST_P(GoldenSchemes, NativeSchemesAgreeBitForBit) {
     EXPECT_EQ(other->counters.censuses, particles.counters.censuses);
     EXPECT_EQ(other->counters.rng_draws, particles.counters.rng_draws);
     EXPECT_EQ(other->population, particles.population);
-    // ...and compensated tallies make even the float outputs exact.
+    // ...and exact integer tallies make the float outputs exact too.
     EXPECT_EQ(other->tally_checksum, particles.tally_checksum);
     EXPECT_EQ(other->budget.tally_total, particles.budget.tally_total);
   }
@@ -135,7 +130,7 @@ TEST_P(GoldenSchemes, NativeSchemesAgreeBitForBit) {
 TEST_P(GoldenSchemes, DomainDecompositionPreservesEverySchemeAndLayout) {
   // Cross-scheme equivalence UNDER domain decomposition: a 2x2 tiling of
   // each golden deck, run through every scheme x layout pair, must stitch
-  // back to the canonical compensated result bit for bit — the ParticleBank
+  // back to the canonical result bit for bit — the ParticleBank
   // guarantee that decomposition layers never collapse the paper's
   // scheme x layout cross-product.
   const std::string name = GetParam();
@@ -170,14 +165,9 @@ TEST_P(GoldenSchemes, DomainDecompositionPreservesEverySchemeAndLayout) {
 TEST_P(GoldenSchemes, StudyAxesMatchRecordedBaselines) {
   // The paper's study axes — scheme x layout x XS lookup x tally strategy
   // — replayed at one thread against the recorded baselines, which the
-  // atomic Over Particles path wrote.  A one-thread tally deposits with
-  // plain adds (tally.h), so this also pins those to the atomic adds they
-  // replace.  Event counts and population are exact everywhere.  Neither
-  // layout nor lookup can move a deposit (same histories, same bins), so
-  // wherever a cell sees its deposits in the baseline's order — the Over
-  // Particles history loop with one final fold — the tally is exact too.
-  // Over Events deposits in kernel order, and merge-step folds each
-  // timestep separately: both reassociate, so they agree to 1e-12.
+  // atomic Over Particles path wrote.  Neither layout nor lookup can move
+  // a deposit (same histories, same bins), and no deposit order or fold
+  // can move an integer cell sum, so every combination is exact.
   const std::string name = GetParam();
   const ExpectedResults expected = load_results(baseline_path(name));
   for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
@@ -198,11 +188,8 @@ TEST_P(GoldenSchemes, StudyAxesMatchRecordedBaselines) {
           SCOPED_TRACE(std::string(to_string(scheme)) + "/" +
                        to_string(layout) + "/" + to_string(lookup) + "/" +
                        to_string(mode));
-          const bool baseline_order =
-              scheme == Scheme::kOverParticles &&
-              mode != TallyMode::kPrivatizedMergeEveryStep;
-          const ResultsCheck check = verify_results(
-              expected, cfg, result, baseline_order ? 0.0 : 1e-12);
+          const ResultsCheck check =
+              verify_results(expected, cfg, result, /*rel_tol=*/0.0);
           EXPECT_TRUE(check.passed) << check.detail;
           EXPECT_EQ(result.counters.censuses, expected.censuses);
         }
@@ -211,7 +198,7 @@ TEST_P(GoldenSchemes, StudyAxesMatchRecordedBaselines) {
   }
 }
 
-TEST_P(GoldenSchemes, MachineModelAgreesWithinDocumentedTolerance) {
+TEST_P(GoldenSchemes, MachineModelReplaysTheTallyExactly) {
   const std::string name = GetParam();
   const RunResult native =
       run_scheme(name, Scheme::kOverParticles, Layout::kAoS);
@@ -223,8 +210,8 @@ TEST_P(GoldenSchemes, MachineModelAgreesWithinDocumentedTolerance) {
   sc.threads = 1;
 
   // The modelled lookup changes the machine model's cost charging, never
-  // its physics: the replayed kernels must stay inside the documented
-  // tolerance with either lookup, for both schemes.
+  // its physics: the replayed kernels must reproduce the native tally bit
+  // for bit with either lookup, for both schemes.
   for (const XsLookup lookup :
        {XsLookup::kBinarySearch, XsLookup::kCachedLinear}) {
     sc.lookup = lookup;
@@ -233,16 +220,13 @@ TEST_P(GoldenSchemes, MachineModelAgreesWithinDocumentedTolerance) {
       SCOPED_TRACE(std::string(to_string(scheme)) + "/" + to_string(lookup));
       const simt::SimtEstimate est = simt::simulate_transport(sc);
 
-      // Identical physics, independent tally accumulation: integers exact,
-      // floats within 1e-9 relative (the documented cross-scheme
-      // tolerance).
+      // Identical physics and deposits into its own exact tally of the
+      // same quantum: counters and tally both exact.
       EXPECT_EQ(est.counters.facets, native.counters.facets);
       EXPECT_EQ(est.counters.collisions, native.counters.collisions);
       EXPECT_EQ(est.counters.censuses, native.counters.censuses);
-      EXPECT_NEAR(est.tally_total, native.budget.tally_total,
-                  1e-9 * std::abs(native.budget.tally_total));
-      EXPECT_NEAR(est.tally_checksum, native.tally_checksum,
-                  1e-9 * std::abs(native.tally_checksum) + 1e-12);
+      EXPECT_EQ(est.tally_total, native.budget.tally_total);
+      EXPECT_EQ(est.tally_checksum, native.tally_checksum);
     }
   }
 }

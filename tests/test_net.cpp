@@ -5,8 +5,10 @@
 // concurrent clients sharing one world cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -112,7 +114,7 @@ TEST(NetServer, LoopbackDeckMatchesInProcessRunExactly) {
   const ProblemDeck deck = tiny_deck(400);
   SubmitRequest request;
   request.deck_text = format_deck(deck);
-  request.threads = 1;  // bit-exactness needs one OpenMP thread (atomic tally)
+  request.threads = 1;
   request.label = "roundtrip";
   const std::uint64_t id = client.submit(request);
   const RemoteResult result = client.wait(id);
@@ -505,6 +507,64 @@ TEST(NetServer, ShutdownUnderConnectChurnIsDeterministic) {
     stop.store(true);
     for (std::thread& t : churn) t.join();
   }
+}
+
+TEST(NetServer, ShutdownAlwaysReturnsFromServe) {
+  // request_shutdown must set the stop flag under the executor's mutex: a
+  // notify landing between executor_loop's "nothing pending" check and its
+  // wait would otherwise be lost, leaving serve() blocked in
+  // executor_.join() for good.  The window is narrow, so cycle many times.
+  for (int round = 0; round < 200; ++round) {
+    ServerOptions options;
+    options.host = "127.0.0.1";
+    options.port = 0;
+    options.verbose = false;
+    auto server = std::make_unique<NeutralServer>(std::move(options));
+    const std::uint16_t port = server->start();
+    std::promise<void> served;
+    std::future<void> returned = served.get_future();
+    std::thread loop([&server, &served] {
+      server->serve();
+      served.set_value();
+    });
+    NeutralClient client("127.0.0.1", port);
+    client.ping();
+    client.shutdown_server();
+    if (returned.wait_for(std::chrono::seconds(5)) !=
+        std::future_status::ready) {
+      // Leak the wedged server rather than destroy it under its thread.
+      loop.detach();
+      (void)server.release();
+      FAIL() << "serve() did not return within 5 s of shutdown (round "
+             << round << ")";
+    }
+    loop.join();
+  }
+}
+
+TEST(NetServer, ResultRepliesDoNotWaitForADelayedAck) {
+  // A `result` reply is a header frame plus a row frame.  Sent with one
+  // send() each and no TCP_NODELAY, Nagle holds the row until the
+  // client's delayed ACK (40 ms on Linux), so every round trip took at
+  // least that long.  The reply now leaves in one write on a no-delay
+  // socket.
+  TestServer server;
+  NeutralClient client = server.connect();
+  SubmitRequest request;
+  request.deck_text = format_deck(tiny_deck(20));
+  request.threads = 1;
+  std::vector<double> round_trip_ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    const RemoteResult result = client.wait(client.submit(request));
+    round_trip_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    ASSERT_EQ(result.status, "ok") << result.error;
+  }
+  const auto median = round_trip_ms.begin() + 10;
+  std::nth_element(round_trip_ms.begin(), median, round_trip_ms.end());
+  EXPECT_LT(*median, 20.0);
 }
 
 TEST(NetServer, MaxConnectionsRefusesWithAStructuredFrame) {

@@ -524,7 +524,6 @@ TEST(BenchRecord, RowsThatDisagreeOnPhysicsAreRejected) {
   soa.layout = "soa";
   obs::BenchResult threaded = doc.results[0];
   threaded.threads = 4;
-  threaded.checksum *= 1.0 + 1e-12;  // another deposit order: tolerated
   doc.results.push_back(soa);
   doc.results.push_back(threaded);
   EXPECT_TRUE(doc.consistency_problems().empty());
@@ -535,7 +534,7 @@ TEST(BenchRecord, RowsThatDisagreeOnPhysicsAreRejected) {
   EXPECT_FALSE(obs::validate_bench_record(layout_drift.to_json()).empty());
 
   obs::BenchDocument thread_drift = doc;
-  thread_drift.results[2].checksum *= 1.0 + 1e-6;  // beyond 1e-9
+  thread_drift.results[2].checksum *= 1.0 + 1e-15;  // exact at any team
   EXPECT_FALSE(obs::validate_bench_record(thread_drift.to_json()).empty());
 
   obs::BenchDocument event_drift = doc;

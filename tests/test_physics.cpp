@@ -27,7 +27,7 @@ struct World {
     capture = std::make_unique<CrossSectionTable>(make_capture_table(cfg));
     scatter = std::make_unique<CrossSectionTable>(make_scatter_table(cfg));
     tally = std::make_unique<EnergyTally>(mesh.num_cells(),
-                                          TallyMode::kAtomic, 1);
+                                          TallyMode::kAtomic, 1, 1.0e6);
     ctx.mesh = &mesh;
     ctx.density = &density;
     ctx.xs_capture = capture.get();
@@ -203,7 +203,8 @@ TEST(FacetHandler, CrossingFlushesTallyToOldCell) {
   const std::int64_t old_cell = fs.flat_cell;
   const EventType e = advance_one_event(v, 0, w.ctx, fs, ec, 0, hooks);
   ASSERT_EQ(e, EventType::kFacet);
-  EXPECT_GT(w.tally->at(old_cell), 0.0);  // flushed on crossing (§V-C)
+  // Flushed on crossing (§V-C).
+  EXPECT_GT(w.tally->merged().value(old_cell), 0.0);
   EXPECT_EQ(p.cellx, 5);
   EXPECT_EQ(ec.facets, 1u);
   EXPECT_DOUBLE_EQ(fs.pending_deposit, 0.0);
@@ -471,7 +472,8 @@ TEST(History, SingleHistoryEnergyBalanceExact) {
       p.state == ParticleState::kDead ? 0.0 : p.weight * p.energy;
   EXPECT_NEAR(ec.released_energy + in_flight, 1.0e6, 1.0e-3);
   // Tally holds released + path heating, all flushed.
-  EXPECT_NEAR(w.tally->total(), ec.released_energy + ec.path_heating, 1.0);
+  EXPECT_NEAR(w.tally->merged().total(),
+              ec.released_energy + ec.path_heating, 1.0);
 }
 
 TEST(History, SkipsDeadAndCensusParticles) {

@@ -2,9 +2,9 @@
 //
 // The keystone property: Over Particles and Over Events consume identical
 // per-particle random streams, so for any deck they must produce the same
-// physics — same tallies (up to FP reassociation), same event counts, same
-// survivor population — regardless of layout, thread count, schedule, or
-// tally mode.
+// physics — the same tallies bit for bit (exact integer cells), same event
+// counts, same survivor population — regardless of layout, thread count,
+// schedule, or tally mode.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -30,9 +30,9 @@ RunResult run_with(SimulationConfig cfg) {
   return sim.run();
 }
 
-/// Tallies agree to a tolerance set by FP reassociation across threads.
-void expect_same_physics(const RunResult& a, const RunResult& b,
-                         double rel = 1e-9) {
+/// Same physics, bit for bit: tallies are exact integer sums, so no
+/// scheme, layout, mode or team width may move them.
+void expect_same_physics(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.counters.collisions, b.counters.collisions);
   EXPECT_EQ(a.counters.facets, b.counters.facets);
   EXPECT_EQ(a.counters.censuses, b.counters.censuses);
@@ -40,10 +40,8 @@ void expect_same_physics(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.counters.scatters, b.counters.scatters);
   EXPECT_EQ(a.counters.rng_draws, b.counters.rng_draws);
   EXPECT_EQ(a.population, b.population);
-  EXPECT_NEAR(a.budget.tally_total, b.budget.tally_total,
-              rel * std::fabs(a.budget.tally_total) + 1e-12);
-  EXPECT_NEAR(a.tally_checksum, b.tally_checksum,
-              rel * std::fabs(a.tally_checksum) + 1e-12);
+  EXPECT_EQ(a.budget.tally_total, b.budget.tally_total);
+  EXPECT_EQ(a.tally_checksum, b.tally_checksum);
 }
 
 // ---------------------------------------------------------------------------

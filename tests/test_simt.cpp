@@ -137,10 +137,8 @@ TEST(Fidelity, SimulatorTallyMatchesNativeRunExactly) {
   EXPECT_EQ(est.counters.collisions, r.counters.collisions);
   EXPECT_EQ(est.counters.facets, r.counters.facets);
   EXPECT_EQ(est.counters.censuses, r.counters.censuses);
-  EXPECT_NEAR(est.tally_total, r.budget.tally_total,
-              1e-9 * std::fabs(r.budget.tally_total));
-  EXPECT_NEAR(est.tally_checksum, r.tally_checksum,
-              1e-9 * std::fabs(r.tally_checksum));
+  EXPECT_EQ(est.tally_total, r.budget.tally_total);
+  EXPECT_EQ(est.tally_checksum, r.tally_checksum);
 }
 
 TEST(Fidelity, OverEventsSimulatorSamePhysicsAsOverParticles) {
@@ -153,7 +151,8 @@ TEST(Fidelity, OverEventsSimulatorSamePhysicsAsOverParticles) {
   const SimtEstimate b = simulate_transport(oe);
   EXPECT_EQ(a.counters.collisions, b.counters.collisions);
   EXPECT_EQ(a.counters.facets, b.counters.facets);
-  EXPECT_NEAR(a.tally_total, b.tally_total, 1e-9 * std::fabs(a.tally_total));
+  EXPECT_EQ(a.tally_total, b.tally_total);
+  EXPECT_EQ(a.tally_checksum, b.tally_checksum);
 }
 
 // ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ TEST(Simulation, TallyFootprintReported) {
   // Base mesh + 2 private copies (§VI-F).
   const std::uint64_t cells =
       static_cast<std::uint64_t>(cfg.deck.nx) * cfg.deck.ny;
-  EXPECT_EQ(r.tally_footprint_bytes, cells * sizeof(double) * 3);
+  EXPECT_EQ(r.tally_footprint_bytes, cells * sizeof(TallyCell) * 3);
 }
 
 TEST(Simulation, StepByStepMatchesRun) {

@@ -1,9 +1,14 @@
 // Tests for the energy-deposition tally (§V-C, §VI-F, §VI-G): all four
-// thread-safety modes must produce identical results, under contention.
+// thread-safety modes must produce identical results, under contention,
+// down to the last bit of every cell.
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "core/tally.h"
 #include "util/error.h"
@@ -11,30 +16,102 @@
 namespace neutral {
 namespace {
 
+/// A 1 MeV flush bound (a dense deck's unit-weight source particle): the
+/// quantum is 2^-43 eV.
+constexpr double kFlushBound = 1.0e6;
+
+constexpr TallyMode kAllModes[] = {
+    TallyMode::kAtomic, TallyMode::kPrivatized,
+    TallyMode::kPrivatizedMergeEveryStep, TallyMode::kDeferredAtomic};
+
 // ---------------------------------------------------------------------------
 // Basics
 // ---------------------------------------------------------------------------
 
 TEST(Tally, ConstructionValidates) {
-  EXPECT_THROW(EnergyTally(0, TallyMode::kAtomic, 1), Error);
-  EXPECT_THROW(EnergyTally(10, TallyMode::kAtomic, 0), Error);
+  EXPECT_THROW(EnergyTally(0, TallyMode::kAtomic, 1, kFlushBound), Error);
+  EXPECT_THROW(EnergyTally(10, TallyMode::kAtomic, 0, kFlushBound), Error);
+  EXPECT_THROW(EnergyTally(10, TallyMode::kAtomic, 1, 0.0), Error);
+  EXPECT_THROW(EnergyTally(10, TallyMode::kAtomic, 1, -1.0), Error);
+  EXPECT_THROW(EnergyTally(10, TallyMode::kAtomic, 1,
+                           std::numeric_limits<double>::quiet_NaN()),
+               Error);
+}
+
+TEST(Tally, QuantumIsTheFlushBoundsPowerOfTwoOver2To63) {
+  const auto quantum = [](double flush_bound) {
+    return EnergyTally(1, TallyMode::kAtomic, 1, flush_bound).merged().quantum;
+  };
+  EXPECT_EQ(quantum(1.0e6), 0x1p-43);
+  EXPECT_EQ(quantum(0x1p20), 0x1p-43);
+  EXPECT_EQ(quantum(0x1.0000000000001p20), 0x1p-42);
+  EXPECT_EQ(quantum(1.0), 0x1p-63);
 }
 
 TEST(Tally, SingleDepositLandsInRightCell) {
-  EnergyTally t(10, TallyMode::kAtomic, 1);
+  EnergyTally t(10, TallyMode::kAtomic, 1, kFlushBound);
   t.deposit(3, 2.5, 0);
-  EXPECT_DOUBLE_EQ(t.at(3), 2.5);
-  EXPECT_DOUBLE_EQ(t.at(2), 0.0);
-  EXPECT_DOUBLE_EQ(t.total(), 2.5);
+  EXPECT_DOUBLE_EQ(t.merged().value(3), 2.5);
+  EXPECT_DOUBLE_EQ(t.merged().value(2), 0.0);
+  EXPECT_DOUBLE_EQ(t.merged().total(), 2.5);
+}
+
+TEST(Tally, DepositsTruncateToWholeQuanta) {
+  EnergyTally t(2, TallyMode::kAtomic, 1, kFlushBound);
+  t.deposit(0, 0.75 * 0x1p-43, 0);
+  t.deposit(1, 3.5 * 0x1p-43, 0);
+  t.deposit(1, 1.0e-24, 0);
+  EXPECT_EQ(t.merged().value(0), 0.0);
+  EXPECT_EQ(t.merged().value(1), 3.0 * 0x1p-43);
+}
+
+TEST(Tally, WideDepositsCarryIntoTheHighWord) {
+  // 1e10 eV is 2^43 * 1e10 ~ 8.8e22 quanta, past the low word; two low
+  // words of 3 * 2^62 quanta carry one into the high word.
+  EnergyTally t(2, TallyMode::kAtomic, 1, kFlushBound);
+  t.deposit(0, 1.0e10, 0);
+  t.deposit(1, 0x1.8p63 * 0x1p-43, 0);
+  t.deposit(1, 0x1.8p63 * 0x1p-43, 0);
+  EXPECT_EQ(t.merged().value(0), 1.0e10);
+  EXPECT_EQ(t.merged().value(1), 0x1.8p64 * 0x1p-43);
+  EXPECT_EQ(t.merged().cells[1], (TallyCell{std::uint64_t{1} << 63, 1}));
+}
+
+TEST(Tally, InvalidDepositsFailTheReadOut) {
+  // Energy deposits are never negative; a negative, non-finite or
+  // out-of-range one is a fault, in every mode.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0,
+                           1.0e300}) {
+    for (const TallyMode mode : kAllModes) {
+      EnergyTally t(2, mode, 1, kFlushBound);
+      t.deposit(0, bad, 0);
+      t.deposit(1, 1.0, 0);
+      t.merge();
+      EXPECT_THROW((void)t.merged(), Error) << bad << " " << to_string(mode);
+      t.reset();
+      EXPECT_EQ(t.merged().total(), 0.0);
+    }
+  }
+}
+
+TEST(Tally, CellOverflowFailsTheReadOut) {
+  // Quantum 2^-63: a 2^62 eV deposit is 2^125 quanta, high word 2^61.
+  EnergyTally t(1, TallyMode::kAtomic, 1, 1.0);
+  t.deposit(0, 0x1p62, 0);
+  EXPECT_EQ(t.merged().value(0), 0x1p62);
+  t.deposit(0, 0x1p62, 0);
+  EXPECT_THROW((void)t.merged().value(0), Error);
+  EXPECT_THROW((void)t.merged().total(), Error);
 }
 
 TEST(Tally, ResetZeroesEverything) {
-  EnergyTally t(4, TallyMode::kPrivatized, 2);
+  EnergyTally t(4, TallyMode::kPrivatized, 2, kFlushBound);
   t.deposit(0, 1.0, 0);
   t.deposit(1, 2.0, 1);
   t.reset();
   t.merge();
-  EXPECT_DOUBLE_EQ(t.total(), 0.0);
+  EXPECT_DOUBLE_EQ(t.merged().total(), 0.0);
 }
 
 TEST(Tally, ModeNamesStable) {
@@ -55,7 +132,7 @@ TEST_P(TallyModes, ParallelDepositsSumExactly) {
   const TallyMode mode = GetParam();
   const std::int64_t cells = 64;
   const int threads = omp_get_max_threads();
-  EnergyTally t(cells, mode, threads);
+  EnergyTally t(cells, mode, threads, kFlushBound);
 
   // Divisible by `cells` so every cell receives an identical share.
   const std::int64_t per_thread = 51200;
@@ -70,23 +147,19 @@ TEST_P(TallyModes, ParallelDepositsSumExactly) {
   t.merge();
   const double expected =
       static_cast<double>(per_thread) * omp_get_max_threads();
-  EXPECT_DOUBLE_EQ(t.total(), expected);
+  EXPECT_DOUBLE_EQ(t.merged().total(), expected);
   // Each cell got an equal share.
-  EXPECT_DOUBLE_EQ(t.at(0), expected / cells);
-  EXPECT_DOUBLE_EQ(t.at(cells - 1), expected / cells);
+  EXPECT_DOUBLE_EQ(t.merged().value(0), expected / cells);
+  EXPECT_DOUBLE_EQ(t.merged().value(cells - 1), expected / cells);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllModes, TallyModes,
-    ::testing::Values(TallyMode::kAtomic, TallyMode::kPrivatized,
-                      TallyMode::kPrivatizedMergeEveryStep,
-                      TallyMode::kDeferredAtomic));
+INSTANTIATE_TEST_SUITE_P(AllModes, TallyModes, ::testing::ValuesIn(kAllModes));
 
 TEST(Tally, PrivatizedAndAtomicAgreeOnScatteredPattern) {
   const std::int64_t cells = 1000;
   const int threads = omp_get_max_threads();
-  EnergyTally atomic(cells, TallyMode::kAtomic, threads);
-  EnergyTally priv(cells, TallyMode::kPrivatized, threads);
+  EnergyTally atomic(cells, TallyMode::kAtomic, threads, kFlushBound);
+  EnergyTally priv(cells, TallyMode::kPrivatized, threads, kFlushBound);
 
 #pragma omp parallel
   {
@@ -99,45 +172,127 @@ TEST(Tally, PrivatizedAndAtomicAgreeOnScatteredPattern) {
       priv.deposit(cell, amount, me);
     }
   }
-  priv.merge();
-  for (std::int64_t c = 0; c < cells; c += 97) {
-    EXPECT_DOUBLE_EQ(atomic.at(c), priv.at(c)) << "cell " << c;
+  EXPECT_EQ(atomic.merged().cells, priv.merged().cells);
+}
+
+/// `count` deposits over `cells` cells whose amounts span 1e-24..1e10 eV,
+/// log-uniformly — the dynamic range the decks produce.
+std::vector<PendingDeposit> wide_range_deposits(std::size_t count,
+                                                std::int64_t cells) {
+  std::mt19937_64 gen(20170905);
+  std::uniform_int_distribution<std::int64_t> cell(0, cells - 1);
+  std::uniform_real_distribution<double> decade(-24.0, 10.0);
+  std::vector<PendingDeposit> out(count);
+  for (PendingDeposit& d : out) d = {cell(gen), std::pow(10.0, decade(gen))};
+  return out;
+}
+
+TEST(TallyExactness, ShuffledDepositsGiveIdenticalWordsInEveryModeAndTeam) {
+  // The tally's contract: a cell's words depend only on the multiset of
+  // its deposits.  Shuffle one multiset, deal it over a team of 1, 2 or 4
+  // threads, and run it through every mode: every cell must come out
+  // word-for-word equal to the sequential atomic reference.
+  const std::int64_t cells = 37;
+  const std::vector<PendingDeposit> deposits =
+      wide_range_deposits(40000, cells);
+
+  EnergyTally reference(cells, TallyMode::kAtomic, 1, kFlushBound);
+  long double sum = 0.0L;
+  for (const PendingDeposit& d : deposits) {
+    reference.deposit(d.cell, d.amount, 0);
+    sum += d.amount;
   }
+  const TallyImage want = reference.merged();
+  // Truncation drops under one quantum (2^-43 eV) per deposit.
+  EXPECT_NEAR(reference.merged().total(), static_cast<double>(sum),
+              0x1p-43 * static_cast<double>(deposits.size()));
+
+  std::uint64_t shuffle_seed = 1;
+  for (const int threads : {1, 2, 4}) {
+    for (const TallyMode mode : kAllModes) {
+      std::vector<PendingDeposit> order = deposits;
+      std::shuffle(order.begin(), order.end(), std::mt19937_64(shuffle_seed++));
+      EnergyTally t(cells, mode, threads, kFlushBound);
+      const auto n = static_cast<std::int64_t>(order.size());
+#pragma omp parallel num_threads(threads)
+      {
+        const int me = omp_get_thread_num();
+#pragma omp for schedule(dynamic, 64)
+        for (std::int64_t i = 0; i < n; ++i) {
+          const PendingDeposit& d = order[static_cast<std::size_t>(i)];
+          t.deposit(d.cell, d.amount, me);
+        }
+      }
+      t.merge();
+      SCOPED_TRACE(std::string(to_string(mode)) + " x " +
+                   std::to_string(threads) + " threads");
+      EXPECT_TRUE(t.merged().cells == want.cells);
+      EXPECT_EQ(t.merged().checksum(), reference.merged().checksum());
+      EXPECT_EQ(t.merged().total(), reference.merged().total());
+    }
+  }
+}
+
+TEST(TallyExactness, MergeStepSplitsDoNotMoveAWord) {
+  // Merging every "timestep" folds partial sums: still the same words.
+  const std::int64_t cells = 11;
+  const std::vector<PendingDeposit> deposits =
+      wide_range_deposits(5000, cells);
+  EnergyTally once(cells, TallyMode::kPrivatized, 3, kFlushBound);
+  EnergyTally stepped(cells, TallyMode::kPrivatizedMergeEveryStep, 3,
+                      kFlushBound);
+  for (std::size_t i = 0; i < deposits.size(); ++i) {
+    const auto slot = static_cast<std::int32_t>(i % 3);
+    once.deposit(deposits[i].cell, deposits[i].amount, slot);
+    stepped.deposit(deposits[i].cell, deposits[i].amount, slot);
+    if (i % 500 == 499) stepped.merge();
+  }
+  once.merge();
+  stepped.merge();
+  EXPECT_TRUE(once.merged().cells == stepped.merged().cells);
 }
 
 // ---------------------------------------------------------------------------
 // Deferred mode specifics (§VI-G)
 // ---------------------------------------------------------------------------
 
-TEST(Tally, DeferredDepositsInvisibleUntilDrain) {
-  EnergyTally t(8, TallyMode::kDeferredAtomic, 1);
+TEST(Tally, DeferredDepositsWaitInTheBufferUntilDrain) {
+  EnergyTally t(8, TallyMode::kDeferredAtomic, 1, kFlushBound);
+  const std::uint64_t empty = t.footprint_bytes();
   t.deposit(2, 5.0, 0);
-  EXPECT_DOUBLE_EQ(t.at(2), 0.0);  // buffered, not applied
+  EXPECT_GT(t.footprint_bytes(), empty);  // buffered, not applied
   t.drain_deferred();
-  EXPECT_DOUBLE_EQ(t.at(2), 5.0);
+  EXPECT_DOUBLE_EQ(t.merged().value(2), 5.0);
+}
+
+TEST(Tally, ReadingADeferredTallyDrainsItsBuffers) {
+  EnergyTally t(8, TallyMode::kDeferredAtomic, 2, kFlushBound);
+  t.deposit(2, 5.0, 0);
+  t.deposit(2, 1.0, 1);
+  EXPECT_DOUBLE_EQ(t.merged().value(2), 6.0);  // no explicit drain
 }
 
 TEST(Tally, DrainIsIdempotent) {
-  EnergyTally t(8, TallyMode::kDeferredAtomic, 1);
+  EnergyTally t(8, TallyMode::kDeferredAtomic, 1, kFlushBound);
   t.deposit(1, 3.0, 0);
   t.drain_deferred();
   t.drain_deferred();
-  EXPECT_DOUBLE_EQ(t.at(1), 3.0);
+  EXPECT_DOUBLE_EQ(t.merged().value(1), 3.0);
 }
 
 TEST(Tally, DrainNoOpInOtherModes) {
-  EnergyTally t(8, TallyMode::kAtomic, 1);
+  EnergyTally t(8, TallyMode::kAtomic, 1, kFlushBound);
   t.deposit(1, 3.0, 0);
   t.drain_deferred();
-  EXPECT_DOUBLE_EQ(t.at(1), 3.0);
+  EXPECT_DOUBLE_EQ(t.merged().value(1), 3.0);
 }
 
 TEST(Tally, MergeDrainsDeferredBuffers) {
-  EnergyTally t(8, TallyMode::kDeferredAtomic, 2);
+  EnergyTally t(8, TallyMode::kDeferredAtomic, 2, kFlushBound);
   t.deposit(0, 1.0, 0);
   t.deposit(0, 2.0, 1);
   t.merge();
-  EXPECT_DOUBLE_EQ(t.at(0), 3.0);
+  EXPECT_DOUBLE_EQ(t.merged().value(0), 3.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -145,145 +300,30 @@ TEST(Tally, MergeDrainsDeferredBuffers) {
 // ---------------------------------------------------------------------------
 
 TEST(Tally, MergeEachStepOnlyForMergeStepMode) {
-  EnergyTally a(4, TallyMode::kAtomic, 2);
-  EnergyTally b(4, TallyMode::kPrivatized, 2);
-  EnergyTally c(4, TallyMode::kPrivatizedMergeEveryStep, 2);
+  EnergyTally a(4, TallyMode::kAtomic, 2, kFlushBound);
+  EnergyTally b(4, TallyMode::kPrivatized, 2, kFlushBound);
+  EnergyTally c(4, TallyMode::kPrivatizedMergeEveryStep, 2, kFlushBound);
   EXPECT_FALSE(a.merge_each_step());
   EXPECT_FALSE(b.merge_each_step());
   EXPECT_TRUE(c.merge_each_step());
 }
 
+TEST(Tally, TotalIncludesUnmergedPrivateCopies) {
+  EnergyTally t(4, TallyMode::kPrivatized, 2, kFlushBound);
+  t.deposit(0, 1.5, 0);
+  t.deposit(1, 2.5, 1);
+  EXPECT_DOUBLE_EQ(t.merged().total(), 4.0);  // no explicit merge()
+  t.merge();
+  EXPECT_DOUBLE_EQ(t.merged().total(), 4.0);
+}
+
 TEST(Tally, RepeatedMergeDoesNotDoubleCount) {
-  EnergyTally t(4, TallyMode::kPrivatized, 2);
+  EnergyTally t(4, TallyMode::kPrivatized, 2, kFlushBound);
   t.deposit(0, 1.0, 0);
   t.deposit(0, 1.0, 1);
   t.merge();
   t.merge();
-  EXPECT_DOUBLE_EQ(t.at(0), 2.0);
-}
-
-TEST(Tally, TotalIncludesUnmergedPrivateCopies) {
-  EnergyTally t(4, TallyMode::kPrivatized, 2);
-  t.deposit(0, 1.5, 0);
-  t.deposit(1, 2.5, 1);
-  EXPECT_DOUBLE_EQ(t.total(), 4.0);  // before merge
-  t.merge();
-  EXPECT_DOUBLE_EQ(t.total(), 4.0);  // after merge
-}
-
-// ---------------------------------------------------------------------------
-// Compensated accumulation + cross-partition reduction primitives
-// ---------------------------------------------------------------------------
-
-TEST(TallyCompensated, RecoversBitsPlainSummationLoses) {
-  // 1e16 + 1 - 1e16 == 0 in plain doubles; the Neumaier term keeps the 1.
-  EnergyTally plain(2, TallyMode::kAtomic, 1);
-  EnergyTally comp(2, TallyMode::kAtomic, 1, /*compensated=*/true);
-  for (EnergyTally* t : {&plain, &comp}) {
-    t->deposit(0, 1.0e16, 0);
-    t->deposit(0, 1.0, 0);
-    t->deposit(0, -1.0e16, 0);
-    t->merge();
-  }
-  EXPECT_DOUBLE_EQ(plain.at(0), 0.0);
-  EXPECT_DOUBLE_EQ(comp.at(0), 1.0);
-}
-
-TEST(TallyCompensated, CellValueInvariantToDepositOrder) {
-  // The once-rounded property: any permutation of the deposit multiset
-  // yields the same stored double.
-  const double deposits[] = {0.1, 1.0e12, -0.3, 7.77e-9, 3.14, -1.0e12,
-                             2.5e-17, 0.2};
-  const std::size_t orders[][8] = {{0, 1, 2, 3, 4, 5, 6, 7},
-                                   {7, 6, 5, 4, 3, 2, 1, 0},
-                                   {1, 5, 0, 7, 3, 2, 6, 4}};
-  double reference = 0.0;
-  for (std::size_t o = 0; o < 3; ++o) {
-    EnergyTally t(1, TallyMode::kAtomic, 1, /*compensated=*/true);
-    for (std::size_t i : orders[o]) t.deposit(0, deposits[i], 0);
-    t.merge();
-    if (o == 0) {
-      reference = t.at(0);
-    } else {
-      EXPECT_EQ(t.at(0), reference) << "order " << o;
-    }
-  }
-}
-
-TEST(TallyCompensated, AccumulateSplitsMatchTheWhole) {
-  // Partition a deposit sequence arbitrarily across two partial tallies;
-  // folding them through accumulate() reproduces the single-tally result
-  // bit-for-bit, in any fold order.
-  const std::int64_t cells = 16;
-  EnergyTally whole(cells, TallyMode::kAtomic, 1, true);
-  EnergyTally part_a(cells, TallyMode::kAtomic, 1, true);
-  EnergyTally part_b(cells, TallyMode::kAtomic, 1, true);
-  for (int i = 0; i < 5000; ++i) {
-    const std::int64_t cell = (i * 7919) % cells;
-    const double amount = std::pow(1.1, i % 40) * ((i % 3) ? 1.0 : -0.5);
-    whole.deposit(cell, amount, 0);
-    (i % 2 ? part_a : part_b).deposit(cell, amount, 0);
-  }
-  whole.merge();
-  part_a.merge();
-  part_b.merge();
-
-  for (int order = 0; order < 2; ++order) {
-    EnergyTally reduced(cells, TallyMode::kAtomic, 1, true);
-    reduced.accumulate(order == 0 ? part_a : part_b);
-    reduced.accumulate(order == 0 ? part_b : part_a);
-    reduced.merge();
-    for (std::int64_t c = 0; c < cells; ++c) {
-      EXPECT_EQ(reduced.at(c), whole.at(c)) << "cell " << c;
-    }
-  }
-}
-
-TEST(TallyCompensated, AccumulateAcceptsImagesAndValidates) {
-  EnergyTally src(8, TallyMode::kAtomic, 1, true);
-  src.deposit(3, 2.5, 0);
-  src.merge();
-  const TallyImage image = src.image();
-  ASSERT_EQ(image.cells(), 8);
-  ASSERT_FALSE(image.lo.empty());
-
-  EnergyTally dst(8, TallyMode::kAtomic, 1, true);
-  dst.accumulate(image);
-  dst.merge();
-  EXPECT_DOUBLE_EQ(dst.at(3), 2.5);
-
-  EnergyTally plain(8, TallyMode::kAtomic, 1);
-  EXPECT_THROW(plain.accumulate(src), Error);  // target must be compensated
-  EnergyTally wrong(4, TallyMode::kAtomic, 1, true);
-  EXPECT_THROW(wrong.accumulate(src), Error);  // cell counts must match
-}
-
-TEST(TallyCompensated, PrivatizedMergeIsThreadCountInvariant) {
-  // The same deposit multiset through 1, 2 and 8 private copies must merge
-  // to identical doubles — the property that lets a subdomain's team run
-  // at any width.
-  const std::int64_t cells = 8;
-  double reference[8] = {};
-  for (const int threads : {1, 2, 8}) {
-    EnergyTally t(cells, TallyMode::kPrivatized, threads, true);
-    for (int i = 0; i < 4000; ++i) {
-      t.deposit(i % cells, std::pow(1.07, i % 50), i % threads);
-    }
-    t.merge();
-    for (std::int64_t c = 0; c < cells; ++c) {
-      if (threads == 1) {
-        reference[c] = t.at(c);
-      } else {
-        EXPECT_EQ(t.at(c), reference[c]) << threads << " threads, cell " << c;
-      }
-    }
-  }
-}
-
-TEST(TallyCompensated, CompensatedAtomicRequiresOneThread) {
-  EXPECT_THROW(EnergyTally(8, TallyMode::kAtomic, 2, true), Error);
-  EXPECT_NO_THROW(EnergyTally(8, TallyMode::kAtomic, 1, true));
-  EXPECT_NO_THROW(EnergyTally(8, TallyMode::kPrivatized, 2, true));
+  EXPECT_DOUBLE_EQ(t.merged().value(0), 2.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,17 +332,17 @@ TEST(TallyCompensated, CompensatedAtomicRequiresOneThread) {
 
 TEST(Tally, PrivatizedFootprintScalesWithThreads) {
   const std::int64_t cells = 1 << 12;
-  EnergyTally shared(cells, TallyMode::kAtomic, 16);
-  EnergyTally priv(cells, TallyMode::kPrivatized, 16);
-  EXPECT_EQ(shared.footprint_bytes(), cells * sizeof(double));
-  EXPECT_EQ(priv.footprint_bytes(), cells * sizeof(double) * 17ull);
+  EnergyTally shared(cells, TallyMode::kAtomic, 16, kFlushBound);
+  EnergyTally priv(cells, TallyMode::kPrivatized, 16, kFlushBound);
+  EXPECT_EQ(shared.footprint_bytes(), cells * sizeof(TallyCell));
+  EXPECT_EQ(priv.footprint_bytes(), cells * sizeof(TallyCell) * 17ull);
 }
 
 TEST(Tally, FootprintRatioMatchesPaperExample) {
   // §VI-F: 256 threads multiply the tally footprint ~100x (0.3 -> 31 GB).
   const std::int64_t cells = 1 << 10;
-  EnergyTally shared(cells, TallyMode::kAtomic, 256);
-  EnergyTally priv(cells, TallyMode::kPrivatized, 256);
+  EnergyTally shared(cells, TallyMode::kAtomic, 256, kFlushBound);
+  EnergyTally priv(cells, TallyMode::kPrivatized, 256, kFlushBound);
   const double ratio = static_cast<double>(priv.footprint_bytes()) /
                        static_cast<double>(shared.footprint_bytes());
   EXPECT_DOUBLE_EQ(ratio, 257.0);

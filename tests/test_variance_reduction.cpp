@@ -24,7 +24,7 @@ struct RouletteWorld {
     capture = std::make_unique<CrossSectionTable>(make_capture_table(cfg));
     scatter = std::make_unique<CrossSectionTable>(make_scatter_table(cfg));
     tally = std::make_unique<EnergyTally>(mesh.num_cells(),
-                                          TallyMode::kAtomic, 1);
+                                          TallyMode::kAtomic, 1, 1.0e6);
     ctx.mesh = &mesh;
     ctx.density = &density;
     ctx.xs_capture = capture.get();
