@@ -8,7 +8,6 @@
 //   $ neutral_batch --spec my_sweep.spec --workers 4 --csv out.csv
 //   $ neutral_batch --check-serial          # prove batch == serial physics
 //   $ neutral_batch --write-spec sweep.spec # emit the default spec to edit
-//   $ neutral_batch --domains 2x2           # decompose every sweep job
 //   $ neutral_batch --connect 127.0.0.1:4817  # run the sweep on a neutrald
 //
 // --connect runs the SAME sweep workflow against a running `neutrald`
@@ -20,21 +19,18 @@
 // mode and are rejected here.
 //
 // Exit status is non-zero when ANY row is not "ok" — failed, timed out,
-// cancelled, un-reduced, or energy-non-conserving — in every mode, local
+// cancelled, or energy-non-conserving — in every mode, local
 // or remote, so scripted sweeps cannot bury a failure in the CSV.
 //
 // The oversubscription policy is workers x threads_per_job <= logical
 // cpus; both knobs derive sensible defaults from the host (see
-// batch/engine.h).
-//
-// --domains RxC decomposes every sweep job's mesh through batch::run_sweep
-// (src/batch/executor.h), which stitches each job back to one row.  Tally
+// batch/engine.h).  Each sweep job runs through batch::run_sweep
+// (src/batch/executor.h) as one Simulation on one OpenMP team.  Tally
 // cells are exact integer sums (core/tally.h), so the checksum and
-// population columns are bit-identical for every grid, worker count,
-// thread count and tally mode, plain or decomposed.
-// Every mode prints the same table: the plain columns, then the domain
-// columns, `-` where a mode has none.  events/s is events / solve [s] on
-// every row: the row's wall rate.
+// population columns are bit-identical for every worker count, thread
+// count and tally mode.
+// Every mode prints the same table, `-` where a mode has no figure.
+// events/s is events / solve [s] on every row: the row's wall rate.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -71,9 +67,9 @@ constexpr const char* kDefaultSpec =
     "axis scheme particles events\n"
     "axis layout aos soa\n";
 
-/// Re-run one row's config as one plain single-thread solve and compare
-/// checksums: bit-exact for any row, whatever its team width or grid
-/// (exact integer tallies, counter-based RNG).
+/// Re-run one row's config as one single-thread solve and compare
+/// checksums: bit-exact for any row, whatever its team width (exact
+/// integer tallies, counter-based RNG).
 bool check_against_serial(const JobOutcome& outcome) {
   SimulationConfig serial_config = outcome.config;
   serial_config.threads = 1;
@@ -100,25 +96,17 @@ std::string read_file(const std::string& path) {
 
 /// The one result table's column set — identical for every mode, local
 /// or remote, so any two CSVs diff column-for-column (CI pins the
-/// checksum and population columns, f8 and f9, across decompositions and
+/// checksum and population columns, f8 and f9, across thread counts and
 /// across the loopback boundary).
 std::vector<std::string> result_columns() {
-  return {"job",        "label",           "particles",      "tally",
-          "events",     "events/s",        "solve [s]",      "tally checksum",
-          "population", "world",           "worker",         "status",
-          "grid",       "migrations",      "rounds",         "peak slab [MiB]",
+  return {"job",        "label",           "particles", "tally",
+          "events",     "events/s",        "solve [s]", "tally checksum",
+          "population", "world",           "worker",    "status",
           "peak bank [MiB]"};
-}
-
-std::string mib(std::uint64_t bytes) {
-  return ResultTable::cell(static_cast<double>(bytes) / (1 << 20), 3);
 }
 
 /// One row of the table from one run_sweep row.
 std::vector<std::string> result_cells(const JobOutcome& row) {
-  const SplitStats& split = row.split;
-  const bool grid = split.grid_rows > 0;
-  const std::string none = "-";
   std::string status = "ok";
   if (row.timed_out) {
     status = "TIMEOUT: " + row.error;
@@ -137,32 +125,22 @@ std::vector<std::string> result_cells(const JobOutcome& row) {
           ResultTable::cell(row.seconds, 3),
           ResultTable::cell_full(row.result.tally_checksum),
           ResultTable::cell(static_cast<long>(row.result.population)),
-          grid                  ? none
-          : row.world_cache_hit ? "cached"
-                                : "built",
-          row.worker >= 0 ? std::to_string(row.worker) : none,
+          row.world_cache_hit ? "cached" : "built",
+          row.worker >= 0 ? std::to_string(row.worker) : "-",
           status,
-          grid ? std::to_string(split.grid_rows) + "x" +
-                     std::to_string(split.grid_cols)
-               : none,
-          grid ? ResultTable::cell(
-                     static_cast<unsigned long long>(split.migrations))
-               : none,
-          grid ? std::to_string(split.rounds) : none,
-          grid ? mib(row.result.peak_mesh_bytes) : none,
-          grid ? mib(row.result.peak_bank_bytes) : none};
+          ResultTable::cell(
+              static_cast<double>(row.result.peak_bank_bytes) / (1 << 20),
+              3)};
 }
 
 /// `--connect`: submit the sweep to a neutrald and render its rows through
 /// the same table shape the in-process path uses.
 int run_remote(const std::string& endpoint, const std::string& spec_text,
-               const std::string& domains, const std::string& csv,
-               bool quiet) {
+               const std::string& csv, bool quiet) {
   const auto [host, port] = net::NeutralClient::parse_endpoint(endpoint);
   net::NeutralClient client(host, port);
   net::SubmitRequest request;
   request.spec_text = spec_text;
-  request.domains = domains;
   const std::uint64_t id = client.submit(request);
   std::printf("# neutral_batch --connect %s (submission #%llu)\n",
               endpoint.c_str(), static_cast<unsigned long long>(id));
@@ -229,26 +207,20 @@ int main(int argc, char** argv) {
         cli.option("csv", "neutral_batch.csv", "results CSV path");
     const std::string record_dir = cli.option(
         "record-dir", "",
-        "write a .results regression record per sweep job (decomposed "
-        "jobs record their merged whole-deck result)");
+        "write a .results regression record per sweep job");
     const std::string write_spec = cli.option(
         "write-spec", "", "write the default sweep spec here and exit");
     const bool check_serial = cli.flag(
         "check-serial",
-        "re-run each job as one plain 1-thread solve and compare "
-        "checksums bit for bit");
+        "re-run each job as one 1-thread solve and compare checksums bit "
+        "for bit");
     const bool quiet = cli.flag("quiet", "suppress per-job progress lines");
-    const std::string domains = cli.option(
-        "domains", "",
-        "domain-decompose every sweep job over an RxC mesh grid (e.g. "
-        "2x2); composes with the sweep's scheme/layout axes, reducing each "
-        "job to one bit-identical row");
     const auto cache_mb = cli.option_int(
         "cache-mb", 0, "world cache byte budget in MiB (0 = unbounded)");
     const std::string connect = cli.option(
         "connect", "",
         "run the sweep against a neutrald at host:port instead of "
-        "in-process (composes with --spec/--domains)");
+        "in-process (composes with --spec)");
     options.profile = cli.flag(
         "profile",
         "collect per-phase TSC timings in every job and print the sweep's "
@@ -259,7 +231,6 @@ int main(int argc, char** argv) {
         "append one JSON line per job lifecycle event here "
         "(src/obs/trace.h)");
     if (!cli.finish()) return 0;
-    const Decomposition how = Decomposition::parse(domains);
     options.cache.max_bytes =
         static_cast<std::uint64_t>(std::max(cache_mb, 0L)) << 20;
 
@@ -288,12 +259,12 @@ int main(int argc, char** argv) {
                       "them when starting neutrald");
       const std::string spec_text =
           spec_path.empty() ? kDefaultSpec : read_file(spec_path);
-      return run_remote(connect, spec_text, domains, csv, quiet);
+      return run_remote(connect, spec_text, csv, quiet);
     }
 
     const SweepSpec spec = spec_path.empty() ? parse_sweep(kDefaultSpec)
                                              : load_sweep(spec_path);
-    std::vector<Job> sweep_jobs = expand_sweep(spec, how.domains());
+    std::vector<Job> sweep_jobs = expand_sweep(spec);
     std::unique_ptr<obs::TraceLog> trace;
     if (!trace_log.empty()) {
       trace = std::make_unique<obs::TraceLog>(trace_log);
@@ -303,11 +274,11 @@ int main(int argc, char** argv) {
 
     const std::size_t n_jobs = sweep_jobs.size();
     std::printf("# neutral_batch (%s)\n", host_banner().c_str());
-    std::printf("# %zu sweep jobs, %s (world cache %s)\n", n_jobs,
-                how.describe().c_str(), options.reuse_worlds ? "on" : "off");
+    std::printf("# %zu sweep jobs (world cache %s)\n", n_jobs,
+                options.reuse_worlds ? "on" : "off");
 
     const BatchReport report = run_sweep(
-        engine, std::move(sweep_jobs), how, /*cancel=*/nullptr,
+        engine, std::move(sweep_jobs), /*cancel=*/nullptr,
         [&](const JobOutcome& outcome) {
           if (quiet) return;
           if (outcome.ok) {
@@ -321,8 +292,7 @@ int main(int argc, char** argv) {
           }
         });
 
-    ResultTable table("neutral_batch — " + std::to_string(n_jobs) +
-                          " jobs, " + how.describe(),
+    ResultTable table("neutral_batch — " + std::to_string(n_jobs) + " jobs",
                       result_columns());
     for (const JobOutcome& row : report.jobs) table.add_row(result_cells(row));
     table.print();
@@ -356,7 +326,7 @@ int main(int argc, char** argv) {
 
     bool ok = report.failed() == 0;
     if (!record_dir.empty()) {
-      // One record per row, from the (merged) whole-deck result.
+      // One record per row.
       for (const JobOutcome& row : report.jobs) {
         if (!row.ok) continue;
         save_results(make_expected(row.config, row.result),

@@ -1,10 +1,10 @@
 // `neutrald` — the batch engine served over TCP.
 //
 // Runs the NeutralServer (src/net/server.h): clients connect, submit decks
-// or sweep specs (optionally domain-decomposed), stream
-// completion events, and fetch bit-identical results — all against ONE
-// shared engine and world cache, so repeated geometries build once no
-// matter which connection sends them.
+// or sweep specs, stream completion events, and fetch bit-identical
+// results — all against ONE shared engine and world cache, so repeated
+// geometries build once no matter which connection sends them.  Each job
+// runs as one Simulation on one OpenMP team.
 //
 //   $ neutrald --port 4817                      # serve on 127.0.0.1:4817
 //   $ neutrald --port 0 --quiet                 # ephemeral port, no logs
@@ -13,8 +13,8 @@
 //   $ neutral_batch --connect 127.0.0.1:4817    # run a sweep against it
 //
 // The deadline flags are what make the daemon safe to leave running: a job
-// that exceeds --max-run-wall-ms completes as `timed_out` (cancelling its
-// fork-join group) instead of holding a worker forever, and a job that
+// that exceeds --max-run-wall-ms completes as `timed_out` instead of
+// holding a worker forever, and a job that
 // waits past --max-queue-wait-ms — counted from the daemon accepting its
 // submission, so time spent behind earlier submissions counts — is
 // answered `timed_out` without running.

@@ -108,7 +108,7 @@ std::vector<RowPlan> row_plan(std::int32_t logical_cpus) {
   for (const char* deck : kDecks) {
     for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
       const TallyMode tally =
-          batch::resolve_tally_mode(scheme, std::nullopt, false);
+          batch::resolve_tally_mode(scheme, std::nullopt);
       for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
         for (const std::int32_t t : thread_counts) {
           plan.push_back({deck, scheme, layout, t, tally, statics});

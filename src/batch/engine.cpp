@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <optional>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "obs/metrics.h"
@@ -26,7 +24,6 @@ struct EngineMetrics {
   obs::Counter* jobs_ok = nullptr;
   obs::Counter* jobs_failed = nullptr;
   obs::Counter* jobs_timed_out = nullptr;
-  obs::Counter* jobs_cancelled = nullptr;
   obs::Histogram* job_wall = nullptr;
   obs::Histogram* job_events_per_second = nullptr;
   obs::Histogram* queue_wait = nullptr;
@@ -42,11 +39,9 @@ struct EngineMetrics {
     jobs_ok = &m->counter("neutral_jobs_ok_total", "jobs that completed");
     jobs_failed =
         &m->counter("neutral_jobs_failed_total",
-                    "jobs that failed (excluding timed-out/cancelled)");
+                    "jobs that failed (excluding timed-out)");
     jobs_timed_out = &m->counter("neutral_jobs_timed_out_total",
                                  "jobs that hit a QueuePolicy deadline");
-    jobs_cancelled = &m->counter("neutral_jobs_cancelled_total",
-                                 "jobs cancelled unrun (sibling failed)");
     job_wall = &m->histogram("neutral_job_wall_seconds",
                              "per-job wall clock incl. world acquisition",
                              {1e-3, 20});
@@ -82,8 +77,6 @@ struct EngineMetrics {
       ev_rng_draws->add(c.rng_draws);
       ev_xs_lookups->add(c.xs_lookups);
       ev_tally_flushes->add(c.tally_flushes);
-    } else if (outcome.cancelled) {
-      jobs_cancelled->add();
     } else if (outcome.timed_out) {
       jobs_timed_out->add();
     } else {
@@ -94,15 +87,14 @@ struct EngineMetrics {
 
 const char* terminal_event(const JobOutcome& outcome) {
   if (outcome.ok) return "completed";
-  if (outcome.cancelled) return "cancelled";
   if (outcome.timed_out) return "timed_out";
   return "failed";
 }
 
-/// run()'s shared mutable state: the outcome table and the failed-group
-/// map, written by every worker.  A class (not a lambda closing over
-/// locals) so the lock relationship is expressed in annotations the
-/// thread-safety analysis checks.
+/// run()'s shared mutable state: the outcome table, written by every
+/// worker.  A class (not a lambda closing over locals) so the lock
+/// relationship is expressed in annotations the thread-safety analysis
+/// checks.
 class RunRecorder {
  public:
   RunRecorder(BatchReport& report, const EngineMetrics& metrics,
@@ -113,38 +105,21 @@ class RunRecorder {
         trace_(trace),
         on_complete_(on_complete) {}
 
-  /// The id of the job whose failure cancelled `group`, if one did.
-  [[nodiscard]] std::optional<std::uint64_t> failed_member(
-      std::uint64_t group) NEUTRAL_EXCLUDES(mutex_) {
-    if (group == 0) return std::nullopt;
-    MutexLock lock(mutex_);
-    const auto it = failed_groups_.find(group);
-    if (it == failed_groups_.end()) return std::nullopt;
-    return it->second;
-  }
-
   /// Record the outcome of the job in submission slot `slot` (and its
-  /// metrics/trace/callback side effects) under the lock.  A failed
-  /// grouped job cancels the group's siblings no worker has reached yet.
-  /// A custom-work job is part of a row its caller assembles and counts
-  /// (BatchEngine::note), so it skips the job metrics.
-  void record(std::size_t slot, const Job& job, JobOutcome&& outcome)
+  /// metrics/trace/callback side effects) under the lock.
+  void record(std::size_t slot, JobOutcome&& outcome)
       NEUTRAL_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     report_.jobs[slot] = std::move(outcome);
     const JobOutcome& done = report_.jobs[slot];
-    if (!done.ok && job.group != 0) {
-      failed_groups_.emplace(job.group, done.job_id);
-    }
     if (done.worker >= 0 && metrics_.queue_wait != nullptr) {
       metrics_.queue_wait->observe(done.queue_wait_seconds);
     }
-    if (!job.work) metrics_.note(done);
+    metrics_.note(done);
     if (trace_ != nullptr) {
       obs::TraceEvent event;
       event.event = terminal_event(done);
       event.job_id = done.job_id;
-      event.group = job.group;
       event.label = done.label;
       event.worker = done.worker;
       if (done.worker >= 0) {
@@ -165,9 +140,6 @@ class RunRecorder {
   const EngineMetrics& metrics_;
   obs::TraceLog* const trace_;
   const BatchEngine::CompletionCallback& on_complete_;
-  /// Failed group -> the job that failed it.
-  std::unordered_map<std::uint64_t, std::uint64_t> failed_groups_
-      NEUTRAL_GUARDED_BY(mutex_);
 };
 
 }  // namespace
@@ -255,10 +227,6 @@ std::pair<std::int32_t, std::int32_t> BatchEngine::thread_budget(
   return {workers, threads};
 }
 
-void BatchEngine::note(const JobOutcome& row) const {
-  EngineMetrics(options_.metrics).note(row);
-}
-
 BatchReport BatchEngine::run(std::vector<Job> jobs,
                              const CompletionCallback& on_complete) {
   BatchReport report;
@@ -288,7 +256,6 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
     if (trace != nullptr) {
       obs::TraceEvent event;
       event.job_id = job.id;
-      event.group = job.group;
       event.label = job.label;
       event.event = "submitted";
       trace->record(event);
@@ -308,13 +275,6 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
       outcome.job_id = job.id;
       outcome.label = job.label;
       outcome.config = job.config;
-      if (const auto failed = recorder.failed_member(job.group)) {
-        outcome.cancelled = true;
-        outcome.error =
-            "cancelled: sibling job " + std::to_string(*failed) + " failed";
-        recorder.record(slot, job, std::move(outcome));
-        continue;
-      }
       outcome.worker = worker_id;
       outcome.queue_wait_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -324,7 +284,6 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
         obs::TraceEvent event;
         event.event = "started";
         event.job_id = job.id;
-        event.group = job.group;
         event.label = job.label;
         event.worker = worker_id;
         event.queue_wait_s = outcome.queue_wait_seconds;
@@ -339,30 +298,23 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
         outcome.error = "timed out waiting in queue (max_queue_wait)";
       } else {
         try {
-          if (job.work) {
-            // Custom work owns its own state and threading (including any
-            // run-wall deadline its configs carry).
-            outcome.result = job.work();
-            outcome.ok = true;
-          } else {
-            SimulationConfig config = job.config;
-            if (config.threads <= 0) config.threads = threads_per_job;
-            if (options_.profile) config.profile = true;
-            if (options_.policy.max_run_wall.count() > 0) {
-              config.deadline = std::min(
-                  config.deadline, std::chrono::steady_clock::now() +
-                                       options_.policy.max_run_wall);
-            }
-            std::shared_ptr<const World> world =
-                options_.reuse_worlds
-                    ? cache_.acquire(config.deck, job.fingerprint,
-                                     &outcome.world_cache_hit)
-                    : build_world(config.deck);
-            Simulation sim(std::move(config), std::move(world));
-            outcome.result = sim.run();
-            outcome.config = sim.config();
-            outcome.ok = true;
+          SimulationConfig config = job.config;
+          if (config.threads <= 0) config.threads = threads_per_job;
+          if (options_.profile) config.profile = true;
+          if (options_.policy.max_run_wall.count() > 0) {
+            config.deadline = std::min(
+                config.deadline, std::chrono::steady_clock::now() +
+                                     options_.policy.max_run_wall);
           }
+          std::shared_ptr<const World> world =
+              options_.reuse_worlds
+                  ? cache_.acquire(config.deck, job.fingerprint,
+                                   &outcome.world_cache_hit)
+                  : build_world(config.deck);
+          Simulation sim(std::move(config), std::move(world));
+          outcome.result = sim.run();
+          outcome.config = sim.config();
+          outcome.ok = true;
         } catch (const TimeoutError& e) {
           outcome.timed_out = true;
           outcome.error = e.what();
@@ -371,7 +323,7 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
         }
       }
       outcome.seconds = timer.seconds();
-      recorder.record(slot, job, std::move(outcome));
+      recorder.record(slot, std::move(outcome));
     }
   };
 

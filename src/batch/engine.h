@@ -19,11 +19,6 @@
 // worker count is honoured as given, even beyond the cpu count (useful
 // for tests and I/O-bound jobs); threads_per_job then pins to 1.
 //
-// Fork-join groups: when a grouped job fails (or times out), a worker
-// that later reaches one of its siblings records it cancelled without
-// running it — a failed domain round's fork-join result is already lost,
-// so its siblings are pure waste.  Siblings already running finish.
-//
 // Determinism: a job's physics depends only on its SimulationConfig (the
 // RNG is counter-based, keyed by deck.seed — rng/stream.h), so per-job
 // results are invariant to worker count and completion order.  The report
@@ -55,9 +50,8 @@ struct QueuePolicy {
   /// completes as timed_out without running.
   std::chrono::milliseconds max_queue_wait{0};
   /// Bounds one job's running wall clock.  Enforced through the
-  /// cooperative SimulationConfig::deadline (checked at timestep and
-  /// transport-round boundaries); an expired run completes as timed_out
-  /// and cancels its group like a failure.
+  /// cooperative SimulationConfig::deadline (checked at timestep
+  /// boundaries); an expired run completes as timed_out.
   std::chrono::milliseconds max_run_wall{0};
 };
 
@@ -70,10 +64,8 @@ struct EngineOptions {
   bool reuse_worlds = true;
   /// World cache byte budget / eviction policy.
   WorldCacheOptions cache;
-  /// Deadline policy (see QueuePolicy).  max_run_wall reaches config-driven
-  /// jobs through SimulationConfig::deadline; custom-work jobs (Job::work)
-  /// enforce their own — run_domains stamps it (and `profile`) into every
-  /// subdomain's config.
+  /// Deadline policy (see QueuePolicy).  max_run_wall reaches each job
+  /// through SimulationConfig::deadline.
   QueuePolicy policy;
   /// Optional registry: queue-wait, cache, per-outcome and per-event series
   /// land there (src/obs/metrics.h).  Also forwarded to cache.metrics when
@@ -82,20 +74,10 @@ struct EngineOptions {
   /// Optional JSONL lifecycle trace (submitted/queued/started/terminal
   /// spans per job — src/obs/trace.h).  Null = no trace.
   obs::TraceLog* trace = nullptr;
-  /// Enable the §VI-A PhaseProfiler in every config-driven job (stamped
-  /// onto SimulationConfig::profile), so BatchReport::phase_totals() can
-  /// print the grind-time table aggregated across the sweep.  Custom-work
-  /// jobs honour whatever their own configs say (run_domains stamps it).
+  /// Enable the §VI-A PhaseProfiler in every job (stamped onto
+  /// SimulationConfig::profile), so BatchReport::phase_totals() can print
+  /// the grind-time table aggregated across the sweep.
   bool profile = false;
-};
-
-/// Decomposition figures of a domain-decomposed batch::run_sweep row
-/// (executor.h); all zero for a plain job.
-struct SplitStats {
-  std::int32_t grid_rows = 0;   ///< domain grid as planned (mesh-clamped)
-  std::int32_t grid_cols = 0;
-  std::int64_t migrations = 0;  ///< checkpoints exchanged
-  std::int32_t rounds = 0;      ///< transport rounds
 };
 
 /// One finished (or failed) job.
@@ -111,18 +93,19 @@ struct JobOutcome {
   bool world_cache_hit = false;
   std::int32_t worker = -1;    ///< which worker ran it (-1: never ran)
   bool ok = false;
-  bool cancelled = false;      ///< skipped unrun after a sibling failed
+  /// A client cancel (SimulationConfig::cancel) stopped it; batch::run_sweep
+  /// sets this, the engine reports such a job as failed.
+  bool cancelled = false;
   /// Subset of !ok: the job hit a QueuePolicy deadline — expired before
   /// it started (max_queue_wait) or aborted mid-run (max_run_wall).  Kept
   /// distinct from plain failure so a serving layer can report
   /// `timed_out` and a client can retry with a longer budget.
   bool timed_out = false;
   std::string error;           ///< exception message when !ok
-  SplitStats split;            ///< set by run_sweep on decomposed rows
 
-  /// Events over `seconds` — the row's wall rate, the one events/s every
-  /// front-end prints.  (result.events_per_second() divides by the
-  /// transport seconds, which a decomposed row sums over its parts.)
+  /// Events over `seconds` — the row's wall rate including world
+  /// acquisition, the one events/s every front-end prints.
+  /// (result.events_per_second() divides by the transport seconds only.)
   [[nodiscard]] double events_per_second() const {
     return seconds > 0.0
                ? static_cast<double>(result.counters.total_events()) / seconds
@@ -142,7 +125,7 @@ struct BatchReport {
 
   [[nodiscard]] std::size_t completed() const;
   [[nodiscard]] std::size_t failed() const;
-  /// Subset of failed(): jobs cancelled unrun after a sibling failed.
+  /// Subset of failed(): jobs a client cancel stopped.
   [[nodiscard]] std::size_t cancelled() const;
   /// Subset of failed(): jobs that hit a QueuePolicy deadline.
   [[nodiscard]] std::size_t timed_out() const;
@@ -179,12 +162,6 @@ class BatchEngine {
   /// after applying the oversubscription policy.
   [[nodiscard]] std::pair<std::int32_t, std::int32_t> thread_budget(
       std::size_t n_jobs) const;
-
-  /// Count one finished row in the metrics series (EngineOptions::
-  /// metrics).  run() counts every job it runs from a config; a row built
-  /// from custom-work parts (a domain-decomposed solve) is counted here,
-  /// once, by whoever assembles it.
-  void note(const JobOutcome& row) const;
 
  private:
   EngineOptions options_;

@@ -47,12 +47,10 @@ std::uint64_t parse_uint(const std::string& token, int line) {
 
 }  // namespace
 
-TallyMode resolve_tally_mode(Scheme scheme, std::optional<TallyMode> named,
-                             bool domain_run) {
+TallyMode resolve_tally_mode(Scheme scheme, std::optional<TallyMode> named) {
   if (named) return *named;
-  return scheme == Scheme::kOverEvents && !domain_run
-             ? TallyMode::kDeferredAtomic
-             : TallyMode::kAtomic;
+  return scheme == Scheme::kOverEvents ? TallyMode::kDeferredAtomic
+                                       : TallyMode::kAtomic;
 }
 
 std::size_t sweep_size(const SweepSpec& spec) {
@@ -66,7 +64,7 @@ std::size_t sweep_size(const SweepSpec& spec) {
          axis_extent(a.schedules.size()) * axis_extent(a.seeds.size());
 }
 
-std::vector<Job> expand_sweep(const SweepSpec& spec, bool domain_run) {
+std::vector<Job> expand_sweep(const SweepSpec& spec) {
   const SweepAxes& a = spec.axes;
   std::vector<Job> jobs;
   jobs.reserve(sweep_size(spec));  // also validates axis exclusivity
@@ -116,8 +114,7 @@ std::vector<Job> expand_sweep(const SweepSpec& spec, bool domain_run) {
                   cfg.scheme,
                   spec.tally_mode_named
                       ? std::optional<TallyMode>(spec.base.tally_mode)
-                      : std::nullopt,
-                  domain_run);
+                      : std::nullopt);
               jobs.push_back(make_job(id, std::move(cfg)));
               ++id;
             }

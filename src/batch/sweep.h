@@ -77,19 +77,15 @@ struct SweepSpec {
 /// The tally mode a job runs with — the one rule every front-end shares
 /// (neutral, neutral_batch, neutrald).  A named mode is never rewritten.
 /// Unnamed, Over Events hoists its atomics into the separate tally loop
-/// (§VI-G: deferred) for plain runs; domain runs and Over
-/// Particles stay atomic — deferred per-thread deposit buffers grow with
-/// the bank, the footprint domain decomposition exists to cap.
-TallyMode resolve_tally_mode(Scheme scheme, std::optional<TallyMode> named,
-                             bool domain_run);
+/// (§VI-G: deferred) and Over Particles stays atomic.
+TallyMode resolve_tally_mode(Scheme scheme, std::optional<TallyMode> named);
 
 /// Number of jobs expand_sweep will emit (product of non-empty axes).
 std::size_t sweep_size(const SweepSpec& spec);
 
 /// Expand the cross product.  Job ids are 0..sweep_size-1 in a fixed
-/// row-major axis order, so expansion is deterministic.  `domain_run`
-/// says the jobs will run domain-decomposed (resolve_tally_mode).
-std::vector<Job> expand_sweep(const SweepSpec& spec, bool domain_run = false);
+/// row-major axis order, so expansion is deterministic.
+std::vector<Job> expand_sweep(const SweepSpec& spec);
 
 /// Parse / load the text spec format documented above.
 SweepSpec parse_sweep(const std::string& text);

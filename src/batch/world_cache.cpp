@@ -39,27 +39,12 @@ std::shared_ptr<const World> WorldCache::acquire(const ProblemDeck& deck,
 std::shared_ptr<const World> WorldCache::acquire(const ProblemDeck& deck,
                                                  std::uint64_t fingerprint,
                                                  bool* hit) {
-  return acquire_keyed(fingerprint, [&deck] { return build_world(deck); },
-                       hit);
-}
-
-std::shared_ptr<const World> WorldCache::acquire(const ProblemDeck& deck,
-                                                 const DomainWindow& window,
-                                                 bool* hit) {
-  return acquire_keyed(domain_world_fingerprint(deck, window),
-                       [&deck, &window] { return build_world(deck, window); },
-                       hit);
-}
-
-std::shared_ptr<const World> WorldCache::acquire_keyed(std::uint64_t key,
-                                                       const Builder& build,
-                                                       bool* hit) {
   Future future;
   std::promise<std::shared_ptr<const World>> promise;
   bool builder = false;
   {
     MutexLock lock(mutex_);
-    auto it = entries_.find(key);
+    auto it = entries_.find(fingerprint);
     if (it != entries_.end()) {
       ++stats_.hits;
       if (hits_ != nullptr) hits_->add();
@@ -70,29 +55,29 @@ std::shared_ptr<const World> WorldCache::acquire_keyed(std::uint64_t key,
       if (misses_ != nullptr) misses_->add();
       builder = true;
       future = promise.get_future().share();
-      entries_.emplace(key, Entry{future, ++tick_, 0, false});
+      entries_.emplace(fingerprint, Entry{future, ++tick_, 0, false});
     }
   }
   if (hit != nullptr) *hit = !builder;
 
   if (builder) {
     try {
-      std::shared_ptr<const World> world = build();
+      std::shared_ptr<const World> world = build_world(deck);
       const std::uint64_t bytes = world->footprint_bytes();
       promise.set_value(std::move(world));
       MutexLock lock(mutex_);
-      auto it = entries_.find(key);
+      auto it = entries_.find(fingerprint);
       if (it != entries_.end()) {  // clear() may have raced us
         it->second.bytes = bytes;
         it->second.built = true;
         resident_bytes_ += bytes;
-        evict_over_budget_locked(key);
+        evict_over_budget_locked(fingerprint);
         note_residency_locked();
       }
     } catch (...) {
       promise.set_exception(std::current_exception());
       MutexLock lock(mutex_);
-      entries_.erase(key);
+      entries_.erase(fingerprint);
       ++stats_.evictions;
       if (evictions_ != nullptr) evictions_->add();
       note_residency_locked();

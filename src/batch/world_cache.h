@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <unordered_map>
@@ -78,14 +77,6 @@ class WorldCache {
                                        std::uint64_t fingerprint, bool* hit)
       NEUTRAL_EXCLUDES(mutex_);
 
-  /// Slab variant, keyed by domain_world_fingerprint(deck, window): domain
-  /// decompositions of sweep jobs that share geometry reuse one slab world
-  /// per window instead of rebuilding mesh + XS tables per job.
-  std::shared_ptr<const World> acquire(const ProblemDeck& deck,
-                                       const DomainWindow& window,
-                                       bool* hit = nullptr)
-      NEUTRAL_EXCLUDES(mutex_);
-
   [[nodiscard]] Stats stats() const NEUTRAL_EXCLUDES(mutex_);
   [[nodiscard]] const WorldCacheOptions& options() const { return options_; }
 
@@ -97,13 +88,6 @@ class WorldCache {
 
  private:
   using Future = std::shared_future<std::shared_ptr<const World>>;
-  using Builder = std::function<std::shared_ptr<const World>()>;
-
-  /// Shared hit/miss/build/evict machinery behind every acquire overload.
-  std::shared_ptr<const World> acquire_keyed(std::uint64_t key,
-                                             const Builder& build, bool* hit)
-      NEUTRAL_EXCLUDES(mutex_);
-
   struct Entry {
     Future future;
     std::uint64_t last_use = 0;  ///< monotonic acquire tick (LRU order)

@@ -39,52 +39,6 @@ void ParticleBank::source(const ProblemDeck& deck,
   with_view([&](const auto& v) { initialise_particles(v, deck, mesh); });
 }
 
-void ParticleBank::assign(std::vector<Particle> records) {
-  if (layout_ == Layout::kAoS) {
-    aos_ = std::move(records);
-    return;
-  }
-  soa_.resize(records.size());
-  const SoaView v(soa_);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    write_record(v, i, records[i]);
-  }
-}
-
-std::size_t ParticleBank::extract_migrants(std::vector<Particle>& out) {
-  return with_view([&out, this](const auto& v) {
-    std::size_t kept = 0;
-    std::size_t extracted = 0;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (v.state(i) == ParticleState::kMigrating) {
-        // Resumes mid-flight on the owner; the record is the checkpoint.
-        Particle p = read_record(v, i);
-        p.state = ParticleState::kAlive;
-        out.push_back(p);
-        ++extracted;
-      } else {
-        if (kept != i) copy_record(v, kept, i);
-        ++kept;
-      }
-    }
-    resize(kept);
-    return extracted;
-  });
-}
-
-void ParticleBank::inject(const Particle* records, std::size_t count) {
-  if (layout_ == Layout::kAoS) {
-    aos_.insert(aos_.end(), records, records + count);
-    return;
-  }
-  const std::size_t base = soa_.size();
-  soa_.resize(base + count);
-  const SoaView v(soa_);
-  for (std::size_t i = 0; i < count; ++i) {
-    write_record(v, base + i, records[i]);
-  }
-}
-
 std::int64_t ParticleBank::surviving_population() const {
   return with_view([](const auto& v) { return population(v); });
 }

@@ -2,23 +2,16 @@
 // container every transport phase operates on.
 //
 // The paper's central experiment crosses parallelisation scheme (Over
-// Particles / Over Events, §V) with data layout (AoS / SoA, §VI-D); the
-// decomposition layer (domain windows — src/batch) must not collapse that
-// product.  ParticleBank owns the particles in either layout behind one
-// interface, so every consumer — schemes, Simulation, domain migration —
-// is written once:
+// Particles / Over Events, §V) with data layout (AoS / SoA, §VI-D).
+// ParticleBank owns the particles in either layout behind one interface,
+// so every consumer — schemes, Simulation, tests — is written once:
 //
 //   * kernels get the layout's native view through with_view() (the same
 //     AosView/SoaView template dispatch the transport code always used);
-//   * everything that moves particles BETWEEN banks speaks the canonical
-//     AoS `Particle` record (the wire format: a complete checkpoint —
-//     position, clocks, RNG counter).  The bank converts at the boundary,
-//     so an SoA bank can inject migrants extracted from an AoS bank and
-//     vice versa.
+//   * element access speaks the canonical AoS `Particle` record, converted
+//     at the boundary, so callers never branch on the layout.
 //
-// Bank mutation — sourcing the deck or a window, census-order compaction when
-// migrants leave, immigrant injection — lives here, not in Simulation:
-// production event-based transport codes (MC/DC, OpenMC's event kernels)
+// Production event-based transport codes (MC/DC, OpenMC's event kernels)
 // take the same shape, one particle bank abstraction under every phase.
 #pragma once
 
@@ -37,7 +30,6 @@ class ParticleBank {
  public:
   explicit ParticleBank(Layout layout = Layout::kAoS) : layout_(layout) {}
 
-  [[nodiscard]] Layout layout() const { return layout_; }
   [[nodiscard]] std::size_t size() const {
     return layout_ == Layout::kAoS ? aos_.size() : soa_.size();
   }
@@ -45,7 +37,7 @@ class ParticleBank {
 
   void resize(std::size_t n);
 
-  /// Canonical-record element access (wire-format conversion per call; use
+  /// Canonical-record element access (layout conversion per call; use
   /// with_view for hot loops).
   [[nodiscard]] Particle get(std::size_t i) const;
   void set(std::size_t i, const Particle& p);
@@ -79,21 +71,6 @@ class ParticleBank {
   /// Source the deck's whole bank: slot i holds particle id i, every birth
   /// drawn from that id's own counter-based stream (core/init.h).
   void source(const ProblemDeck& deck, const StructuredMesh2D& mesh);
-
-  /// Adopt prebuilt wire-format records (window routing hands banks over
-  /// this way).  Converts at the boundary for SoA banks; AoS banks take the
-  /// vector by move.  Validation (window membership, id order) is the
-  /// caller's job — the bank only stores.
-  void assign(std::vector<Particle> records);
-
-  /// Move every kMigrating particle out (appended to `out` in bank order,
-  /// flipped back to kAlive — the record is the mid-flight checkpoint) and
-  /// compact the survivors over the holes, preserving order.  Returns the
-  /// number extracted.
-  std::size_t extract_migrants(std::vector<Particle>& out);
-
-  /// Append immigrant checkpoints (wire format, converted on entry).
-  void inject(const Particle* records, std::size_t count);
 
   /// Number of non-dead particles.
   [[nodiscard]] std::int64_t surviving_population() const;

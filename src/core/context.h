@@ -6,7 +6,6 @@
 #include "core/tally.h"
 #include "mesh/density_field.h"
 #include "mesh/mesh2d.h"
-#include "mesh/window.h"
 #include "xs/table.h"
 
 namespace neutral {
@@ -36,15 +35,6 @@ struct TransportContext {
 
   /// Optional §VI-A phase profiler (null disables all probes).
   PhaseProfiler* profiler = nullptr;
-
-  /// Mesh window the density/tally storage covers.  Inactive (the default
-  /// for hand-built contexts) falls back to mesh->flat_index; Simulation
-  /// always sets it — to the full mesh for ordinary runs, to its slab for
-  /// domain-decomposed runs.  Cell indices stay global either way.
-  DomainWindow window;
-  /// Park particles crossing out of `window` as kMigrating instead of
-  /// refreshing cell state (domain decomposition only).
-  bool migrate = false;
 };
 
 }  // namespace neutral

@@ -23,10 +23,6 @@ struct EventCounters {
 
   std::uint64_t roulette_survivals = 0; ///< weight-boosted survivors (§IV-E)
   std::uint64_t roulette_kills = 0;     ///< histories ended by roulette
-  /// Facet crossings parked for subdomain migration (domain decomposition;
-  /// zero for whole-mesh runs).  Each is also counted in `facets`, exactly
-  /// as the same crossing is in the undecomposed run.
-  std::uint64_t migrations = 0;
 
   /// Weighted energy released into the mesh by collisions/terminations [eV];
   /// conserved against the initial bank (see validation.h).
@@ -53,7 +49,6 @@ struct EventCounters {
     rng_draws += o.rng_draws;
     roulette_survivals += o.roulette_survivals;
     roulette_kills += o.roulette_kills;
-    migrations += o.migrations;
     released_energy += o.released_energy;
     path_heating += o.path_heating;
     roulette_gained_energy += o.roulette_gained_energy;

@@ -21,10 +21,6 @@ OverEventsKernelTimes& OverEventsKernelTimes::operator+=(
 }
 
 OverEventsWorkspace::OverEventsWorkspace(std::size_t n_particles) {
-  resize(n_particles);
-}
-
-void OverEventsWorkspace::resize(std::size_t n_particles) {
   micro_a_.resize(n_particles);
   micro_s_.resize(n_particles);
   number_density_.resize(n_particles);
@@ -140,9 +136,7 @@ EventCounters drive(const View& v, const TransportContext& ctx, double dt_s,
   aligned_vector<Padded<EventCounters>> counters(
       static_cast<std::size_t>(max_threads));
 
-  // Wake survivors and (re)build their streamed flight state.  Resume
-  // rounds (wake_census false — domain decomposition) leave census
-  // residents parked and re-stream only the already-alive immigrants.
+  // Wake survivors and (re)build their streamed flight state.
 #pragma omp parallel
   {
     const std::int32_t t = omp_get_thread_num();
@@ -150,7 +144,7 @@ EventCounters drive(const View& v, const TransportContext& ctx, double dt_s,
     auto hk = make_hooks(t);
 #pragma omp for schedule(static)
     for (std::int64_t i = 0; i < n; ++i) {
-      if (opt.wake_census && v.state(i) == ParticleState::kCensus) {
+      if (v.state(i) == ParticleState::kCensus) {
         v.state(i) = ParticleState::kAlive;
         v.dt_to_census(i) = dt_s;
       }

@@ -37,12 +37,6 @@ struct OverEventsOptions {
   /// ctx.profiler) so RunResult::phases covers the breadth-first scheme
   /// too.  Set by the Simulation layer from SimulationConfig::profile.
   bool profile = false;
-  /// Flip kCensus particles to kAlive (with a fresh dt) in the wake-up
-  /// prologue — the start of a timestep.  Domain-decomposition resume
-  /// rounds set this false so only freshly injected mid-flight immigrants
-  /// (already kAlive) stream through the kernels while the residents stay
-  /// parked at census.
-  bool wake_census = true;
 };
 
 /// Wall seconds accumulated per kernel over a timestep (Fig 8 rows).
@@ -66,12 +60,6 @@ struct OverEventsKernelTimes {
 class OverEventsWorkspace {
  public:
   explicit OverEventsWorkspace(std::size_t n_particles);
-
-  /// Re-size every flight-state array to `n_particles`.  Contents need not
-  /// survive: the drive prologue re-streams the state of every in-flight
-  /// particle, so growing the workspace when immigrants arrive mid-timestep
-  /// (domain-decomposed Over Events rounds) is just this resize.
-  void resize(std::size_t n_particles);
 
   [[nodiscard]] std::size_t size() const { return micro_a_.size(); }
   [[nodiscard]] std::uint64_t footprint_bytes() const;

@@ -22,15 +22,12 @@ EventCounters drive(const View& v, const TransportContext& ctx, double dt_s,
   aligned_vector<Padded<EventCounters>> thread_counters(
       static_cast<std::size_t>(max_threads));
 
-  // Wake the survivors of the previous timestep (skipped by the domain
-  // decomposition's mid-timestep resume rounds).
-  if (opt.wake_census) {
+  // Wake the survivors of the previous timestep.
 #pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (v.state(i) == ParticleState::kCensus) {
-        v.state(i) = ParticleState::kAlive;
-        v.dt_to_census(i) = dt_s;
-      }
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (v.state(i) == ParticleState::kCensus) {
+      v.state(i) = ParticleState::kAlive;
+      v.dt_to_census(i) = dt_s;
     }
   }
 

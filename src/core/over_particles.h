@@ -20,11 +20,6 @@ struct OverParticlesOptions {
   SchedulePolicy schedule = SchedulePolicy::statics();
   /// Enable §VI-A phase profiling (requires ctx.profiler != nullptr).
   bool profile = false;
-  /// Flip kCensus particles to kAlive (with a fresh dt) before transport —
-  /// the start of a timestep.  Domain-decomposition resume rounds set this
-  /// false so only freshly injected mid-flight immigrants (already kAlive)
-  /// transport, and the residents stay at census.
-  bool wake_census = true;
 };
 
 /// Advance every particle in `v` through one timestep of length `dt_s`.

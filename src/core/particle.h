@@ -28,12 +28,6 @@ enum class ParticleState : std::uint8_t {
   kCensus = 0,  ///< alive, waiting for the next timestep (or newly born)
   kAlive = 1,   ///< in flight within the current timestep
   kDead = 2,    ///< history terminated (energy/weight cutoff)
-  /// Mid-flight, parked at a subdomain facet awaiting re-banking on the
-  /// owning subdomain (domain decomposition — src/batch/domain.h).  The
-  /// particle record is a complete checkpoint: position at the facet,
-  /// clocks already decayed, cell index stepped into the neighbour cell,
-  /// RNG counter current.
-  kMigrating = 3,
 };
 
 /// AoS particle record (~96 bytes, 1.5 cache lines).
@@ -137,9 +131,8 @@ class SoaView {
   ParticleSoA* s_;
 };
 
-/// Gather slot `i` of any view into a canonical AoS record — the wire
-/// format particle checkpoints travel in between banks (subdomain
-/// migration), whatever layout either side stores.
+/// Gather slot `i` of any view into a canonical AoS record, whatever
+/// layout the view stores (ParticleBank's element access).
 template <class View>
 inline Particle read_record(const View& v, std::size_t i) {
   Particle p;
@@ -178,12 +171,6 @@ inline void write_record(const View& v, std::size_t i, const Particle& p) {
   v.state(i) = p.state;
   v.rng_counter(i) = p.rng_counter;
   v.id(i) = p.id;
-}
-
-/// Copy one slot of a view onto another slot (bank compaction).
-template <class View>
-inline void copy_record(const View& v, std::size_t dst, std::size_t src) {
-  write_record(v, dst, read_record(v, src));
 }
 
 }  // namespace neutral

@@ -61,16 +61,8 @@ struct SimulationConfig {
   /// Enable §VI-A phase profiling (Over Particles only).
   bool profile = false;
   OverEventsOptions over_events;
-  /// Domain decomposition: the mesh slab this run owns.  Inactive (the
-  /// default) = the full mesh.  An active window allocates density/tally
-  /// storage only for the slab, sources only the particles *born* inside
-  /// it, and parks particles crossing out of it as kMigrating —
-  /// batch::run_domains drives the transport_round/extract/inject cycle.
-  /// Windows compose with every scheme and layout (the bank converts
-  /// migrant checkpoints at the boundary).
-  DomainWindow window;
-  /// Cooperative wall-clock deadline: run() and transport_round() check it
-  /// at timestep/round boundaries (never inside the hot tracking loop) and
+  /// Cooperative wall-clock deadline: step() checks it at timestep
+  /// boundaries (never inside the hot tracking loop) and
   /// throw TimeoutError once it passes.  The batch engine stamps this from
   /// QueuePolicy::max_run_wall so a long-lived service bounds every run;
   /// time_point::max() (the default) disables the check entirely.
@@ -100,22 +92,13 @@ struct RunResult {
   double tally_checksum = 0.0;        ///< positional checksum of the tally
   std::int64_t population = 0;        ///< surviving particles
   std::uint64_t tally_footprint_bytes = 0;
-  /// Peak mesh-resident bytes (tally + density slab) this run held — the
-  /// figure domain decomposition exists to shrink.  Merging takes the max,
-  /// so a reduced domain run reports its largest subdomain's slab.
+  /// Peak mesh-resident bytes (tally + density field) this run held.
   std::uint64_t peak_mesh_bytes = 0;
   /// Peak bank-proportional bytes this run held: particle storage plus the
-  /// Over Events flight-state workspace, tracked across sourcing and
-  /// migrant injection.  Max-merged like peak_mesh_bytes, so a decomposed
-  /// run reports its hungriest partial solve.
+  /// Over Events flight-state workspace.
   std::uint64_t peak_bank_bytes = 0;
-  /// The merged tally's integer cells; only windowed runs carry them (the
-  /// domain stitch copies their slabs into the full grid), so a plain run
-  /// holds no second copy of its mesh.
-  std::shared_ptr<const TallyImage> tally;
   /// §VI-A phase profile; all-zero unless the run profiled
-  /// (SimulationConfig::profile on a scheme with probes).  Extensive —
-  /// merging sums it, so domain runs report the whole solve.
+  /// (SimulationConfig::profile on a scheme with probes).
   PhaseProfiler::Report phases;
 
   /// Events per second — the throughput figure the harness reports.
@@ -124,15 +107,6 @@ struct RunResult {
                ? static_cast<double>(counters.total_events()) / total_seconds
                : 0.0;
   }
-
-  /// Merge another partial solve in: counters, kernel times, budget,
-  /// population and per-step data are all extensive sums.  total_seconds
-  /// becomes aggregate part seconds (subdomains overlap in wall time; the
-  /// decomposed row tracks wall clock separately — JobOutcome::seconds).
-  /// The tally checksum and image are NOT mergeable element-wise — they
-  /// are cleared here and recomputed by the domain stitch
-  /// (batch::run_domains).
-  RunResult& operator+=(const RunResult& o);
 };
 
 class Simulation {
@@ -145,14 +119,6 @@ class Simulation {
   /// takes when many jobs share geometry.  `world` must have been built
   /// from a deck with the same world_fingerprint as `config.deck`.
   Simulation(SimulationConfig config, std::shared_ptr<const World> world);
-
-  /// Windowed run with a prebuilt bank: batch::run_domains samples the
-  /// deck's id space ONCE and routes each birth to its owning subdomain,
-  /// so G subdomains cost one scan instead of G.  `bank` holds canonical
-  /// wire-format records — exactly the window's births, in id order
-  /// (validated); the bank converts to the configured layout on adoption.
-  Simulation(SimulationConfig config, std::shared_ptr<const World> world,
-             std::vector<Particle> bank);
 
   /// Advance one timestep and return its result.
   StepResult step();
@@ -179,8 +145,6 @@ class Simulation {
     return profiler_.get();
   }
 
-  /// The layout-polymorphic particle bank this run transports.
-  [[nodiscard]] const ParticleBank& bank() const { return bank_; }
   [[nodiscard]] std::int64_t surviving_population() const {
     return bank_.surviving_population();
   }
@@ -188,57 +152,15 @@ class Simulation {
     return bank_.in_flight_energy();
   }
 
-  // --- Domain decomposition (windowed runs; see batch/domain.h) ---------
-
-  /// The mesh slab this run owns (full mesh for ordinary runs).
-  [[nodiscard]] const DomainWindow& window() const { return window_; }
-  /// Current bank size (residents + injected immigrants; includes dead).
-  [[nodiscard]] std::int64_t bank_size() const {
-    return static_cast<std::int64_t>(bank_.size());
-  }
-  /// Particles this run sourced at t=0 (born inside the window).
-  [[nodiscard]] std::int64_t sourced_count() const { return sourced_count_; }
-
-  /// One transport round of a windowed run.  wake=true begins a timestep
-  /// (census -> alive with a fresh dt) — call once per timestep; wake=false
-  /// resumes only freshly injected mid-flight immigrants.  Counters and
-  /// seconds fold into the current timestep's StepResult, so summary()
-  /// reports deck.n_timesteps steps regardless of the round count.
-  StepResult transport_round(bool wake);
-
-  /// Move kMigrating particles out of the bank (appended to `out` in bank
-  /// order, flipped back to kAlive); returns how many were extracted.
-  std::size_t extract_migrants(std::vector<Particle>& out);
-
-  /// Re-bank mid-flight immigrant checkpoints (canonical wire format;
-  /// converted into this bank's layout on entry).  Every record's cell must
-  /// lie inside this run's window; the next transport_round(false) resumes
-  /// the histories exactly where the source subdomain parked them — Over
-  /// Events runs grow and re-stream their workspace to fit the arrivals.
-  void inject_migrants(const Particle* migrants, std::size_t count);
-
  private:
-  /// Common constructor; `prebuilt` (windowed runs only) is adopted as the
-  /// bank instead of scanning the id space.
-  Simulation(SimulationConfig config, std::shared_ptr<const World> world,
-             std::vector<Particle>* prebuilt);
-
-  /// One transport pass over the bank — the single scheme × layout dispatch
-  /// point (ParticleBank::with_view replaces the old step_aos/step_soa
-  /// fork).  wake_census starts a timestep; false resumes immigrants only.
-  StepResult step_transport(bool wake_census);
   /// Throw TimeoutError / Error when config.deadline passed or
-  /// config.cancel is set (called at timestep and round boundaries).
+  /// config.cancel is set (called at timestep boundaries).
   void check_interrupt() const;
-  void source_window_bank();
-  void adopt_window_bank(std::vector<Particle> bank);
   /// Fold the current bank + workspace bytes into the run's peak.
   void note_bank_peak();
 
   SimulationConfig config_;
   std::shared_ptr<const World> world_;
-  DomainWindow window_;   ///< config_.window, promoted to the full mesh
-  std::int64_t sourced_count_ = 0;  ///< particles sourced at t=0
   EnergyTally tally_;
   std::unique_ptr<PhaseProfiler> profiler_;
 

@@ -92,12 +92,7 @@ template <class View, class Hooks>
 inline void refresh_cell(const View& v, std::size_t i,
                          const TransportContext& ctx, FlightState& fs,
                          Hooks& hooks) {
-  const CellIndex c{v.cellx(i), v.celly(i)};
-  // Window-local storage index: same multiply-add as flat_index when the
-  // context carries the full-mesh window, a slab offset when domain
-  // decomposed.  Hand-built contexts without a window keep the old path.
-  fs.flat_cell = ctx.window.active() ? ctx.window.local_flat(c)
-                                     : ctx.mesh->flat_index(c);
+  fs.flat_cell = ctx.mesh->flat_index({v.cellx(i), v.celly(i)});
   hooks.density_load(fs.flat_cell);
   const double rho = ctx.density->g_cm3(fs.flat_cell);
   fs.n = number_density(rho, ctx.molar_mass_g_mol);
@@ -285,16 +280,6 @@ inline void handle_facet(const View& v, std::size_t i,
   }
   v.cellx(i) = c.x;
   v.celly(i) = c.y;
-  if (ctx.migrate && !ctx.window.contains(c)) {
-    // The neighbour cell belongs to another subdomain.  The record is now a
-    // complete mid-flight checkpoint (tally register already flushed above,
-    // clocks decayed, RNG counter current): park it for re-banking on the
-    // owner (batch::run_domains drains these between transport rounds).
-    ++ec.migrations;
-    v.state(i) = ParticleState::kMigrating;
-    hooks.phase_stop(Phase::kFacet);
-    return;
-  }
   refresh_cell(v, i, ctx, fs, hooks);
   hooks.phase_stop(Phase::kFacet);
 }

@@ -22,7 +22,7 @@
 // truncated to whole quanta once; after that only integer adds touch the
 // cell, and integer addition is associative, so a cell's words
 // depend only on the multiset of its deposits: every mode, thread count,
-// schedule, scheme and domain grid yields the same tally bit for bit, in
+// schedule and scheme yields the same tally bit for bit, in
 // the style of Demmel & Nguyen's ReproBLAS.  The strategies differ in
 // contention and memory only.  The price is resolution: a deposit below
 // one quantum truncates to zero, so on a deck whose dense material sets B
@@ -70,10 +70,9 @@ struct PendingDeposit {
   double amount;
 };
 
-/// A tally's cells and the quantum they count; a windowed run's result
-/// carries a copy for the domain stitch.  Read-out takes the nearest double
-/// to a cell's count times the quantum, and throws once a cell's high word
-/// reaches 2^62.
+/// A tally's cells and the quantum they count.  Read-out takes the nearest
+/// double to a cell's count times the quantum, and throws once a cell's
+/// high word reaches 2^62.
 struct TallyImage {
   aligned_vector<TallyCell> cells;
   double quantum = 0.0;  ///< energy of one count [eV]

@@ -54,19 +54,6 @@ struct EnergyBudget {
   [[nodiscard]] bool conserved(double tol = 1.0e-9) const {
     return conservation_error() <= tol && tally_consistency_error() <= tol;
   }
-
-  /// Merge another budget in (domain reduction): every term is extensive, so
-  /// a sum of conserved budgets is conserved.
-  EnergyBudget& operator+=(const EnergyBudget& o) {
-    initial += o.initial;
-    released += o.released;
-    in_flight += o.in_flight;
-    tally_total += o.tally_total;
-    path_heating += o.path_heating;
-    roulette_gained += o.roulette_gained;
-    roulette_killed += o.roulette_killed;
-    return *this;
-  }
 };
 
 /// Weighted in-flight energy of all non-dead particles.

@@ -16,8 +16,8 @@ StructuredMesh2D make_mesh(const ProblemDeck& d) {
 }
 
 DensityField make_density(const StructuredMesh2D& mesh,
-                          const DomainWindow& window, const ProblemDeck& d) {
-  DensityField field(mesh, window, d.base_density_kg_m3);
+                          const ProblemDeck& d) {
+  DensityField field(mesh, d.base_density_kg_m3);
   for (const RegionSpec& r : d.regions) {
     field.fill_rect(r.x0, r.y0, r.x1, r.y1, r.density_kg_m3);
   }
@@ -53,17 +53,13 @@ class FingerprintHasher {
 
 }  // namespace
 
-World::World(const ProblemDeck& deck) : World(deck, DomainWindow{}) {}
-
-World::World(const ProblemDeck& deck, const DomainWindow& slab)
+World::World(const ProblemDeck& deck)
     : mesh(make_mesh(deck)),
-      window(slab.active() ? slab : DomainWindow::full(mesh)),
-      density(make_density(mesh, window, deck)),
+      density(make_density(mesh, deck)),
       xs_capture(make_capture_table(deck.xs)),
       xs_scatter(make_scatter_table(deck.xs)),
       capture_rate(max_capture_rate(xs_capture)),
-      fingerprint(domain_world_fingerprint(deck, window)) {
-  NEUTRAL_REQUIRE(window.within(mesh), "domain window must fit the mesh");
+      fingerprint(world_fingerprint(deck)) {
   // One bin search and one interpolation weight serve both tables
   // (refresh_cross_sections), which is only sound when their energy grids
   // coincide knot for knot (synthetic tables built from one config do).
@@ -120,11 +116,6 @@ std::shared_ptr<const World> build_world(const ProblemDeck& deck) {
   return std::make_shared<const World>(deck);
 }
 
-std::shared_ptr<const World> build_world(const ProblemDeck& deck,
-                                         const DomainWindow& window) {
-  return std::make_shared<const World>(deck, window);
-}
-
 std::uint64_t world_fingerprint(const ProblemDeck& deck) {
   FingerprintHasher h;
   h.add_i64(deck.nx);
@@ -145,23 +136,6 @@ std::uint64_t world_fingerprint(const ProblemDeck& deck) {
   h.add_double(deck.xs.max_energy_ev);
   h.add_i64(deck.xs.resonances);
   h.add_u64(deck.xs.seed);
-  return h.value();
-}
-
-std::uint64_t domain_world_fingerprint(const ProblemDeck& deck,
-                                       const DomainWindow& window) {
-  const std::uint64_t base = world_fingerprint(deck);
-  if (!window.active() ||
-      (window.x0 == 0 && window.y0 == 0 && window.nx == deck.nx &&
-       window.ny == deck.ny)) {
-    return base;  // full-mesh window: the plain world, cache-compatible
-  }
-  FingerprintHasher h;
-  h.add_u64(base);
-  h.add_i64(window.x0);
-  h.add_i64(window.y0);
-  h.add_i64(window.nx);
-  h.add_i64(window.ny);
   return h.value();
 }
 

@@ -19,7 +19,6 @@
 #include "core/deck.h"
 #include "mesh/density_field.h"
 #include "mesh/mesh2d.h"
-#include "mesh/window.h"
 #include "xs/table.h"
 
 namespace neutral {
@@ -27,19 +26,10 @@ namespace neutral {
 struct World {
   explicit World(const ProblemDeck& deck);
 
-  /// Slab variant (domain decomposition): the mesh keeps its full,
-  /// cheap O(nx+ny) edge arrays — cell indices stay global — but the
-  /// density field allocates only the window's cells.  An inactive window
-  /// is promoted to the full mesh.
-  World(const ProblemDeck& deck, const DomainWindow& window);
-
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
   StructuredMesh2D mesh;
-  /// The slab the density (and any Simulation built on this world's tally)
-  /// covers; DomainWindow::full(mesh) for an unwindowed world.
-  DomainWindow window;
   DensityField density;
   CrossSectionTable xs_capture;
   CrossSectionTable xs_scatter;
@@ -64,29 +54,16 @@ double max_capture_rate(const CrossSectionTable& capture);
 /// one source particle's weighted energy w0*E0, or less on a deck too thin
 /// to absorb that in a timestep's flight — the track-length heating that
 /// flight can score at `capture_rate` (max_capture_rate) in the deck's
-/// densest material — so near-vacuum decks keep their resolution.  Its
-/// inputs are the deck and the capture table every subdomain of a
-/// decomposed run shares, so all subdomains set one quantum.
+/// densest material — so near-vacuum decks keep their resolution.
 double max_flush_energy(const ProblemDeck& deck, double capture_rate);
 
 /// Build a world on the heap (the only way to obtain one).
 std::shared_ptr<const World> build_world(const ProblemDeck& deck);
-
-/// Build a domain-slab world; an inactive window builds the full world.
-std::shared_ptr<const World> build_world(const ProblemDeck& deck,
-                                         const DomainWindow& window);
 
 /// Hash of exactly the deck fields that determine the world: mesh geometry,
 /// density description and cross-section table shape.  Run-control fields
 /// (particles, seed, timesteps, cutoffs...) do not contribute, so decks that
 /// differ only in those share a fingerprint — and can share a World.
 std::uint64_t world_fingerprint(const ProblemDeck& deck);
-
-/// Fingerprint of a windowed (domain-slab) world: world_fingerprint when
-/// the window covers the whole mesh, otherwise mixed with the window
-/// coordinates so slab worlds never collide with the full world or with
-/// each other in caches.
-std::uint64_t domain_world_fingerprint(const ProblemDeck& deck,
-                                       const DomainWindow& window);
 
 }  // namespace neutral

@@ -5,14 +5,9 @@
 namespace neutral {
 
 DensityField::DensityField(const StructuredMesh2D& mesh, double uniform_kg_m3)
-    : DensityField(mesh, DomainWindow::full(mesh), uniform_kg_m3) {}
-
-DensityField::DensityField(const StructuredMesh2D& mesh,
-                           const DomainWindow& window, double uniform_kg_m3)
-    : mesh_(&mesh), window_(window) {
+    : mesh_(&mesh) {
   NEUTRAL_REQUIRE(uniform_kg_m3 >= 0.0, "density must be non-negative");
-  NEUTRAL_REQUIRE(window_.within(mesh), "density window must fit the mesh");
-  rho_.assign(static_cast<std::size_t>(window_.num_cells()),
+  rho_.assign(static_cast<std::size_t>(mesh.num_cells()),
               uniform_kg_m3 * kKgM3ToGCm3);
 }
 
@@ -26,15 +21,13 @@ void DensityField::fill_rect(double x0, double y0, double x1, double y1,
   NEUTRAL_REQUIRE(kg_m3 >= 0.0, "density must be non-negative");
   NEUTRAL_REQUIRE(x0 <= x1 && y0 <= y1, "rectangle must be well-formed");
   const auto& m = *mesh_;
-  // Walk only the window's cells, but test GLOBAL cell centres: a slab
-  // field reproduces the full field's membership decisions exactly.
-  for (std::int32_t j = window_.y0; j < window_.y0 + window_.ny; ++j) {
+  for (std::int32_t j = 0; j < m.ny(); ++j) {
     const double cy = m.centre_y(j);
     if (cy < y0 || cy > y1) continue;
-    for (std::int32_t i = window_.x0; i < window_.x0 + window_.nx; ++i) {
+    for (std::int32_t i = 0; i < m.nx(); ++i) {
       const double cx = m.centre_x(i);
       if (cx < x0 || cx > x1) continue;
-      rho_[window_.local_flat({i, j})] = kg_m3 * kKgM3ToGCm3;
+      rho_[m.flat_index({i, j})] = kg_m3 * kKgM3ToGCm3;
     }
   }
 }

@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "mesh/mesh2d.h"
-#include "mesh/window.h"
 #include "util/aligned.h"
 
 namespace neutral {
@@ -25,13 +24,6 @@ class DensityField {
   /// All cells initialised to `uniform_kg_m3`.
   DensityField(const StructuredMesh2D& mesh, double uniform_kg_m3);
 
-  /// Slab variant: allocate only `window.num_cells()` cells (domain
-  /// decomposition).  Fills address the window's cells through the same
-  /// global cell-centre tests as the full field, so a windowed field holds
-  /// exactly the full field's values restricted to the window.
-  DensityField(const StructuredMesh2D& mesh, const DomainWindow& window,
-               double uniform_kg_m3);
-
   /// Overwrite every cell.
   void fill(double kg_m3);
 
@@ -40,9 +32,7 @@ class DensityField {
   /// centre square and layered-phantom examples.
   void fill_rect(double x0, double y0, double x1, double y1, double kg_m3);
 
-  /// Density of a flat-indexed cell in g/cm^3 (kernel hot path).  The
-  /// index is window-local: DomainWindow::local_flat for slab fields, which
-  /// degrades to the mesh's flat index for full-mesh fields.
+  /// Density of a flat-indexed cell in g/cm^3 (kernel hot path).
   [[nodiscard]] double g_cm3(std::int64_t flat) const { return rho_[flat]; }
 
   /// Density in the deck's native unit, for reporting.
@@ -55,12 +45,9 @@ class DensityField {
     return static_cast<std::int64_t>(rho_.size());
   }
   [[nodiscard]] const StructuredMesh2D& mesh() const { return *mesh_; }
-  /// The mesh window this field's storage covers (full mesh by default).
-  [[nodiscard]] const DomainWindow& window() const { return window_; }
 
  private:
   const StructuredMesh2D* mesh_;
-  DomainWindow window_;
   aligned_vector<double> rho_;  // g/cm^3
 };
 

@@ -66,7 +66,6 @@ std::uint64_t NeutralClient::submit(const SubmitRequest& request) {
   put("layout", request.layout);
   put("tally", request.tally);
   put("schedule", request.schedule);
-  put("domains", request.domains);
   if (request.threads > 0) {
     fields["threads"] = std::to_string(request.threads);
   }

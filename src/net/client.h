@@ -21,15 +21,13 @@ namespace neutral::net {
 /// remaining knobs mirror the `neutral_batch` flags of the same names and
 /// are forwarded verbatim for the server to parse.  scheme/layout/tally/
 /// schedule/threads apply to DECK submissions only (a sweep spec names
-/// its own base knobs; the server refuses the overlap); domains is an
-/// execution option and applies to both.
+/// its own base knobs; the server refuses the overlap).
 struct SubmitRequest {
   std::string deck_text;  ///< one .params deck (io/deck_io.h format)
   std::string spec_text;  ///< a sweep spec (batch/sweep.h format)
   std::string label;      ///< row label override (single-job submits)
   std::string scheme, layout, tally, schedule;
   std::int32_t threads = 0;
-  std::string domains;  ///< "RxC" or empty
 };
 
 /// Final state of one submission: the server's status plus its result rows

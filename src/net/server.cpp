@@ -693,10 +693,11 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
   }
 
   // A key this handler does not read would otherwise be dropped without a
-  // word — a misspelt "domain" would run plain — so refuse it by name.
+  // word — a misspelt "layot" or a removed option such as "domains" would
+  // run with the default — so refuse it by name.
   static const std::set<std::string> kSubmitKeys = {
-      "op",     "deck",  "spec",     "label",   "scheme",
-      "layout", "tally", "schedule", "threads", "domains"};
+      "op",     "deck",  "spec",     "label",  "scheme",
+      "layout", "tally", "schedule", "threads"};
   for (const auto& field : request) {
     NEUTRAL_REQUIRE(kSubmitKeys.count(field.first) != 0,
                     "submit does not accept the field '" + field.first + "'");
@@ -716,7 +717,6 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
   copy("layout", sub->layout);
   copy("tally", sub->tally);
   copy("schedule", sub->schedule);
-  copy("domains", sub->domains);
   sub->threads = static_cast<std::int32_t>(field_int(request, "threads", 0));
 
   // Validate everything parseable up front so the client hears about a
@@ -730,8 +730,7 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
     sub->spec_text = spec_it->second;
     jobs = batch::sweep_size(batch::parse_sweep(sub->spec_text));
     // A sweep spec names its own base knobs; per-request overrides would
-    // be silently ignored, so refuse them (domains is an execution option
-    // and still applies).
+    // be silently ignored, so refuse them.
     NEUTRAL_REQUIRE(sub->scheme.empty() && sub->layout.empty() &&
                         sub->tally.empty() && sub->schedule.empty() &&
                         sub->threads == 0,
@@ -742,7 +741,6 @@ Fields NeutralServer::handle_submit(Connection& conn, const Fields& request) {
   if (!sub->layout.empty()) (void)layout_from_string(sub->layout);
   if (!sub->tally.empty()) (void)tally_mode_from_string(sub->tally);
   if (!sub->schedule.empty()) (void)schedule_from_string(sub->schedule);
-  (void)batch::Decomposition::parse(sub->domains);
 
   {
     MutexLock lock(mutex_);
@@ -951,9 +949,7 @@ void NeutralServer::execute(const std::shared_ptr<Submission>& sub) {
       }
       spec.base.threads = sub->threads;
     }
-    const batch::Decomposition how =
-        batch::Decomposition::parse(sub->domains);
-    std::vector<Job> sweep_jobs = batch::expand_sweep(spec, how.domains());
+    std::vector<Job> sweep_jobs = batch::expand_sweep(spec);
     if (!sub->label.empty() && sweep_jobs.size() == 1) {
       sweep_jobs.front().label = sub->label;
     }
@@ -969,7 +965,7 @@ void NeutralServer::execute(const std::shared_ptr<Submission>& sub) {
     // Every job of the submission shares one cooperative cancel flag, so a
     // client `cancel` stops in-flight work at the next timestep boundary.
     const BatchReport report = batch::run_sweep(
-        engine_, std::move(sweep_jobs), how, sub->cancel.get(),
+        engine_, std::move(sweep_jobs), sub->cancel.get(),
         [&](const JobOutcome& outcome) {
           {
             MutexLock lock(mutex_);

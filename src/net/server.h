@@ -1,6 +1,6 @@
 // neutrald's serving core: an event-loop TCP front-end for the batch engine.
 //
-// The batch runtime (engine × domains × schemes × layouts) is a
+// The batch runtime (engine × schemes × layouts) is a
 // fork-join library: a caller builds jobs, blocks in BatchEngine::run, and
 // exits.  NeutralServer turns it into a long-lived service: clients
 // connect over TCP, submit decks or whole sweep specs, and the daemon runs
@@ -8,8 +8,8 @@
 // WorldCache, and a thousand submissions of one geometry build its World
 // once.  Physics is untouched: a loopback-submitted deck returns the same
 // bit-identical checksum/population as an in-process run of the same
-// configuration, for every scheme × layout × domain combination
-// (test_net pins this).
+// configuration, for every scheme × layout combination (test_net pins
+// this).
 //
 // Protocol (see net/frame.h for the framing): one flat JSON object per
 // line, request → one or more reply frames on the same connection.
@@ -17,9 +17,9 @@
 //   {"op":"ping"}                      -> {"ok":"1",...}
 //   {"op":"submit","deck":<.params text>,
 //    "scheme":..,"layout":..,"tally":..,"schedule":..,"threads":..,
-//    "domains":"RxC","label":..}
+//    "label":..}
 //                                      -> {"ok":"1","id":N,"jobs":K}
-//   {"op":"submit","spec":<sweep spec text>,"domains":..}
+//   {"op":"submit","spec":<sweep spec text>}
 //                                      -> same; the spec expands server-side
 //   (a submit carrying any other key is refused with an error naming it)
 //   {"op":"status"}                    -> server totals + world-cache stats
@@ -57,10 +57,10 @@
 // Deadlines come from EngineOptions::policy: max_queue_wait bounds the
 // wait from the daemon accepting a submission to a worker starting each of
 // its jobs (time spent behind earlier submissions included), max_run_wall
-// bounds each run — an expired job completes as `timed_out`, its group
-// cancels like a failure, and the daemon keeps serving.  A client `cancel`
-// flips the submission's cooperative flag (SimulationConfig::cancel),
-// stopping in-flight work at the next timestep/round boundary.
+// bounds each run — an expired job completes as `timed_out` and the
+// daemon keeps serving.  A client `cancel` flips the submission's
+// cooperative flag (SimulationConfig::cancel), stopping in-flight work at
+// the next timestep boundary.
 #pragma once
 
 #include <atomic>
@@ -135,8 +135,7 @@ struct ServerOptions {
   std::string trace_path;
 };
 
-/// One finished row of a submission — one sweep job (plain) or one
-/// decomposed solve (--domains).
+/// One finished row of a submission — one sweep job.
 struct RemoteRow {
   std::string label;
   std::int64_t particles = 0;
@@ -199,7 +198,6 @@ class NeutralServer {
     std::string spec_text;
     std::string scheme, layout, tally, schedule;
     std::int32_t threads = 0;
-    std::string domains;  ///< "RxC" or empty
     /// When the daemon accepted the submission: its jobs' max_queue_wait
     /// deadlines count from here, not from when the executor reaches it.
     std::chrono::steady_clock::time_point accepted{};

@@ -29,9 +29,6 @@ void TraceLog::record(const TraceEvent& event) {
   std::string line = "{\"ts_ns\":" + std::to_string(ts_ns);
   line += ",\"event\":\"" + json_escape(event.event) + "\"";
   line += ",\"job\":" + std::to_string(event.job_id);
-  if (event.group != 0) {
-    line += ",\"group\":" + std::to_string(event.group);
-  }
   if (!event.label.empty()) {
     line += ",\"label\":\"" + json_escape(event.label) + "\"";
   }

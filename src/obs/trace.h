@@ -1,6 +1,6 @@
 // Structured JSONL trace of job lifecycles.
 //
-// One line per span edge — submitted, queued, started, round, then exactly
+// One line per span edge — submitted, queued, started, then exactly
 // one of completed/failed/timed_out/cancelled — with monotonic timestamps
 // (ns since the log opened) and the two durations operators actually chart:
 // queue wait and run wall.  Lines are self-contained JSON objects so the
@@ -21,14 +21,13 @@
 namespace neutral::obs {
 
 struct TraceEvent {
-  std::string event;          ///< submitted|queued|started|round|completed|...
+  std::string event;          ///< submitted|queued|started|completed|...
   std::uint64_t job_id = 0;
-  std::uint64_t group = 0;    ///< fork-join group (0 = none)
   std::string label;
   std::int32_t worker = -1;   ///< worker index (< 0 = not yet assigned)
   double queue_wait_s = -1.0; ///< pop time - submit time (< 0 = unknown)
   double run_wall_s = -1.0;   ///< solve wall seconds (< 0 = unknown)
-  std::string detail;         ///< error text, round summary, ...
+  std::string detail;         ///< error text, ...
 };
 
 /// Append-only JSONL sink.  Thread-safe; flushes per line.  Throws

@@ -69,8 +69,8 @@ class PhaseProfiler {
     slot.visits[static_cast<int>(phase)] += 1;
   }
 
-  /// Aggregated results across threads.  Extensive: summing reports from
-  /// domain partial solves yields the whole solve's profile.
+  /// Aggregated results across threads.  Extensive: summing the reports of
+  /// several runs yields their combined profile.
   struct Report {
     std::array<std::uint64_t, kNumPhases> cycles{};
     std::array<std::uint64_t, kNumPhases> visits{};

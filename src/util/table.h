@@ -30,7 +30,7 @@ class ResultTable {
   static std::string cell(long v);
   static std::string cell(unsigned long long v);
   /// Round-trippable %.17g cell — for values diffed bit-for-bit across
-  /// runs (decomposed-run checksums).
+  /// runs (tally checksums).
   static std::string cell_full(double v);
 
  private:

@@ -1,9 +1,8 @@
 // Unit tests for ParticleBank: layout-polymorphic storage, the canonical
-// wire-format conversion at bank boundaries, sourcing, and the migration
-// mutation ops (extract/inject/compaction) in both layouts.
+// record conversion at the bank boundary, sourcing, and the population /
+// in-flight energy walks in both layouts.
 #include <gtest/gtest.h>
 
-#include <vector>
 
 #include "core/bank.h"
 #include "core/deck.h"
@@ -44,12 +43,21 @@ TEST_P(BankLayouts, RecordRoundTripsThroughEitherLayout) {
   for (std::size_t i = 0; i < 5; ++i) {
     const Particle expect = make_particle(i, ParticleState::kAlive);
     const Particle got = bank.get(i);
-    EXPECT_EQ(got.id, expect.id);
+    // Every field of the canonical record survives either layout.
     EXPECT_EQ(got.x, expect.x);
+    EXPECT_EQ(got.y, expect.y);
+    EXPECT_EQ(got.omega_x, expect.omega_x);
+    EXPECT_EQ(got.omega_y, expect.omega_y);
     EXPECT_EQ(got.energy, expect.energy);
+    EXPECT_EQ(got.weight, expect.weight);
+    EXPECT_EQ(got.dt_to_census, expect.dt_to_census);
+    EXPECT_EQ(got.mfp_to_collision, expect.mfp_to_collision);
     EXPECT_EQ(got.cellx, expect.cellx);
-    EXPECT_EQ(got.rng_counter, expect.rng_counter);
+    EXPECT_EQ(got.celly, expect.celly);
+    EXPECT_EQ(got.xs_index, expect.xs_index);
     EXPECT_EQ(got.state, expect.state);
+    EXPECT_EQ(got.rng_counter, expect.rng_counter);
+    EXPECT_EQ(got.id, expect.id);
     EXPECT_EQ(bank.id(i), expect.id);
     EXPECT_EQ(bank.state(i), expect.state);
   }
@@ -59,35 +67,15 @@ TEST_P(BankLayouts, RecordRoundTripsThroughEitherLayout) {
   EXPECT_EQ(bank.state(2), ParticleState::kCensus);
 }
 
-TEST_P(BankLayouts, ExtractCompactsAndInjectConverts) {
+TEST_P(BankLayouts, PopulationCountsEveryNonDeadParticle) {
   ParticleBank bank(GetParam());
   bank.append(make_particle(0, ParticleState::kCensus));
-  bank.append(make_particle(1, ParticleState::kMigrating));
+  bank.append(make_particle(1, ParticleState::kAlive));
   bank.append(make_particle(2, ParticleState::kDead));
-  bank.append(make_particle(3, ParticleState::kMigrating));
-  bank.append(make_particle(4, ParticleState::kAlive));
-
-  std::vector<Particle> out;
-  EXPECT_EQ(bank.extract_migrants(out), 2u);
-  ASSERT_EQ(out.size(), 2u);
-  // Extracted in bank order, flipped to kAlive (the checkpoint resumes
-  // mid-flight on the owner).
-  EXPECT_EQ(out[0].id, 1u);
-  EXPECT_EQ(out[1].id, 3u);
-  EXPECT_EQ(out[0].state, ParticleState::kAlive);
-  // Survivors compacted over the holes, order preserved, dead retained.
-  ASSERT_EQ(bank.size(), 3u);
-  EXPECT_EQ(bank.id(0), 0u);
-  EXPECT_EQ(bank.id(1), 2u);
-  EXPECT_EQ(bank.id(2), 4u);
-  EXPECT_EQ(bank.surviving_population(), 2);
-
-  // Inject re-banks the wire-format records whatever this bank's layout.
-  bank.inject(out.data(), out.size());
-  ASSERT_EQ(bank.size(), 5u);
-  EXPECT_EQ(bank.id(3), 1u);
-  EXPECT_EQ(bank.id(4), 3u);
-  EXPECT_EQ(bank.get(4).rng_counter, make_particle(3, {}).rng_counter);
+  bank.append(make_particle(3, ParticleState::kAlive));
+  EXPECT_EQ(bank.surviving_population(), 3);
+  // Three live particles of weight 0.5 at 1 MeV; the dead one carries none.
+  EXPECT_DOUBLE_EQ(bank.in_flight_energy(), 3 * 0.5 * 1.0e6);
 }
 
 TEST_P(BankLayouts, SourceMatchesSampleBirth) {
@@ -111,51 +99,11 @@ TEST_P(BankLayouts, SourceMatchesSampleBirth) {
   EXPECT_GT(bank.in_flight_energy(), 0.0);
 }
 
-TEST_P(BankLayouts, AssignAdoptsWireRecords) {
-  std::vector<Particle> records;
-  for (std::uint64_t id = 10; id < 14; ++id) {
-    records.push_back(make_particle(id, ParticleState::kCensus));
-  }
-  ParticleBank bank(GetParam());
-  bank.assign(records);
-  ASSERT_EQ(bank.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(bank.id(i), 10 + i);
-}
-
 INSTANTIATE_TEST_SUITE_P(Layouts, BankLayouts,
                          ::testing::Values(Layout::kAoS, Layout::kSoA),
                          [](const ::testing::TestParamInfo<Layout>& info) {
                            return info.param == Layout::kAoS ? "AoS" : "SoA";
                          });
-
-// Cross-layout hand-off: migrants extracted from an AoS bank inject into an
-// SoA bank (and back) without loss — the boundary conversion domains rely
-// on when schemes/layouts differ per subdomain configuration.
-TEST(ParticleBank, WireFormatCrossesLayoutBoundaries) {
-  ParticleBank aos(Layout::kAoS);
-  aos.append(make_particle(1, ParticleState::kMigrating));
-  aos.append(make_particle(2, ParticleState::kAlive));
-
-  std::vector<Particle> wire;
-  ASSERT_EQ(aos.extract_migrants(wire), 1u);
-
-  ParticleBank soa(Layout::kSoA);
-  soa.inject(wire.data(), wire.size());
-  ASSERT_EQ(soa.size(), 1u);
-  const Particle p = soa.get(0);
-  EXPECT_EQ(p.id, 1u);
-  EXPECT_EQ(p.state, ParticleState::kAlive);
-  EXPECT_EQ(p.xs_index, make_particle(1, {}).xs_index);
-
-  // And back: SoA -> wire -> AoS.
-  soa.set(0, make_particle(1, ParticleState::kMigrating));
-  wire.clear();
-  ASSERT_EQ(soa.extract_migrants(wire), 1u);
-  EXPECT_TRUE(soa.empty());
-  ParticleBank back(Layout::kAoS);
-  back.inject(wire.data(), wire.size());
-  EXPECT_EQ(back.get(0).id, 1u);
-}
 
 }  // namespace
 }  // namespace neutral

@@ -1,5 +1,5 @@
 // Tests for the batch execution engine: sweep expansion, submission-order
-// dispatch, deadline policy, group cancellation, the shared world cache,
+// dispatch, deadline policy, failure isolation, the shared world cache,
 // end-to-end determinism of batched runs against serial Simulation::run(),
 // and the CLI's exit-status, record and table contracts.
 #include <gtest/gtest.h>
@@ -52,16 +52,6 @@ SimulationConfig tiny_config(std::int64_t particles = 400) {
   cfg.deck = tiny_deck(particles);
   cfg.threads = 1;
   return cfg;
-}
-
-/// A two-timestep job in fork-join group `group` (0 = ungrouped).
-Job grouped_job(std::uint64_t id, std::uint64_t group,
-                std::int64_t particles = 100) {
-  SimulationConfig cfg = tiny_config(particles);
-  cfg.deck.n_timesteps = 2;
-  Job job = batch::make_job(id, cfg);
-  job.group = group;
-  return job;
 }
 
 // ---------------------------------------------------------------------------
@@ -259,105 +249,66 @@ TEST(SharedWorld, MismatchedWorldIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch order, deadlines and group cancellation
+// Dispatch order, deadlines and failure isolation
 // ---------------------------------------------------------------------------
 
 TEST(Engine, JobsStartInSubmissionOrder) {
-  // One worker takes the job list front to back: start order is
-  // submission order, whatever the ids.
+  // One worker takes the job list front to back and finishes each job
+  // before it takes the next: completion order is submission order,
+  // whatever the ids.
   const std::vector<std::uint64_t> ids = {4, 9, 1, 7, 0, 3};
-  std::vector<std::uint64_t> started;  // one worker: no lock needed
+  std::vector<std::uint64_t> finished;  // serialised callback: no lock
   std::vector<Job> jobs;
   for (std::uint64_t id : ids) {
-    Job job = batch::make_job(id, tiny_config(50));
-    job.work = [&started, id] {
-      started.push_back(id);
-      return RunResult{};
-    };
-    jobs.push_back(std::move(job));
+    jobs.push_back(batch::make_job(id, tiny_config(50)));
   }
   EngineOptions options;
   options.workers = 1;
   BatchEngine engine(options);
-  const BatchReport report = engine.run(std::move(jobs));
+  const BatchReport report =
+      engine.run(std::move(jobs), [&finished](const JobOutcome& outcome) {
+        finished.push_back(outcome.job_id);
+      });
   EXPECT_EQ(report.completed(), ids.size());
-  EXPECT_EQ(started, ids);
-}
-
-TEST(Engine, EveryJobOfManyFailingGroupsGetsOneOutcome) {
-  // Many failing groups in one run: every job gets exactly one outcome
-  // (its leader failed or it was cancelled), and nothing hangs.
-  std::vector<Job> jobs;
-  for (std::uint64_t group = 1; group <= 16; ++group) {
-    SimulationConfig bad = tiny_config();
-    bad.deck.n_particles = 0;  // every group's first job fails
-    Job leader = batch::make_job(group * 10, bad);
-    leader.group = group;
-    jobs.push_back(std::move(leader));
-    Job sibling = batch::make_job(group * 10 + 1, tiny_config(50));
-    sibling.group = group;
-    jobs.push_back(std::move(sibling));
-  }
-  EngineOptions options;
-  options.workers = 1;
-  BatchEngine engine(options);
-  std::size_t callbacks = 0;  // serialised callback: no lock needed
-  const BatchReport report = engine.run(
-      std::move(jobs), [&callbacks](const JobOutcome&) { ++callbacks; });
-  ASSERT_EQ(report.jobs.size(), 32u);
-  EXPECT_EQ(callbacks, 32u);
-  for (std::size_t i = 0; i < report.jobs.size(); ++i) {
-    const JobOutcome& outcome = report.jobs[i];
-    EXPECT_FALSE(outcome.ok);
-    // One worker: each sibling is reached after its leader failed.
-    EXPECT_EQ(outcome.cancelled, i % 2 == 1) << i;
-  }
-  EXPECT_EQ(report.cancelled(), 16u);
+  EXPECT_EQ(finished, ids);
 }
 
 TEST(Engine, QueueWaitDeadlineExpiresQueuedJobs) {
-  // One worker pinned by a slow custom job: the jobs behind it overstay
+  // One worker held by a slow job: the jobs behind it overstay
   // max_queue_wait and must complete as timed_out without running.
   EngineOptions options;
   options.workers = 1;
+  options.threads_per_job = 1;
   options.policy.max_queue_wait = std::chrono::milliseconds(40);
   BatchEngine engine(options);
 
-  std::atomic<int> ran{0};
+  SimulationConfig slow = tiny_config(2000);
+  slow.deck.n_timesteps = 60;
   std::vector<Job> jobs;
-  Job slow = batch::make_job(0, tiny_config(50));
-  slow.work = [&ran] {
-    ran.fetch_add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    return RunResult{};
-  };
-  jobs.push_back(std::move(slow));
+  jobs.push_back(batch::make_job(0, slow));
   for (std::uint64_t id = 1; id <= 3; ++id) {
-    Job blocked = batch::make_job(id, tiny_config(50));
-    blocked.work = [&ran] {
-      ran.fetch_add(1);
-      return RunResult{};
-    };
-    jobs.push_back(std::move(blocked));
+    jobs.push_back(batch::make_job(id, tiny_config(50)));
   }
 
   const BatchReport report = engine.run(std::move(jobs));
   ASSERT_EQ(report.jobs.size(), 4u);
-  EXPECT_TRUE(report.jobs[0].ok);
+  ASSERT_TRUE(report.jobs[0].ok) << report.jobs[0].error;
+  ASSERT_GT(report.jobs[0].seconds, 0.04) << "slow job too fast to block";
   for (std::size_t i = 1; i < 4; ++i) {
     EXPECT_FALSE(report.jobs[i].ok);
     EXPECT_TRUE(report.jobs[i].timed_out);
     EXPECT_NE(report.jobs[i].error.find("max_queue_wait"),
               std::string::npos);
+    // Expired jobs never ran: no transport events.
+    EXPECT_EQ(report.jobs[i].result.counters.total_events(), 0u);
   }
   EXPECT_EQ(report.timed_out(), 3u);
-  EXPECT_EQ(ran.load(), 1);  // expired jobs never ran
 }
 
-TEST(Engine, RunWallDeadlineTimesOutAndCancelsTheGroup) {
-  // A grouped job that overruns max_run_wall aborts at a timestep boundary
-  // (cooperative SimulationConfig::deadline), completes as timed_out, and
-  // cancels its still-queued sibling like any failure would.
+TEST(Engine, RunWallDeadlineTimesOutOnlyTheOverrunningJob) {
+  // A job that overruns max_run_wall aborts at a timestep boundary
+  // (cooperative SimulationConfig::deadline) and completes as timed_out;
+  // the quick job after it still runs.
   EngineOptions options;
   options.workers = 1;
   options.threads_per_job = 1;
@@ -367,55 +318,15 @@ TEST(Engine, RunWallDeadlineTimesOutAndCancelsTheGroup) {
   SimulationConfig slow = tiny_config(2000);
   slow.deck.n_timesteps = 500;
   std::vector<Job> jobs;
-  Job leader = batch::make_job(0, slow);
-  leader.group = 3;
-  jobs.push_back(std::move(leader));
-  Job sibling = batch::make_job(1, slow);
-  sibling.group = 3;
-  jobs.push_back(std::move(sibling));
+  jobs.push_back(batch::make_job(0, slow));
+  jobs.push_back(batch::make_job(1, tiny_config(50)));
 
   const BatchReport report = engine.run(std::move(jobs));
   ASSERT_EQ(report.jobs.size(), 2u);
   EXPECT_FALSE(report.jobs[0].ok);
   EXPECT_TRUE(report.jobs[0].timed_out);
-  EXPECT_TRUE(report.jobs[1].cancelled);
+  EXPECT_TRUE(report.jobs[1].ok) << report.jobs[1].error;
   EXPECT_EQ(report.timed_out(), 1u);
-}
-
-TEST(Engine, FailedGroupMemberCancelsItsSiblings) {
-  // One worker, so no worker has reached the bad job's siblings when it
-  // fails; all of them must end cancelled, not run.
-  std::vector<Job> jobs;
-  SimulationConfig bad = tiny_config();
-  bad.deck.n_particles = 0;  // Simulation rejects an empty bank
-  Job bad_job = batch::make_job(0, bad);
-  bad_job.group = 5;
-  jobs.push_back(std::move(bad_job));
-  for (std::uint64_t id = 1; id <= 4; ++id) {
-    jobs.push_back(grouped_job(id, 5, 4000));
-  }
-  // An ungrouped bystander and a job of another group must survive.
-  jobs.push_back(grouped_job(5, 0));
-  jobs.push_back(grouped_job(6, 6));
-
-  EngineOptions options;
-  options.workers = 1;
-  BatchEngine engine(options);
-  const BatchReport report = engine.run(std::move(jobs));
-  ASSERT_EQ(report.jobs.size(), 7u);
-  EXPECT_FALSE(report.jobs[0].ok);
-  EXPECT_FALSE(report.jobs[0].cancelled);
-  for (std::size_t i = 1; i <= 4; ++i) {
-    EXPECT_FALSE(report.jobs[i].ok) << i;
-    EXPECT_TRUE(report.jobs[i].cancelled) << i;
-    EXPECT_NE(report.jobs[i].error.find("sibling job 0 failed"),
-              std::string::npos)
-        << report.jobs[i].error;
-  }
-  EXPECT_TRUE(report.jobs[5].ok);
-  EXPECT_TRUE(report.jobs[6].ok) << report.jobs[6].error;
-  EXPECT_EQ(report.failed(), 5u);
-  EXPECT_EQ(report.cancelled(), 4u);
 }
 
 TEST(SimulationInterrupt, DeadlineAndCancelAbortBetweenTimesteps) {
@@ -658,9 +569,9 @@ TEST(Engine, ReportsWorldCacheHitsAndThroughput) {
   EXPECT_EQ(again.cache.hits, 4u);
 }
 
-TEST(Engine, DecomposedRowIsCountedOnceWithItsMergedResult) {
-  // A 2x2 sweep runs many subdomain round jobs per row; the job metrics
-  // must count rows, with the stitched result's events, not the rounds.
+TEST(Engine, EverySweepRowIsCountedOnceWithItsEvents) {
+  // The job metrics count one observation per sweep row, carrying that
+  // row's events.
   SweepSpec spec;
   spec.base = tiny_config(300);
   spec.axes.schemes = {Scheme::kOverParticles, Scheme::kOverEvents};
@@ -671,8 +582,7 @@ TEST(Engine, DecomposedRowIsCountedOnceWithItsMergedResult) {
   options.metrics = &registry;
   BatchEngine engine(options);
   const BatchReport report =
-      batch::run_sweep(engine, batch::expand_sweep(spec, true),
-                       batch::Decomposition::parse("2x2"));
+      batch::run_sweep(engine, batch::expand_sweep(spec));
   ASSERT_EQ(report.completed(), 4u);
 
   EventCounters rows;
@@ -744,12 +654,16 @@ TEST(Engine, DuplicateJobIdsAreRejected) {
 
 #ifdef NEUTRAL_BATCH_BIN
 
-/// Spawn the real neutral_batch binary and return its exit status.
-int run_cli(const std::string& args) {
-  const std::string cmd =
-      std::string(NEUTRAL_BATCH_BIN) + " " + args + " > /dev/null 2>&1";
+/// Spawn the real binary `bin` and return its exit status.
+int run_binary(const std::string& bin, const std::string& args) {
+  const std::string cmd = bin + " " + args + " > /dev/null 2>&1";
   const int rc = std::system(cmd.c_str());
   return rc < 0 ? rc : WEXITSTATUS(rc);
+}
+
+/// Spawn the real neutral_batch binary and return its exit status.
+int run_cli(const std::string& args) {
+  return run_binary(NEUTRAL_BATCH_BIN, args);
 }
 
 /// Unique scratch path in the ctest working directory.
@@ -794,6 +708,12 @@ TEST(CliExitStatus, MalformedDeckInASweepFailsLoudly) {
 TEST(CliExitStatus, RemovedEngineFlagsAreRefused) {
   EXPECT_EQ(run_cli("--priority-aging-ms 5 --write-spec /dev/null"), 2);
   EXPECT_EQ(run_cli("--queue-capacity 4 --write-spec /dev/null"), 2);
+  // Mesh decomposition is gone: --domains is an unknown flag, not a
+  // silent plain run.
+  EXPECT_EQ(run_cli("--domains 2x2 --write-spec /dev/null"), 2);
+#ifdef NEUTRAL_BIN
+  EXPECT_EQ(run_binary(NEUTRAL_BIN, "--domains 2x2 --particles 10"), 2);
+#endif
 }
 
 TEST(CliExitStatus, HealthySweepStillExitsZero) {
@@ -809,41 +729,28 @@ TEST(CliExitStatus, HealthySweepStillExitsZero) {
   std::remove(csv.c_str());
 }
 
-TEST(CliRecords, DecomposedSweepWritesOneWholeDeckRecordPerJob) {
-  // --record-dir records the stitched row, not the subdomain rounds: one
-  // file per sweep job, holding the whole deck's particles and censuses.
+TEST(CliRecords, SweepWritesOneRecordPerJob) {
+  // --record-dir writes one file per sweep job, holding that job's deck.
   namespace fs = std::filesystem;
   const std::string spec = scratch("records.spec");
-  const fs::path plain_dir = scratch("records_plain");
-  const fs::path domain_dir = scratch("records_domains");
+  const fs::path dir = scratch("records_dir");
   const std::string csv = scratch("records.csv");
-  fs::create_directories(plain_dir);
-  fs::create_directories(domain_dir);
+  fs::create_directories(dir);
   {
     std::ofstream out(spec);
     out << "deck csp\nmesh_scale 0.02\ntimesteps 1\nthreads 1\n"
            "axis particles 100 200\n";
   }
-  const std::string common = "--spec " + spec + " --quiet --csv " + csv;
-  ASSERT_EQ(run_cli(common + " --record-dir " + plain_dir.string()), 0);
-  ASSERT_EQ(run_cli(common + " --domains 2x2 --record-dir " +
-                    domain_dir.string()),
+  ASSERT_EQ(run_cli("--spec " + spec + " --quiet --csv " + csv +
+                    " --record-dir " + dir.string()),
             0);
 
-  const auto files = std::distance(fs::directory_iterator(domain_dir),
-                                   fs::directory_iterator());
+  const auto files =
+      std::distance(fs::directory_iterator(dir), fs::directory_iterator());
   EXPECT_EQ(files, 2);
-  for (const char* name : {"job_0.results", "job_1.results"}) {
-    const ExpectedResults plain = load_results((plain_dir / name).string());
-    const ExpectedResults decomposed =
-        load_results((domain_dir / name).string());
-    EXPECT_EQ(decomposed.particles, plain.particles) << name;
-    EXPECT_EQ(decomposed.censuses, plain.censuses) << name;
-    EXPECT_EQ(decomposed.facets, plain.facets) << name;
-    EXPECT_EQ(decomposed.collisions, plain.collisions) << name;
-  }
-  fs::remove_all(plain_dir);
-  fs::remove_all(domain_dir);
+  EXPECT_EQ(load_results((dir / "job_0.results").string()).particles, 100);
+  EXPECT_EQ(load_results((dir / "job_1.results").string()).particles, 200);
+  fs::remove_all(dir);
   std::remove(spec.c_str());
   std::remove(csv.c_str());
 }
@@ -859,9 +766,8 @@ std::vector<std::string> csv_fields(const std::string& line) {
 }
 
 TEST(CliTable, EventsPerSecondIsEventsOverSolveSecondsOnEveryRow) {
-  // One definition of events/s for every row: events / solve [s].  A
-  // domain row's result.total_seconds sums its subdomains' transport time,
-  // which is not the row's wall time, so the rate must not come from it.
+  // One definition of events/s for every row: events / solve [s], the
+  // row's wall rate.  Every local row also carries its peak bank bytes.
   const std::string spec = scratch("rate.spec");
   const std::string csv = scratch("rate.csv");
   {
@@ -869,69 +775,39 @@ TEST(CliTable, EventsPerSecondIsEventsOverSolveSecondsOnEveryRow) {
     out << "deck csp\nmesh_scale 0.02\ntimesteps 1\nthreads 1\n"
            "particles 20000\n";
   }
-  for (const char* mode : {"", " --domains 2x2"}) {
-    SCOPED_TRACE(mode[0] != '\0' ? mode : "plain");
-    ASSERT_EQ(run_cli("--spec " + spec + " --quiet --csv " + csv + mode), 0);
-    std::ifstream in(csv);
-    std::string header;
-    std::string line;
-    ASSERT_TRUE(std::getline(in, header));
-    ASSERT_TRUE(std::getline(in, line));
-    const std::vector<std::string> head = csv_fields(header);
-    const std::vector<std::string> row = csv_fields(line);
-    ASSERT_EQ(row.size(), head.size()) << line;
-    ASSERT_EQ(head[4], "events");
-    ASSERT_EQ(head[5], "events/s");
-    ASSERT_EQ(head[6], "solve [s]");
-    const double events = std::strtod(row[4].c_str(), nullptr);
-    const double rate = std::strtod(row[5].c_str(), nullptr);
-    const double solve = std::strtod(row[6].c_str(), nullptr);
-    ASSERT_GT(events, 0.0);
-    ASSERT_GT(solve, 0.005) << "solve too short to resolve the rate";
-    // solve [s] prints to the millisecond and events/s to 6 significant
-    // digits: the rate must fall inside the interval that rounding allows.
-    EXPECT_GE(rate * (1.0 + 1e-5), events / (solve + 0.0005)) << line;
-    EXPECT_LE(rate * (1.0 - 1e-5), events / (solve - 0.0005)) << line;
-  }
+  ASSERT_EQ(run_cli("--spec " + spec + " --quiet --csv " + csv), 0);
+  std::ifstream in(csv);
+  std::string header;
+  std::string line;
+  ASSERT_TRUE(std::getline(in, header));
+  ASSERT_TRUE(std::getline(in, line));
+  const std::vector<std::string> head = csv_fields(header);
+  const std::vector<std::string> row = csv_fields(line);
+  ASSERT_EQ(row.size(), head.size()) << line;
+  ASSERT_EQ(head[4], "events");
+  ASSERT_EQ(head[5], "events/s");
+  ASSERT_EQ(head[6], "solve [s]");
+  const double events = std::strtod(row[4].c_str(), nullptr);
+  const double rate = std::strtod(row[5].c_str(), nullptr);
+  const double solve = std::strtod(row[6].c_str(), nullptr);
+  ASSERT_GT(events, 0.0);
+  ASSERT_GT(solve, 0.005) << "solve too short to resolve the rate";
+  // solve [s] prints to the millisecond and events/s to 6 significant
+  // digits: the rate must fall inside the interval that rounding allows.
+  EXPECT_GE(rate * (1.0 + 1e-5), events / (solve + 0.0005)) << line;
+  EXPECT_LE(rate * (1.0 - 1e-5), events / (solve - 0.0005)) << line;
+
+  // The peak-bank cell is a number on a plain row, not "-".
+  ASSERT_EQ(head[12], "peak bank [MiB]");
+  char* end = nullptr;
+  const double bank_mib = std::strtod(row[12].c_str(), &end);
+  EXPECT_EQ(*end, '\0') << "peak bank cell '" << row[12] << "'";
+  EXPECT_GT(bank_mib, 0.0) << line;
   std::remove(spec.c_str());
   std::remove(csv.c_str());
 }
 
 #endif  // NEUTRAL_BATCH_BIN
-
-#ifdef NEUTRAL_BIN
-
-TEST(CliReport, DecomposedWallclockIsTheWallNotTheSummedPartTime) {
-  // Four subdomains overlap in time, so their summed seconds need not be
-  // the wall clock; the `wallclock` line must report the wall, agreeing
-  // with the `decomposition` line's.
-  const std::string cmd = std::string(NEUTRAL_BIN) +
-                          " --problem scatter --mesh-scale 0.02 "
-                          "--particles 4000 --domains 2x2 2>&1";
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  double wallclock = -1.0;
-  double decomposition = -1.0;
-  char line[512];
-  while (std::fgets(line, sizeof line, pipe) != nullptr) {
-    // "wallclock      : 0.1092 s ..." and
-    // "decomposition  : 2x2 domains on 4 workers, 0.1103 s wall ...".
-    const std::string text(line);
-    if (text.rfind("wallclock", 0) == 0) {
-      wallclock = std::strtod(text.c_str() + text.find(':') + 1, nullptr);
-    } else if (text.rfind("decomposition", 0) == 0) {
-      const std::size_t comma = text.find(", ");
-      ASSERT_NE(comma, std::string::npos) << text;
-      decomposition = std::strtod(text.c_str() + comma + 1, nullptr);
-    }
-  }
-  ASSERT_EQ(::pclose(pipe), 0);
-  ASSERT_GT(wallclock, 0.0);
-  ASSERT_GT(decomposition, 0.0);
-  EXPECT_LE(wallclock, decomposition * 1.05);
-}
-
-#endif  // NEUTRAL_BIN
 
 }  // namespace
 }  // namespace neutral

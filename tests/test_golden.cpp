@@ -16,9 +16,8 @@
 //
 // The tier also anchors cross-scheme equivalence: tally cells are exact
 // integer sums of their deposits (core/tally.h), so every scheme, layout,
-// lookup, tally mode, thread count and domain grid — and the SIMT machine
-// model, which replays the same deposits — reproduces the baseline bit for
-// bit.  test_golden_bench repeats the scheme x layout x mode matrix at
+// lookup, tally mode and thread count — and the SIMT machine model, which
+// replays the same deposits — reproduces the baseline bit for bit.  test_golden_bench repeats the scheme x layout x mode matrix at
 // 20k particles on 1 and 4 threads.
 #include <gtest/gtest.h>
 
@@ -27,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "batch/executor.h"
-#include "batch/engine.h"
 #include "core/simulation.h"
 #include "io/deck_io.h"
 #include "io/results_io.h"
@@ -124,41 +121,6 @@ TEST_P(GoldenSchemes, NativeSchemesAgreeBitForBit) {
     // ...and exact integer tallies make the float outputs exact too.
     EXPECT_EQ(other->tally_checksum, particles.tally_checksum);
     EXPECT_EQ(other->budget.tally_total, particles.budget.tally_total);
-  }
-}
-
-TEST_P(GoldenSchemes, DomainDecompositionPreservesEverySchemeAndLayout) {
-  // Cross-scheme equivalence UNDER domain decomposition: a 2x2 tiling of
-  // each golden deck, run through every scheme x layout pair, must stitch
-  // back to the canonical result bit for bit — the ParticleBank
-  // guarantee that decomposition layers never collapse the paper's
-  // scheme x layout cross-product.
-  const std::string name = GetParam();
-  const RunResult reference =
-      run_scheme(name, Scheme::kOverParticles, Layout::kAoS);
-
-  for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
-    for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
-      SimulationConfig cfg = golden_config(name);
-      cfg.scheme = scheme;
-      cfg.layout = layout;
-      batch::EngineOptions options;
-      options.workers = 2;
-      batch::BatchEngine engine(options);
-      const batch::BatchReport report = batch::run_sweep(
-          engine, {batch::make_job(0, cfg)},
-          batch::Decomposition::parse("2x2"));
-      const RunResult& merged = report.jobs.front().result;
-      ASSERT_TRUE(report.jobs.front().ok) << report.jobs.front().error;
-      SCOPED_TRACE(std::string(to_string(scheme)) + "/" + to_string(layout));
-
-      EXPECT_EQ(merged.tally_checksum, reference.tally_checksum);
-      EXPECT_EQ(merged.budget.tally_total, reference.budget.tally_total);
-      EXPECT_EQ(merged.population, reference.population);
-      EXPECT_EQ(merged.counters.facets, reference.counters.facets);
-      EXPECT_EQ(merged.counters.collisions, reference.counters.collisions);
-      EXPECT_EQ(merged.counters.censuses, reference.counters.censuses);
-    }
   }
 }
 

@@ -1,7 +1,7 @@
-// Bench-size tier of the golden tests: plain (undecomposed) runs of golden
-// decks at 20k particles — the bench_transport size, where a reassociating
-// tally would move the last digits — through both schemes x both layouts x
-// all four tally modes on 1 and 4 threads.  Tally cells are exact integer
+// Bench-size tier of the golden tests: runs of golden decks at 20k
+// particles — the bench_transport size, where a reassociating tally would
+// move the last digits — through both schemes x both layouts x all four
+// tally modes on 1 and 4 threads.  Tally cells are exact integer
 // sums (core/tally.h), so every run of a deck must print one checksum.
 //
 // golden_stream is the near-vacuum deck (~1e-30 eV deposits: the finest

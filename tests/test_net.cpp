@@ -1,6 +1,6 @@
 // Tests for the TCP front-end (src/net/): frame codec strictness, loopback
 // round-trips that must be bit-identical to in-process runs for every
-// scheme x layout x domain combination, deadline expiry under a
+// scheme x layout combination, deadline expiry under a
 // QueuePolicy, malformed-frame rejection, cooperative cancellation, and
 // concurrent clients sharing one world cache.
 #include <gtest/gtest.h>
@@ -134,13 +134,11 @@ TEST(NetServer, LoopbackDeckMatchesInProcessRunExactly) {
   EXPECT_EQ(result.rows[0].label, "roundtrip");
 }
 
-TEST(NetServer, MatrixSchemesLayoutsDomainsAllBitIdentical) {
-  // Every scheme x layout x domain combination submitted over loopback
-  // must return the same checksum/population/tally as the executor's
-  // in-process row (batch::run_sweep) — domains are sent as given, so
-  // `1x1` decomposes on both sides.  The tally mode is NAMED atomic so it
-  // is never defaulted; a multi-thread subdomain would still promote it,
-  // and the rows must agree on that too.
+TEST(NetServer, MatrixSchemesLayoutsAllBitIdentical) {
+  // Every scheme x layout combination submitted over loopback must return
+  // the same checksum/population/tally as the executor's in-process row
+  // (batch::run_sweep).  The tally mode is NAMED atomic so it is never
+  // defaulted, and the rows must agree on it.
   TestServer server;
   NeutralClient client = server.connect();
   batch::BatchEngine local_engine;
@@ -148,45 +146,37 @@ TEST(NetServer, MatrixSchemesLayoutsDomainsAllBitIdentical) {
   const ProblemDeck deck = tiny_deck(300, 2);
   for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
     for (const Layout layout : {Layout::kAoS, Layout::kSoA}) {
-      for (const char* domains : {"", "1x1", "2x1"}) {
-        SimulationConfig config;
-        config.deck = deck;
-        config.scheme = scheme;
-        config.layout = layout;
-        config.tally_mode = TallyMode::kAtomic;
-        config.threads = 1;
-        const batch::BatchReport local = batch::run_sweep(
-            local_engine, {batch::make_job(0, config)},
-            batch::Decomposition::parse(domains));
-        const batch::JobOutcome& want = local.jobs.front();
-        ASSERT_TRUE(want.ok) << want.error;
+      SimulationConfig config;
+      config.deck = deck;
+      config.scheme = scheme;
+      config.layout = layout;
+      config.tally_mode = TallyMode::kAtomic;
+      config.threads = 1;
+      const batch::BatchReport local =
+          batch::run_sweep(local_engine, {batch::make_job(0, config)});
+      const batch::JobOutcome& want = local.jobs.front();
+      ASSERT_TRUE(want.ok) << want.error;
 
-        SubmitRequest request;
-        request.deck_text = format_deck(deck);
-        request.scheme = to_string(scheme);
-        request.layout = to_string(layout);
-        request.tally = "atomic";
-        request.threads = 1;
-        request.domains = domains;
-        // Streamed wait (the watch op): domain-mode events carry
-        // worker = -1 and must still parse client-side.
-        std::size_t events_seen = 0;
-        const RemoteResult result = client.wait(
-            client.submit(request),
-            [&events_seen](const net::RemoteEvent&) { ++events_seen; });
-        const std::string cell = std::string(to_string(scheme)) + "/" +
-                                 to_string(layout) + "/domains=" +
-                                 (domains[0] ? domains : "-");
-        EXPECT_GE(events_seen, 1u) << cell;
-        ASSERT_EQ(result.status, "ok") << cell << ": " << result.error;
-        ASSERT_EQ(result.rows.size(), 1u) << cell;
-        EXPECT_EQ(result.rows[0].checksum, want.result.tally_checksum)
-            << cell;
-        EXPECT_EQ(result.rows[0].population, want.result.population)
-            << cell;
-        EXPECT_EQ(result.rows[0].tally, to_string(want.config.tally_mode))
-            << cell;
-      }
+      SubmitRequest request;
+      request.deck_text = format_deck(deck);
+      request.scheme = to_string(scheme);
+      request.layout = to_string(layout);
+      request.tally = "atomic";
+      request.threads = 1;
+      // Streamed wait (the watch op).
+      std::size_t events_seen = 0;
+      const RemoteResult result = client.wait(
+          client.submit(request),
+          [&events_seen](const net::RemoteEvent&) { ++events_seen; });
+      const std::string cell =
+          std::string(to_string(scheme)) + "/" + to_string(layout);
+      EXPECT_EQ(events_seen, 1u) << cell;
+      ASSERT_EQ(result.status, "ok") << cell << ": " << result.error;
+      ASSERT_EQ(result.rows.size(), 1u) << cell;
+      EXPECT_EQ(result.rows[0].checksum, want.result.tally_checksum) << cell;
+      EXPECT_EQ(result.rows[0].population, want.result.population) << cell;
+      EXPECT_EQ(result.rows[0].tally, to_string(want.config.tally_mode))
+          << cell;
     }
   }
 }
@@ -244,25 +234,6 @@ TEST(NetServer, RunWallDeadlineTimesOutAndServerKeepsServing) {
   EXPECT_EQ(ok.status, "ok") << ok.error;
 }
 
-TEST(NetServer, RunWallDeadlineCancelsSubdomainSiblings) {
-  ServerOptions options;
-  options.engine.workers = 1;  // siblings still queued when the first expires
-  options.engine.policy.max_run_wall = std::chrono::milliseconds(60);
-  TestServer server(options);
-  NeutralClient client = server.connect();
-
-  SubmitRequest request;
-  request.deck_text = format_deck(tiny_deck(2000, 500));
-  request.threads = 1;
-  request.domains = "3x1";
-  const RemoteResult result = client.wait(client.submit(request));
-  EXPECT_EQ(result.status, "timed_out") << result.error;
-  ASSERT_EQ(result.rows.size(), 1u);
-  // The reduced row reports the root cause, not a cancelled sibling.
-  EXPECT_EQ(result.rows[0].status, "timed_out");
-  EXPECT_NE(result.rows[0].error.find("timed out"), std::string::npos);
-}
-
 TEST(NetServer, CancelStopsARunningSubmission) {
   TestServer server;
   NeutralClient client = server.connect();
@@ -307,8 +278,8 @@ TEST(NetServer, CancelBeforeStartSkipsExecution) {
 TEST(NetServer, QueueWaitCountsTimeSpentBehindEarlierSubmissions) {
   // max_queue_wait counts from the daemon accepting a submission: quick
   // submissions stuck behind a slow one past the bound come back
-  // timed_out without running, plain or decomposed, even though their own
-  // engine runs start only when the slow one is gone.
+  // timed_out without running, even though their own engine runs start
+  // only when the slow one is gone.
   ServerOptions options;
   options.engine.workers = 1;
   options.engine.policy.max_queue_wait = std::chrono::milliseconds(100);
@@ -326,7 +297,7 @@ TEST(NetServer, QueueWaitCountsTimeSpentBehindEarlierSubmissions) {
   quick.deck_text = format_deck(tiny_deck(100, 1));
   quick.threads = 1;
   const std::uint64_t second = client.submit(quick);
-  quick.domains = "2x1";
+  quick.layout = "soa";
   const std::uint64_t third = client.submit(quick);
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   client.cancel(first);
@@ -416,11 +387,6 @@ TEST(NetServer, SubmitRejectsBadDecksSpecsAndKnobs) {
   bad_knob.scheme = "over-quantum";
   EXPECT_THROW((void)client.submit(bad_knob), Error);
 
-  SubmitRequest bad_grid;
-  bad_grid.deck_text = format_deck(tiny_deck(100));
-  bad_grid.domains = "2by2";
-  EXPECT_THROW((void)client.submit(bad_grid), Error);
-
   // Rejections left nothing queued; a good submission still works.
   SubmitRequest good;
   good.deck_text = format_deck(tiny_deck(100));
@@ -430,13 +396,13 @@ TEST(NetServer, SubmitRejectsBadDecksSpecsAndKnobs) {
 
 TEST(NetServer, SubmitRefusesFieldsItDoesNotRead) {
   // A key the daemon does not read is refused by name, not dropped: the
-  // retired bank-shard field, or a misspelt `domains`, would otherwise run
+  // retired bank-shard and mesh-decomposition fields would otherwise run
   // plain without a word.
   TestServer server;
   NeutralClient client = server.connect();
   for (const auto& [key, value] :
        {std::pair<std::string, std::string>{"shards", "2"},
-        std::pair<std::string, std::string>{"domain", "2x2"}}) {
+        std::pair<std::string, std::string>{"domains", "2x2"}}) {
     const Fields request{{"op", "submit"},
                          {"deck", format_deck(tiny_deck(100))},
                          {key, value}};
@@ -458,7 +424,6 @@ TEST(NetServer, SubmitRefusesFieldsItDoesNotRead) {
   full.tally = "atomic";
   full.schedule = "static";
   full.threads = 1;
-  full.domains = "2x1";
   EXPECT_EQ(client.wait(client.submit(full)).status, "ok");
 }
 

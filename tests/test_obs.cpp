@@ -287,7 +287,6 @@ TEST(TraceLog, LinesAreSelfContainedJson) {
     obs::TraceEvent completed;
     completed.event = "completed";
     completed.job_id = 7;
-    completed.group = 2;
     completed.worker = 3;
     completed.queue_wait_s = 0.25;
     completed.run_wall_s = 1.5;
@@ -310,7 +309,6 @@ TEST(TraceLog, LinesAreSelfContainedJson) {
   ASSERT_NE(lines[0].find("ts_ns"), nullptr);
 
   EXPECT_EQ(lines[1].find("event")->string, "completed");
-  EXPECT_DOUBLE_EQ(lines[1].find("group")->number, 2.0);
   EXPECT_DOUBLE_EQ(lines[1].find("worker")->number, 3.0);
   EXPECT_DOUBLE_EQ(lines[1].find("queue_wait_s")->number, 0.25);
   EXPECT_DOUBLE_EQ(lines[1].find("run_wall_s")->number, 1.5);

@@ -4,12 +4,12 @@
 // N client threads run mixed submit/watch/cancel traffic through batch
 // engines (each run() spins its own worker pool over one shared job
 // cursor; the registry, trace log and world cache are the shared
-// surfaces), a failing grouped job exercises the failed-group
-// cancellation path, a canceller thread flips a cooperative cancel flag
-// mid-run, and a scraper thread loops MetricsRegistry::snapshot() the
-// whole time.  Under ThreadSanitizer this covers the relaxed-ordering
-// counter shards racing a live scraper, concurrent TraceLog writes, and
-// group-cancellation bookkeeping.
+// surfaces), a job whose world cannot build exercises the failure path
+// between healthy neighbours, a canceller thread flips a cooperative
+// cancel flag mid-run, and a scraper thread loops
+// MetricsRegistry::snapshot() the whole time.  Under ThreadSanitizer this
+// covers the relaxed-ordering counter shards racing a live scraper,
+// concurrent TraceLog writes, and the failed-job bookkeeping.
 //
 // The final assertion is counter EXACTNESS, not approximation: after every
 // client joins (the join is the happens-before edge — see the ordering
@@ -51,10 +51,8 @@ ProblemDeck stress_deck(std::int64_t particles) {
   return deck;
 }
 
-Job stress_job(std::uint64_t id, std::int64_t particles,
-               std::uint64_t group = 0) {
+Job stress_job(std::uint64_t id, std::int64_t particles) {
   Job job = batch::make_job(id, SimulationConfig{});
-  job.group = group;
   job.config.deck = stress_deck(particles);
   job.config.threads = 1;
   job.fingerprint = world_fingerprint(job.config.deck);
@@ -68,7 +66,6 @@ struct OutcomeTotals {
   std::atomic<std::uint64_t> ok{0};
   std::atomic<std::uint64_t> failed{0};
   std::atomic<std::uint64_t> timed_out{0};
-  std::atomic<std::uint64_t> cancelled{0};
   std::atomic<std::uint64_t> events{0};
 
   void note(const BatchReport& report) {
@@ -78,8 +75,6 @@ struct OutcomeTotals {
         const EventCounters& c = job.result.counters;
         events.fetch_add(c.facets + c.collisions + c.censuses + c.rng_draws +
                          c.xs_lookups + c.tally_flushes);
-      } else if (job.cancelled) {
-        cancelled.fetch_add(1);
       } else if (job.timed_out) {
         timed_out.fetch_add(1);
       } else {
@@ -146,11 +141,11 @@ TEST(TsanStress, ConcurrentSubmitWatchCancelWithLiveScraper) {
           jobs.push_back(stress_job(next_id++, kParticles));
         }
         if (round % 2 == 1) {
-          // A fork-join group whose middle job cannot build its world:
-          // the failure cancels siblings no worker has reached yet,
-          // exercising the failed-group map while the scraper watches.
+          // Three more jobs, the middle one unable to build its world: it
+          // fails alone while its neighbours run, and the scraper watches
+          // the failure counters move.
           for (int j = 0; j < 3; ++j) {
-            Job job = stress_job(next_id++, kParticles, /*group=*/7);
+            Job job = stress_job(next_id++, kParticles);
             if (j == 1) job.config.deck.nx = 0;  // world build throws
             jobs.push_back(std::move(job));
           }
@@ -181,8 +176,7 @@ TEST(TsanStress, ConcurrentSubmitWatchCancelWithLiveScraper) {
   scraper.join();
 
   // Every submitted job got exactly one outcome and one watch callback.
-  EXPECT_EQ(totals.ok.load() + totals.failed.load() +
-                totals.timed_out.load() + totals.cancelled.load(),
+  EXPECT_EQ(totals.ok.load() + totals.failed.load() + totals.timed_out.load(),
             submitted.load());
   EXPECT_EQ(watched.load(), submitted.load());
 
@@ -195,8 +189,6 @@ TEST(TsanStress, ConcurrentSubmitWatchCancelWithLiveScraper) {
             totals.failed.load());
   EXPECT_EQ(counter_value(snap, "neutral_jobs_timed_out_total"),
             totals.timed_out.load());
-  EXPECT_EQ(counter_value(snap, "neutral_jobs_cancelled_total"),
-            totals.cancelled.load());
   const std::uint64_t events_total =
       counter_value(snap, "neutral_events_facets_total") +
       counter_value(snap, "neutral_events_collisions_total") +

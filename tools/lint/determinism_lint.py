@@ -2,7 +2,7 @@
 """Determinism lint: machine-enforce the repo's bit-identity bans.
 
 The project's core promise (ROADMAP) is that every scheme x layout x
-domain x thread x worker combination reproduces a golden checksum
+thread x worker combination reproduces a golden checksum
 bit-for-bit.  That only holds while the transport and reduction paths stay
 free of hidden nondeterminism, so this checker bans, in `src/`:
 
@@ -14,10 +14,10 @@ free of hidden nondeterminism, so this checker bans, in `src/`:
       timestamp, physics may not.  steady_clock is allowed everywhere:
       deadlines and timers never feed a tally.
   R3  unordered-container iteration in the reduction paths (src/core,
-      src/mesh, src/xs, src/rng, src/tally, src/batch/domain*,
-      src/batch/executor*): hash-order is pointer/seed dependent, so a loop
-      over an unordered_map that deposits into a tally or folds a
-      reduction reorders float adds between runs.  Enforced bluntly — the
+      src/mesh, src/xs, src/rng, src/tally, src/batch/executor*):
+      hash-order is pointer/seed dependent, so a loop over an
+      unordered_map that deposits into a tally or folds a reduction
+      reorders float adds between runs.  Enforced bluntly — the
       listed files may not mention unordered_map/unordered_set at all
       (none do today; ordered or indexed containers serve there).
   R4  memory_order_relaxed outside src/obs/metrics.h/.cpp — the sharded
@@ -44,7 +44,7 @@ SRC = REPO / "src"
 
 # Rule -> (regex, allowed-path predicate, message).
 REDUCTION_DIRS = ("core", "mesh", "xs", "rng", "tally")
-REDUCTION_BATCH = ("domain", "executor")
+REDUCTION_BATCH = ("executor",)
 
 
 def rel(path: Path) -> str:
