@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/world.h"
 #include "rng/stream.h"
+#include "xs/material.h"
 
 using namespace neutral;
 using namespace neutral::bench;
@@ -47,7 +47,7 @@ struct MicroResult {
   double sum = 0.0;  ///< checksum over all interpolated values (anti-DCE)
 };
 
-MicroResult micro_lookup(const World& world, XsLookup mode,
+MicroResult micro_lookup(const MaterialXs& xs, XsLookup mode,
                          const std::vector<double>& energies, int reps) {
   MicroResult out;
   double best_ns = 1.0e300;
@@ -56,11 +56,11 @@ MicroResult micro_lookup(const World& world, XsLookup mode,
     double sum = 0.0;
     const auto t0 = std::chrono::steady_clock::now();
     for (const double ev : energies) {
-      const double e = world.xs_capture.clamp_energy(ev);
-      idx = world.xs_capture.find_bin(e, mode, idx);
-      const double t = world.xs_capture.weight(idx, e);
-      sum += world.xs_capture.interpolate(idx, t);
-      sum += world.xs_scatter.interpolate(idx, t);
+      const double e = xs.capture.clamp_energy(ev);
+      idx = xs.capture.find_bin(e, mode, idx);
+      const double t = xs.capture.weight(idx, e);
+      sum += xs.capture.interpolate(idx, t);
+      sum += xs.scatter.interpolate(idx, t);
     }
     const auto t1 = std::chrono::steady_clock::now();
     const double ns =
@@ -76,7 +76,7 @@ MicroResult micro_lookup(const World& world, XsLookup mode,
   std::int64_t steps = 0;
   std::int32_t idx = 0;
   for (const double e : energies) {
-    (void)world.xs_capture.find_bin_counted(e, mode, idx, steps);
+    (void)xs.capture.find_bin_counted(e, mode, idx, steps);
   }
   out.steps_per_lookup =
       static_cast<double>(steps) / static_cast<double>(energies.size());
@@ -115,16 +115,15 @@ int main(int argc, char** argv) {
 
   // Isolated lookup microbench: one capture+scatter pair per energy of a
   // correlated collision-style walk.
-  const ProblemDeck deck = scale.deck("csp");
-  const std::shared_ptr<const World> world = build_world(deck);
-  const std::vector<double> energies =
-      energy_walk(world->xs_capture, 1u << 18);
+  const std::shared_ptr<const MaterialXs> xs =
+      shared_material_xs(scale.deck("csp").xs);
+  const std::vector<double> energies = energy_walk(xs->capture, 1u << 18);
   ResultTable micro("§VI-A — isolated lookup (capture+scatter pair, "
                     "collision-style energy walk)",
                     {"strategy", "ns/lookup", "steps/lookup", "checksum"});
   std::vector<double> sums;
   for (const XsLookup mode : kModes) {
-    const MicroResult r = micro_lookup(*world, mode, energies, scale.reps);
+    const MicroResult r = micro_lookup(*xs, mode, energies, scale.reps);
     micro.add_row({to_string(mode), ResultTable::cell(r.ns_per_lookup, 2),
                    ResultTable::cell(r.steps_per_lookup, 3),
                    ResultTable::cell_full(r.sum)});

@@ -24,6 +24,7 @@ struct EngineMetrics {
   obs::Counter* jobs_ok = nullptr;
   obs::Counter* jobs_failed = nullptr;
   obs::Counter* jobs_timed_out = nullptr;
+  obs::Counter* jobs_cancelled = nullptr;
   obs::Histogram* job_wall = nullptr;
   obs::Histogram* job_events_per_second = nullptr;
   obs::Histogram* queue_wait = nullptr;
@@ -39,9 +40,11 @@ struct EngineMetrics {
     jobs_ok = &m->counter("neutral_jobs_ok_total", "jobs that completed");
     jobs_failed =
         &m->counter("neutral_jobs_failed_total",
-                    "jobs that failed (excluding timed-out)");
+                    "jobs that failed (excluding timed-out and cancelled)");
     jobs_timed_out = &m->counter("neutral_jobs_timed_out_total",
                                  "jobs that hit a QueuePolicy deadline");
+    jobs_cancelled = &m->counter("neutral_jobs_cancelled_total",
+                                 "jobs a client cancel stopped");
     job_wall = &m->histogram("neutral_job_wall_seconds",
                              "per-job wall clock incl. world acquisition",
                              {1e-3, 20});
@@ -79,6 +82,8 @@ struct EngineMetrics {
       ev_tally_flushes->add(c.tally_flushes);
     } else if (outcome.timed_out) {
       jobs_timed_out->add();
+    } else if (outcome.cancelled) {
+      jobs_cancelled->add();
     } else {
       jobs_failed->add();
     }
@@ -88,6 +93,7 @@ struct EngineMetrics {
 const char* terminal_event(const JobOutcome& outcome) {
   if (outcome.ok) return "completed";
   if (outcome.timed_out) return "timed_out";
+  if (outcome.cancelled) return "cancelled";
   return "failed";
 }
 
@@ -317,6 +323,9 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
           outcome.ok = true;
         } catch (const TimeoutError& e) {
           outcome.timed_out = true;
+          outcome.error = e.what();
+        } catch (const CancelledError& e) {
+          outcome.cancelled = true;
           outcome.error = e.what();
         } catch (const std::exception& e) {
           outcome.error = e.what();

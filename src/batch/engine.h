@@ -93,8 +93,9 @@ struct JobOutcome {
   bool world_cache_hit = false;
   std::int32_t worker = -1;    ///< which worker ran it (-1: never ran)
   bool ok = false;
-  /// A client cancel (SimulationConfig::cancel) stopped it; batch::run_sweep
-  /// sets this, the engine reports such a job as failed.
+  /// Subset of !ok: a client cancel (SimulationConfig::cancel) stopped it
+  /// (the run threw CancelledError).  Counted and traced as cancelled, not
+  /// as failed.
   bool cancelled = false;
   /// Subset of !ok: the job hit a QueuePolicy deadline — expired before
   /// it started (max_queue_wait) or aborted mid-run (max_run_wall).  Kept

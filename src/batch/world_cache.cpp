@@ -55,7 +55,8 @@ std::shared_ptr<const World> WorldCache::acquire(const ProblemDeck& deck,
       if (misses_ != nullptr) misses_->add();
       builder = true;
       future = promise.get_future().share();
-      entries_.emplace(fingerprint, Entry{future, ++tick_, 0, false});
+      entries_.emplace(fingerprint,
+                       Entry{.future = future, .last_use = ++tick_});
     }
   }
   if (hit != nullptr) *hit = !builder;
@@ -64,13 +65,15 @@ std::shared_ptr<const World> WorldCache::acquire(const ProblemDeck& deck,
     try {
       std::shared_ptr<const World> world = build_world(deck);
       const std::uint64_t bytes = world->footprint_bytes();
+      const MaterialXs* material = world->xs.get();
       promise.set_value(std::move(world));
       MutexLock lock(mutex_);
       auto it = entries_.find(fingerprint);
       if (it != entries_.end()) {  // clear() may have raced us
         it->second.bytes = bytes;
+        it->second.material = material;
         it->second.built = true;
-        resident_bytes_ += bytes;
+        charge_locked(it->second);
         evict_over_budget_locked(fingerprint);
         note_residency_locked();
       }
@@ -86,6 +89,22 @@ std::shared_ptr<const World> WorldCache::acquire(const ProblemDeck& deck,
   return future.get();  // rethrows a failed build for every waiter
 }
 
+void WorldCache::charge_locked(const Entry& entry) {
+  resident_bytes_ += entry.bytes;
+  if (material_users_[entry.material]++ == 0) {
+    resident_bytes_ += entry.material->footprint_bytes();
+  }
+}
+
+void WorldCache::credit_locked(const Entry& entry) {
+  resident_bytes_ -= entry.bytes;
+  const auto users = material_users_.find(entry.material);
+  if (--users->second == 0) {
+    resident_bytes_ -= entry.material->footprint_bytes();
+    material_users_.erase(users);
+  }
+}
+
 void WorldCache::evict_over_budget_locked(std::uint64_t protect) {
   if (options_.max_bytes == 0) return;
   while (resident_bytes_ > options_.max_bytes) {
@@ -98,7 +117,7 @@ void WorldCache::evict_over_budget_locked(std::uint64_t protect) {
       }
     }
     if (victim == entries_.end()) break;  // only in-flight/protected left
-    resident_bytes_ -= victim->second.bytes;
+    credit_locked(victim->second);
     entries_.erase(victim);
     ++stats_.evictions;
     if (evictions_ != nullptr) evictions_->add();
@@ -125,6 +144,7 @@ std::size_t WorldCache::size() const {
 void WorldCache::clear() {
   MutexLock lock(mutex_);
   entries_.clear();
+  material_users_.clear();
   resident_bytes_ = 0;
   note_residency_locked();
 }

@@ -19,6 +19,13 @@
 // dropped until it fits (the entry just built is never its own victim, so
 // a single over-budget world still caches).  Eviction only releases the
 // cache's reference — outstanding shared_ptrs stay valid.
+//
+// Worlds share their cross-section material (World::xs), so the resident
+// figure is each cached world's own bytes plus each distinct material's
+// bytes once: charged when the first cached world using it enters, and
+// credited back when the last such world leaves.  Charging it per world
+// would over-count and evict needlessly; charging nothing would let decks
+// with distinct xs configs grow memory outside the budget.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +61,9 @@ class WorldCache {
     std::uint64_t misses = 0;  ///< acquire() had to build
     std::uint64_t evictions = 0;  ///< entries dropped (failed builds + LRU)
     std::uint64_t resident_worlds = 0;  ///< entries currently cached
-    std::uint64_t resident_bytes = 0;   ///< estimated bytes currently cached
+    /// Estimated bytes currently cached: every cached world's own bytes
+    /// plus each distinct material's once.
+    std::uint64_t resident_bytes = 0;
 
     [[nodiscard]] double hit_rate() const {
       const std::uint64_t total = hits + misses;
@@ -91,7 +100,10 @@ class WorldCache {
   struct Entry {
     Future future;
     std::uint64_t last_use = 0;  ///< monotonic acquire tick (LRU order)
-    std::uint64_t bytes = 0;     ///< 0 while the build is in flight
+    std::uint64_t bytes = 0;     ///< the world's own; 0 while in flight
+    /// The built world's material (kept alive by the world); null while
+    /// the build is in flight.
+    const MaterialXs* material = nullptr;
     bool built = false;
   };
 
@@ -99,6 +111,11 @@ class WorldCache {
   /// that just finished building) is never evicted.  Caller holds mutex_.
   void evict_over_budget_locked(std::uint64_t protect)
       NEUTRAL_REQUIRES(mutex_);
+  /// Charge a newly cached built entry's world, and its material if no
+  /// other cached world uses it.
+  void charge_locked(const Entry& entry) NEUTRAL_REQUIRES(mutex_);
+  /// Credit back what charge_locked charged for an entry about to leave.
+  void credit_locked(const Entry& entry) NEUTRAL_REQUIRES(mutex_);
   /// Refresh the resident gauges after any entries_ mutation (lock held).
   void note_residency_locked() NEUTRAL_REQUIRES(mutex_);
 
@@ -107,6 +124,9 @@ class WorldCache {
   std::unordered_map<std::uint64_t, Entry> entries_
       NEUTRAL_GUARDED_BY(mutex_);
   std::uint64_t tick_ NEUTRAL_GUARDED_BY(mutex_) = 0;
+  /// Cached built worlds per material.
+  std::unordered_map<const MaterialXs*, std::uint64_t> material_users_
+      NEUTRAL_GUARDED_BY(mutex_);
   std::uint64_t resident_bytes_ NEUTRAL_GUARDED_BY(mutex_) = 0;
   Stats stats_ NEUTRAL_GUARDED_BY(mutex_);
 

@@ -83,7 +83,7 @@ Simulation::Simulation(SimulationConfig config,
       tally_(world_->mesh.num_cells(),
              config_.tally_mode,
              config_.threads > 0 ? config_.threads : omp_get_max_threads(),
-             max_flush_energy(config_.deck, world_->capture_rate)),
+             max_flush_energy(config_.deck, world_->xs->capture_rate)),
       bank_(config_.layout) {
   NEUTRAL_REQUIRE(config_.deck.n_particles > 0, "deck must define particles");
   NEUTRAL_REQUIRE(world_->fingerprint == world_fingerprint(config_.deck),
@@ -96,8 +96,8 @@ Simulation::Simulation(SimulationConfig config,
 
   ctx_.mesh = &world_->mesh;
   ctx_.density = &world_->density;
-  ctx_.xs_capture = &world_->xs_capture;
-  ctx_.xs_scatter = &world_->xs_scatter;
+  ctx_.xs_capture = &world_->xs->capture;
+  ctx_.xs_scatter = &world_->xs->scatter;
   ctx_.tally = &tally_;
   ctx_.lookup = config_.lookup;
   ctx_.molar_mass_g_mol = config_.deck.molar_mass_g_mol;
@@ -127,7 +127,7 @@ void Simulation::check_interrupt() const {
   // simple: relaxed ordering lives only in the metrics shards.
   if (config_.cancel != nullptr &&
       config_.cancel->load(std::memory_order_acquire)) {
-    throw Error("run cancelled");
+    throw CancelledError("run cancelled");
   }
   if (config_.deadline != std::chrono::steady_clock::time_point::max() &&
       std::chrono::steady_clock::now() > config_.deadline) {

@@ -69,8 +69,8 @@ struct SimulationConfig {
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
   /// Cooperative cancellation flag (not owned; may be null), checked at
-  /// the same boundaries as `deadline`: once set, the run aborts with an
-  /// Error("run cancelled").  neutrald points every job of a submission at
+  /// the same boundaries as `deadline`: once set, the run aborts with a
+  /// CancelledError.  neutrald points every job of a submission at
   /// one flag so a client `cancel` stops in-flight work between timesteps.
   const std::atomic<bool>* cancel = nullptr;
 };
@@ -153,7 +153,7 @@ class Simulation {
   }
 
  private:
-  /// Throw TimeoutError / Error when config.deadline passed or
+  /// Throw TimeoutError / CancelledError when config.deadline passed or
   /// config.cancel is set (called at timestep boundaries).
   void check_interrupt() const;
   /// Fold the current bank + workspace bytes into the run's peak.

@@ -1,11 +1,8 @@
 #include "core/world.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/constants.h"
-#include "util/error.h"
-#include "xs/synthetic.h"
 
 namespace neutral {
 
@@ -56,16 +53,8 @@ class FingerprintHasher {
 World::World(const ProblemDeck& deck)
     : mesh(make_mesh(deck)),
       density(make_density(mesh, deck)),
-      xs_capture(make_capture_table(deck.xs)),
-      xs_scatter(make_scatter_table(deck.xs)),
-      capture_rate(max_capture_rate(xs_capture)),
-      fingerprint(world_fingerprint(deck)) {
-  // One bin search and one interpolation weight serve both tables
-  // (refresh_cross_sections), which is only sound when their energy grids
-  // coincide knot for knot (synthetic tables built from one config do).
-  NEUTRAL_REQUIRE(same_energy_grid(xs_capture, xs_scatter),
-                  "capture/scatter tables must share an energy grid");
-}
+      xs(shared_material_xs(deck.xs)),
+      fingerprint(world_fingerprint(deck)) {}
 
 std::uint64_t World::footprint_bytes() const {
   const auto doubles = [](std::uint64_t n) { return n * sizeof(double); };
@@ -74,25 +63,7 @@ std::uint64_t World::footprint_bytes() const {
               static_cast<std::uint64_t>(mesh.ny()) + 1);
   const std::uint64_t density_bytes =
       doubles(static_cast<std::uint64_t>(density.size()));
-  // Each table: energy + value arrays plus an int32 per point for the
-  // search index.  The slot table really holds at most size()/4 + 1; the
-  // larger charge is kept because WorldCache budgets --cache-mb by it.
-  const auto xs_bytes = [&](const CrossSectionTable& t) {
-    return doubles(static_cast<std::uint64_t>(t.size()) * 2) +
-           static_cast<std::uint64_t>(t.size()) * sizeof(std::int32_t);
-  };
-  return sizeof(World) + mesh_bytes + density_bytes + xs_bytes(xs_capture) +
-         xs_bytes(xs_scatter);
-}
-
-double max_capture_rate(const CrossSectionTable& capture) {
-  double rate = 0.0;
-  for (std::int32_t i = 0; i < capture.size(); ++i) {
-    const double e = capture.energy(i);
-    rate = std::max(rate, e * kSpeedPerSqrtEv * std::sqrt(e) *
-                              capture.value(i));
-  }
-  return rate;
+  return sizeof(World) + mesh_bytes + density_bytes;
 }
 
 double max_flush_energy(const ProblemDeck& deck, double capture_rate) {

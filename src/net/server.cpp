@@ -51,8 +51,7 @@ Fields refused_reply(const std::string& message) {
 }
 
 /// The protocol's row status vocabulary for one run_sweep row or engine
-/// job (batch::run_sweep already labels the aborts a client cancel caused
-/// as cancelled).
+/// job (the engine labels the aborts a client cancel caused as cancelled).
 std::string outcome_status(const JobOutcome& outcome) {
   if (outcome.ok) return "ok";
   if (outcome.timed_out) return "timed_out";

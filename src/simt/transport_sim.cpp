@@ -10,7 +10,6 @@
 #include "core/world.h"
 #include "simt/cache.h"
 #include "util/error.h"
-#include "xs/synthetic.h"
 
 namespace neutral::simt {
 namespace {
@@ -434,24 +433,19 @@ class CostEngine {
   std::unordered_map<std::int64_t, std::int64_t> conflict_map_;
 };
 
-/// Shared world for a simulated run.
+/// A simulated run's state beside its World, which build_world makes by the
+/// same rule every solve uses.
 struct SimWorld {
   explicit SimWorld(const SimtConfig& cfg)
-      : mesh(cfg.deck.nx, cfg.deck.ny, cfg.deck.width_cm, cfg.deck.height_cm),
-        density(mesh, cfg.deck.base_density_kg_m3),
-        capture(make_capture_table(cfg.deck.xs)),
-        scatter(make_scatter_table(cfg.deck.xs)),
-        tally(mesh.num_cells(), TallyMode::kAtomic, 1,
-              max_flush_energy(cfg.deck, max_capture_rate(capture))),
+      : world(build_world(cfg.deck)),
+        tally(world->mesh.num_cells(), TallyMode::kAtomic, 1,
+              max_flush_energy(cfg.deck, world->xs->capture_rate)),
         particles(static_cast<std::size_t>(cfg.deck.n_particles)),
         flight(static_cast<std::size_t>(cfg.deck.n_particles)) {
-    for (const RegionSpec& r : cfg.deck.regions) {
-      density.fill_rect(r.x0, r.y0, r.x1, r.y1, r.density_kg_m3);
-    }
-    ctx.mesh = &mesh;
-    ctx.density = &density;
-    ctx.xs_capture = &capture;
-    ctx.xs_scatter = &scatter;
+    ctx.mesh = &world->mesh;
+    ctx.density = &world->density;
+    ctx.xs_capture = &world->xs->capture;
+    ctx.xs_scatter = &world->xs->scatter;
     ctx.tally = &tally;
     ctx.lookup = cfg.lookup;
     ctx.molar_mass_g_mol = cfg.deck.molar_mass_g_mol;
@@ -460,13 +454,10 @@ struct SimWorld {
     ctx.min_weight = cfg.deck.min_weight;
     ctx.seed = cfg.deck.seed;
     initialise_particles(AosView(particles.data(), particles.size()),
-                         cfg.deck, mesh);
+                         cfg.deck, world->mesh);
   }
 
-  StructuredMesh2D mesh;
-  DensityField density;
-  CrossSectionTable capture;
-  CrossSectionTable scatter;
+  std::shared_ptr<const World> world;
   EnergyTally tally;
   std::vector<Particle> particles;
   std::vector<FlightState> flight;

@@ -25,6 +25,14 @@ class TimeoutError : public Error {
   explicit TimeoutError(const std::string& what) : Error(what) {}
 };
 
+/// A run aborted because its cooperative cancel flag was set
+/// (core/simulation.h).  Kept distinct from Error so schedulers can report
+/// `cancelled` rather than a plain failure.
+class CancelledError : public Error {
+ public:
+  explicit CancelledError(const std::string& what) : Error(what) {}
+};
+
 namespace detail {
 [[noreturn]] inline void fail(const char* expr, const char* file, int line,
                               const std::string& msg) {

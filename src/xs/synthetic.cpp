@@ -44,7 +44,9 @@ double lorentzian_sum(const std::vector<Resonance>& rs, double e) {
   return v;
 }
 
-aligned_vector<double> log_grid(const SyntheticXsConfig& cfg) {
+}  // namespace
+
+aligned_vector<double> synthetic_energy_grid(const SyntheticXsConfig& cfg) {
   NEUTRAL_REQUIRE(cfg.points >= 2, "need at least two table points");
   NEUTRAL_REQUIRE(cfg.min_energy_ev > 0.0 &&
                       cfg.max_energy_ev > cfg.min_energy_ev,
@@ -58,10 +60,8 @@ aligned_vector<double> log_grid(const SyntheticXsConfig& cfg) {
   return e;
 }
 
-}  // namespace
-
-CrossSectionTable make_capture_table(const SyntheticXsConfig& cfg) {
-  const auto grid = log_grid(cfg);
+CrossSectionTable make_capture_table(const SyntheticXsConfig& cfg,
+                                     aligned_vector<double> grid) {
   const auto resonances =
       place_resonances(cfg.resonances, cfg.seed, /*amp_scale=*/30.0);
   aligned_vector<double> barns(grid.size());
@@ -71,11 +71,11 @@ CrossSectionTable make_capture_table(const SyntheticXsConfig& cfg) {
     const double one_over_v = 10.0 * std::sqrt(0.025 / e);
     barns[i] = one_over_v + lorentzian_sum(resonances, e);
   }
-  return CrossSectionTable(grid, std::move(barns));
+  return CrossSectionTable(std::move(grid), std::move(barns));
 }
 
-CrossSectionTable make_scatter_table(const SyntheticXsConfig& cfg) {
-  const auto grid = log_grid(cfg);
+CrossSectionTable make_scatter_table(const SyntheticXsConfig& cfg,
+                                     aligned_vector<double> grid) {
   // Shallower, sparser resonances on a different deterministic layout.
   SyntheticXsConfig shifted = cfg;
   shifted.seed = cfg.seed ^ 0x5ca77e5u;
@@ -94,7 +94,15 @@ CrossSectionTable make_scatter_table(const SyntheticXsConfig& cfg) {
         170.0 - 80.0 * clamp(std::log10(e / 1.0e4) / 3.3, 0.0, 1.0);
     barns[i] = level + lorentzian_sum(resonances, e);
   }
-  return CrossSectionTable(grid, std::move(barns));
+  return CrossSectionTable(std::move(grid), std::move(barns));
+}
+
+CrossSectionTable make_capture_table(const SyntheticXsConfig& cfg) {
+  return make_capture_table(cfg, synthetic_energy_grid(cfg));
+}
+
+CrossSectionTable make_scatter_table(const SyntheticXsConfig& cfg) {
+  return make_scatter_table(cfg, synthetic_energy_grid(cfg));
 }
 
 }  // namespace neutral

@@ -11,6 +11,8 @@
 //
 // Sizes default to 30k points per table (~0.5 MB each) to be representative
 // of the nuclear-data footprint the paper calls out as a known bottleneck.
+// A solve reads both tables through one MaterialXs (material.h), which
+// builds them on one grid, once per process per config.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,19 @@ struct SyntheticXsConfig {
   std::int32_t resonances = 120;   ///< Lorentzian peaks in the resonance region
   std::uint64_t seed = 1234;       ///< placement of the resonances
 };
+
+/// The log-spaced energy grid [eV] every table of `cfg` is built on.
+aligned_vector<double> synthetic_energy_grid(const SyntheticXsConfig& cfg);
+
+/// Capture (absorption) cross section table on `grid`, which must be
+/// synthetic_energy_grid(cfg).
+CrossSectionTable make_capture_table(const SyntheticXsConfig& cfg,
+                                     aligned_vector<double> grid);
+
+/// Elastic-scattering cross section table on `grid`, which must be
+/// synthetic_energy_grid(cfg).
+CrossSectionTable make_scatter_table(const SyntheticXsConfig& cfg,
+                                     aligned_vector<double> grid);
 
 /// Capture (absorption) cross section table.
 CrossSectionTable make_capture_table(const SyntheticXsConfig& cfg = {});

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -193,9 +194,11 @@ TEST(WorldCacheTest, RecentUseProtectsAgainstEviction) {
   decks[1].nx += 4;
   decks[2].nx += 8;
 
-  WorldCache probe;
-  const std::uint64_t one = probe.acquire(decks[0])->footprint_bytes();
-  options.max_bytes = 5 * one / 2;  // room for ~2 worlds
+  // The three share one material, which the cache charges once.
+  const std::shared_ptr<const World> probe = build_world(decks[0]);
+  const std::uint64_t one = probe->footprint_bytes();
+  options.max_bytes =
+      probe->xs->footprint_bytes() + 5 * one / 2;  // room for ~2 worlds
 
   WorldCache cache(options);
   (void)cache.acquire(decks[0]);
@@ -221,6 +224,87 @@ TEST(WorldCacheTest, UnboundedByDefault) {
   }
   EXPECT_EQ(cache.stats().evictions, 0u);
   EXPECT_EQ(cache.size(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Shared cross-section material
+// ---------------------------------------------------------------------------
+
+TEST(SharedMaterial, DecksDifferingOnlyInGeometryShareOneMaterial) {
+  ProblemDeck other = tiny_deck();
+  other.nx += 4;
+  other.regions[0].density_kg_m3 *= 2.0;
+  EXPECT_EQ(build_world(tiny_deck())->xs.get(), build_world(other)->xs.get());
+}
+
+TEST(SharedMaterial, ADifferentXsSeedOrSizeIsADifferentMaterial) {
+  const std::shared_ptr<const World> base = build_world(tiny_deck());
+  ProblemDeck seed = tiny_deck();
+  seed.xs.seed += 1;
+  ProblemDeck points = tiny_deck();
+  points.xs.points += 1;
+  EXPECT_NE(base->xs.get(), build_world(seed)->xs.get());
+  EXPECT_NE(base->xs.get(), build_world(points)->xs.get());
+}
+
+TEST(SharedMaterial, RegistryEntryExpiresWithTheLastWorld) {
+  ProblemDeck deck = tiny_deck();
+  deck.xs.seed = 0x5eed;  // a material no other test holds
+  std::shared_ptr<const World> world = build_world(deck);
+  const std::weak_ptr<const MaterialXs> material = world->xs;
+  world.reset();
+  EXPECT_TRUE(material.expired());
+}
+
+TEST(SharedMaterial, CacheChargesEachMaterialOnce) {
+  WorldCache cache;
+  ProblemDeck decks[3] = {tiny_deck(), tiny_deck(), tiny_deck()};
+  decks[1].nx += 4;
+  decks[2].nx += 8;
+  std::uint64_t world_bytes = 0;
+  const MaterialXs* material = nullptr;
+  for (const ProblemDeck& deck : decks) {
+    const std::shared_ptr<const World> world = cache.acquire(deck);
+    world_bytes += world->footprint_bytes();
+    material = world->xs.get();
+  }
+  EXPECT_EQ(cache.stats().resident_bytes,
+            world_bytes + material->footprint_bytes());
+}
+
+TEST(SharedMaterial, CacheCreditsTheMaterialWhenTheLastWorldLeaves) {
+  batch::WorldCacheOptions options;
+  options.max_bytes = 1;  // every new world evicts the one before it
+  WorldCache cache(options);
+  ProblemDeck deck = tiny_deck();
+  (void)cache.acquire(deck);
+  deck.xs.seed += 1;  // a second material: the first one's last world goes
+  const std::shared_ptr<const World> world = cache.acquire(deck);
+  EXPECT_EQ(cache.stats().resident_bytes,
+            world->footprint_bytes() + world->xs->footprint_bytes());
+  cache.clear();
+  EXPECT_EQ(cache.stats().resident_bytes, 0u);
+}
+
+TEST(SharedMaterial, ConcurrentDistinctGeometriesBuildOneMaterial) {
+  WorldCache cache;
+  constexpr int kThreads = 8;
+  ProblemDeck base = tiny_deck();
+  base.xs.seed = 0xc0ffee;  // not yet built by any other test
+  std::vector<std::shared_ptr<const World>> worlds(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ProblemDeck deck = base;
+      deck.nx += t;
+      worlds[static_cast<std::size_t>(t)] = cache.acquire(deck);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  std::set<const MaterialXs*> materials;
+  for (const auto& world : worlds) materials.insert(world->xs.get());
+  EXPECT_EQ(materials.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
@@ -254,6 +256,42 @@ TEST(NetServer, CancelStopsARunningSubmission) {
   quick.deck_text = format_deck(tiny_deck(100, 1));
   quick.threads = 1;
   EXPECT_EQ(client.wait(client.submit(quick)).status, "ok");
+}
+
+TEST(NetServer, CancelledJobIsCancelledInReplyScrapeAndTrace) {
+  const std::string trace_path = "test_net_cancel_trace.jsonl";
+  {
+    ServerOptions options;
+    options.trace_path = trace_path;
+    TestServer server(options);
+    NeutralClient client = server.connect();
+
+    SubmitRequest slow;
+    slow.deck_text = format_deck(tiny_deck(2000, 2000));
+    slow.threads = 1;
+    const std::uint64_t id = client.submit(slow);
+    while (client.status(id).at("state") == "queued") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    client.cancel(id);
+    const RemoteResult result = client.wait(id);
+    EXPECT_EQ(result.status, "cancelled") << result.error;
+    ASSERT_EQ(result.rows.size(), 1u);
+    EXPECT_EQ(result.rows[0].status, "cancelled");
+
+    const Fields metrics = client.metrics();
+    EXPECT_EQ(metrics.at("neutral_jobs_cancelled_total"), "1");
+    EXPECT_EQ(metrics.at("neutral_jobs_failed_total"), "0");
+  }
+  std::ifstream trace(trace_path);
+  std::size_t cancelled = 0, failed = 0;
+  for (std::string line; std::getline(trace, line);) {
+    cancelled += line.find("\"event\":\"cancelled\"") != std::string::npos;
+    failed += line.find("\"event\":\"failed\"") != std::string::npos;
+  }
+  EXPECT_EQ(cancelled, 1u);
+  EXPECT_EQ(failed, 0u);
+  std::remove(trace_path.c_str());
 }
 
 TEST(NetServer, CancelBeforeStartSkipsExecution) {

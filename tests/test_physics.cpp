@@ -13,7 +13,7 @@
 #include "mesh/density_field.h"
 #include "mesh/mesh2d.h"
 #include "util/numeric.h"
-#include "xs/synthetic.h"
+#include "xs/material.h"
 
 namespace neutral {
 namespace {
@@ -24,14 +24,13 @@ struct World {
       : mesh(n, n, width, width), density(mesh, density_kg_m3) {
     SyntheticXsConfig cfg;
     cfg.points = 2000;
-    capture = std::make_unique<CrossSectionTable>(make_capture_table(cfg));
-    scatter = std::make_unique<CrossSectionTable>(make_scatter_table(cfg));
+    xs = shared_material_xs(cfg);
     tally = std::make_unique<EnergyTally>(mesh.num_cells(),
                                           TallyMode::kAtomic, 1, 1.0e6);
     ctx.mesh = &mesh;
     ctx.density = &density;
-    ctx.xs_capture = capture.get();
-    ctx.xs_scatter = scatter.get();
+    ctx.xs_capture = &xs->capture;
+    ctx.xs_scatter = &xs->scatter;
     ctx.tally = tally.get();
     ctx.lookup = XsLookup::kCachedLinear;
     ctx.molar_mass_g_mol = 1.0;
@@ -63,8 +62,7 @@ struct World {
 
   StructuredMesh2D mesh;
   DensityField density;
-  std::unique_ptr<CrossSectionTable> capture;
-  std::unique_ptr<CrossSectionTable> scatter;
+  std::shared_ptr<const MaterialXs> xs;
   std::unique_ptr<EnergyTally> tally;
   TransportContext ctx;
 };

@@ -66,6 +66,7 @@ struct OutcomeTotals {
   std::atomic<std::uint64_t> ok{0};
   std::atomic<std::uint64_t> failed{0};
   std::atomic<std::uint64_t> timed_out{0};
+  std::atomic<std::uint64_t> cancelled{0};
   std::atomic<std::uint64_t> events{0};
 
   void note(const BatchReport& report) {
@@ -77,6 +78,8 @@ struct OutcomeTotals {
                          c.xs_lookups + c.tally_flushes);
       } else if (job.timed_out) {
         timed_out.fetch_add(1);
+      } else if (job.cancelled) {
+        cancelled.fetch_add(1);
       } else {
         failed.fetch_add(1);
       }
@@ -152,7 +155,7 @@ TEST(TsanStress, ConcurrentSubmitWatchCancelWithLiveScraper) {
         }
         if (round % 4 == 3 && c % 2 == 0) {
           // Cooperative cancel flipped mid-run by a separate thread; the
-          // affected jobs end ok or failed depending on timing — either
+          // affected jobs end ok or cancelled depending on timing — either
           // way they get exactly one outcome, which is all exactness
           // needs.
           Job job = stress_job(next_id++, 4 * kParticles);
@@ -176,7 +179,8 @@ TEST(TsanStress, ConcurrentSubmitWatchCancelWithLiveScraper) {
   scraper.join();
 
   // Every submitted job got exactly one outcome and one watch callback.
-  EXPECT_EQ(totals.ok.load() + totals.failed.load() + totals.timed_out.load(),
+  EXPECT_EQ(totals.ok.load() + totals.failed.load() + totals.timed_out.load() +
+                totals.cancelled.load(),
             submitted.load());
   EXPECT_EQ(watched.load(), submitted.load());
 
@@ -189,6 +193,8 @@ TEST(TsanStress, ConcurrentSubmitWatchCancelWithLiveScraper) {
             totals.failed.load());
   EXPECT_EQ(counter_value(snap, "neutral_jobs_timed_out_total"),
             totals.timed_out.load());
+  EXPECT_EQ(counter_value(snap, "neutral_jobs_cancelled_total"),
+            totals.cancelled.load());
   const std::uint64_t events_total =
       counter_value(snap, "neutral_events_facets_total") +
       counter_value(snap, "neutral_events_collisions_total") +

@@ -9,7 +9,7 @@
 #include "core/init.h"
 #include "core/simulation.h"
 #include "core/step.h"
-#include "xs/synthetic.h"
+#include "xs/material.h"
 
 namespace neutral {
 namespace {
@@ -21,14 +21,13 @@ struct RouletteWorld {
       : mesh(8, 8, 8.0, 8.0), density(mesh, 1.0e3) {
     SyntheticXsConfig cfg;
     cfg.points = 1500;
-    capture = std::make_unique<CrossSectionTable>(make_capture_table(cfg));
-    scatter = std::make_unique<CrossSectionTable>(make_scatter_table(cfg));
+    xs = shared_material_xs(cfg);
     tally = std::make_unique<EnergyTally>(mesh.num_cells(),
                                           TallyMode::kAtomic, 1, 1.0e6);
     ctx.mesh = &mesh;
     ctx.density = &density;
-    ctx.xs_capture = capture.get();
-    ctx.xs_scatter = scatter.get();
+    ctx.xs_capture = &xs->capture;
+    ctx.xs_scatter = &xs->scatter;
     ctx.tally = tally.get();
     ctx.molar_mass_g_mol = 1.0;
     ctx.mass_number = 100.0;
@@ -70,8 +69,7 @@ struct RouletteWorld {
 
   StructuredMesh2D mesh;
   DensityField density;
-  std::unique_ptr<CrossSectionTable> capture;
-  std::unique_ptr<CrossSectionTable> scatter;
+  std::shared_ptr<const MaterialXs> xs;
   std::unique_ptr<EnergyTally> tally;
   TransportContext ctx;
 };

@@ -12,6 +12,7 @@
 
 #include "rng/stream.h"
 #include "util/error.h"
+#include "xs/material.h"
 #include "xs/synthetic.h"
 #include "xs/table.h"
 
@@ -439,7 +440,7 @@ TEST(Synthetic, RejectsBadConfig) {
 
 TEST(Synthetic, CaptureAndScatterShareTheGrid) {
   // One bin and one interpolation weight serve both tables, which requires
-  // identical energy grids, knot for knot (see the World constructor).
+  // identical energy grids, knot for knot (see the MaterialXs constructor).
   SyntheticXsConfig cfg;
   cfg.points = 300;
   const auto c = make_capture_table(cfg);
@@ -448,6 +449,32 @@ TEST(Synthetic, CaptureAndScatterShareTheGrid) {
   for (std::int32_t i = 0; i < c.size(); ++i) {
     EXPECT_EQ(bits_of(c.energy(i)), bits_of(s.energy(i))) << i;
   }
+}
+
+TEST(Material, TablesAreTheBuildersTablesBitForBit) {
+  SyntheticXsConfig cfg;
+  cfg.points = 300;
+  const MaterialXs m(cfg);
+  const auto c = make_capture_table(cfg);
+  const auto s = make_scatter_table(cfg);
+  ASSERT_EQ(m.capture.size(), c.size());
+  ASSERT_EQ(m.scatter.size(), s.size());
+  for (std::int32_t i = 0; i < c.size(); ++i) {
+    EXPECT_EQ(bits_of(m.capture.energy(i)), bits_of(c.energy(i))) << i;
+    EXPECT_EQ(bits_of(m.capture.value(i)), bits_of(c.value(i))) << i;
+    EXPECT_EQ(bits_of(m.scatter.energy(i)), bits_of(s.energy(i))) << i;
+    EXPECT_EQ(bits_of(m.scatter.value(i)), bits_of(s.value(i))) << i;
+  }
+}
+
+TEST(Material, FootprintIsTheSumOfItsArrays) {
+  const MaterialXs m(SyntheticXsConfig{});
+  std::uint64_t arrays = 0;
+  for (const CrossSectionTable* t : {&m.capture, &m.scatter}) {
+    arrays += static_cast<std::uint64_t>(t->size()) * sizeof(double) * 2 +
+              t->slot_count() * sizeof(std::int32_t);
+  }
+  EXPECT_EQ(m.footprint_bytes(), sizeof(MaterialXs) + arrays);
 }
 
 }  // namespace
