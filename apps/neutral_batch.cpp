@@ -15,8 +15,8 @@
 // TCP, completion events stream back as jobs finish server-side, and the
 // table/CSV carry the daemon's bit-identical results (columns match the
 // local table, so the two CSVs diff directly).  Engine knobs (--workers,
-// --threads-per-job, --cache-mb, --no-cache) belong to the daemon in this
-// mode and are rejected here.
+// --threads-per-job, --cache-mb) belong to the daemon in this mode and are
+// rejected here.
 //
 // Exit status is non-zero when ANY row is not "ok" — failed, timed out,
 // cancelled, or energy-non-conserving — in every mode, local
@@ -24,8 +24,8 @@
 //
 // The oversubscription policy is workers x threads_per_job <= logical
 // cpus; both knobs derive sensible defaults from the host (see
-// batch/engine.h).  Each sweep job runs through batch::run_sweep
-// (src/batch/executor.h) as one Simulation on one OpenMP team.  Tally
+// batch/engine.h).  Each sweep job runs through BatchEngine::run as one
+// Simulation on one OpenMP team.  Tally
 // cells are exact integer sums (core/tally.h), so the checksum and
 // population columns are bit-identical for every worker count, thread
 // count and tally mode.
@@ -39,7 +39,6 @@
 #include <string>
 
 #include "batch/engine.h"
-#include "batch/executor.h"
 #include "batch/sweep.h"
 #include "core/simulation.h"
 #include "io/results_io.h"
@@ -105,7 +104,7 @@ std::vector<std::string> result_columns() {
           "peak bank [MiB]"};
 }
 
-/// One row of the table from one run_sweep row.
+/// One row of the table from one engine row.
 std::vector<std::string> result_cells(const JobOutcome& row) {
   std::string status = "ok";
   if (row.timed_out) {
@@ -201,8 +200,6 @@ int main(int argc, char** argv) {
         cli.option_int("workers", 0, "worker threads (0 = auto)"));
     options.threads_per_job = static_cast<std::int32_t>(cli.option_int(
         "threads-per-job", 0, "OpenMP threads per job (0 = auto)"));
-    options.reuse_worlds =
-        !cli.flag("no-cache", "rebuild the world for every job");
     const std::string csv =
         cli.option("csv", "neutral_batch.csv", "results CSV path");
     const std::string record_dir = cli.option(
@@ -224,8 +221,8 @@ int main(int argc, char** argv) {
     options.profile = cli.flag(
         "profile",
         "collect per-phase TSC timings in every job and print the sweep's "
-        "aggregate grind-time table (probes live in the over-particles "
-        "scheme; physics and checksums are unchanged)");
+        "aggregate grind-time table (both schemes; physics and checksums "
+        "are unchanged)");
     const std::string trace_log = cli.option(
         "trace-log", "",
         "append one JSON line per job lifecycle event here "
@@ -253,10 +250,10 @@ int main(int argc, char** argv) {
                       "engine; start neutrald with --trace-log for the "
                       "daemon side");
       NEUTRAL_REQUIRE(options.workers == 0 && options.threads_per_job == 0 &&
-                          options.reuse_worlds && cache_mb == 0,
+                          cache_mb == 0,
                       "engine knobs (--workers, --threads-per-job, "
-                      "--no-cache, --cache-mb) configure the daemon; set "
-                      "them when starting neutrald");
+                      "--cache-mb) configure the daemon; set them when "
+                      "starting neutrald");
       const std::string spec_text =
           spec_path.empty() ? kDefaultSpec : read_file(spec_path);
       return run_remote(connect, spec_text, csv, quiet);
@@ -274,12 +271,10 @@ int main(int argc, char** argv) {
 
     const std::size_t n_jobs = sweep_jobs.size();
     std::printf("# neutral_batch (%s)\n", host_banner().c_str());
-    std::printf("# %zu sweep jobs (world cache %s)\n", n_jobs,
-                options.reuse_worlds ? "on" : "off");
+    std::printf("# %zu sweep jobs\n", n_jobs);
 
-    const BatchReport report = run_sweep(
-        engine, std::move(sweep_jobs), /*cancel=*/nullptr,
-        [&](const JobOutcome& outcome) {
+    const BatchReport report = engine.run(
+        std::move(sweep_jobs), [&](const JobOutcome& outcome) {
           if (quiet) return;
           if (outcome.ok) {
             std::printf("[worker %d] done %-44s %8.3fs  %10.3g ev/s%s\n",

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "core/simulation.h"

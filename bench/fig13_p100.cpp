@@ -8,72 +8,78 @@ using namespace neutral;
 using namespace neutral::bench;
 
 int main(int argc, char** argv) {
-  CliParser cli(argc, argv);
-  SimScale scale;
-  if (!SimScale::parse(cli, &scale)) return 0;
-  const std::string csv = sim_banner("fig13_p100", "Fig 13 (P100)", scale);
+  try {
+    CliParser cli(argc, argv);
+    SimScale scale;
+    if (!SimScale::parse(cli, &scale)) return 0;
+    const std::string csv = sim_banner("fig13_p100", "Fig 13 (P100)", scale);
 
-  ResultTable table("Fig 13 — P100 estimates at paper scale",
-                    {"problem", "scheme", "seconds", "achieved GB/s",
-                     "BW util", "mem-stall frac"});
-  for (const std::string name : {"stream", "scatter", "csp"}) {
-    for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
-      const auto est = estimate_paper_scale(
-          sim_config(simt::p100(), scheme, name, scale), name, scale);
-      table.add_row({name, to_string(scheme),
-                     ResultTable::cell(est.seconds, 2),
-                     ResultTable::cell(est.achieved_gbps, 1),
-                     ResultTable::cell(est.bandwidth_utilization, 2),
-                     ResultTable::cell(est.memory_stall_fraction, 2)});
+    ResultTable table("Fig 13 — P100 estimates at paper scale",
+                      {"problem", "scheme", "seconds", "achieved GB/s",
+                       "BW util", "mem-stall frac"});
+    for (const std::string name : {"stream", "scatter", "csp"}) {
+      for (const Scheme scheme :
+           {Scheme::kOverParticles, Scheme::kOverEvents}) {
+        const auto est = estimate_paper_scale(
+            sim_config(simt::p100(), scheme, name, scale), name, scale);
+        table.add_row({name, to_string(scheme),
+                       ResultTable::cell(est.seconds, 2),
+                       ResultTable::cell(est.achieved_gbps, 1),
+                       ResultTable::cell(est.bandwidth_utilization, 2),
+                       ResultTable::cell(est.memory_stall_fraction, 2)});
+      }
     }
-  }
-  table.print();
-  table.write_csv(csv);
+    table.print();
+    table.write_csv(csv);
 
-  // Register/occupancy sweep on both GPU generations (§VI-H, §VII-E).
-  // Needs enough warps for occupancy to bind.
-  SimScale occupancy_scale = scale;
-  occupancy_scale.particles = std::max<std::int64_t>(scale.particles, 16384);
-  ResultTable regs("Fig 13b — register cap vs occupancy (csp, OP)",
-                   {"device", "regs/thread", "resident warps", "seconds"});
-  for (const auto& device : {simt::k20x(), simt::p100()}) {
-    for (const std::int32_t r : {64, 79, 102}) {
-      auto cfg = sim_config(device, Scheme::kOverParticles, "csp",
-                            occupancy_scale);
-      cfg.regs_per_thread = r;
-      const auto est = estimate_paper_scale(cfg, "csp", occupancy_scale);
-      regs.add_row({device.name, ResultTable::cell(static_cast<long>(r)),
-                    ResultTable::cell(static_cast<long>(est.contexts)),
-                    ResultTable::cell(est.seconds, 2)});
+    // Register/occupancy sweep on both GPU generations (§VI-H, §VII-E).
+    // Needs enough warps for occupancy to bind.
+    SimScale occupancy_scale = scale;
+    occupancy_scale.particles = std::max<std::int64_t>(scale.particles, 16384);
+    ResultTable regs("Fig 13b — register cap vs occupancy (csp, OP)",
+                     {"device", "regs/thread", "resident warps", "seconds"});
+    for (const auto& device : {simt::k20x(), simt::p100()}) {
+      for (const std::int32_t r : {64, 79, 102}) {
+        auto cfg = sim_config(device, Scheme::kOverParticles, "csp",
+                              occupancy_scale);
+        cfg.regs_per_thread = r;
+        const auto est = estimate_paper_scale(cfg, "csp", occupancy_scale);
+        regs.add_row({device.name, ResultTable::cell(static_cast<long>(r)),
+                      ResultTable::cell(static_cast<long>(est.contexts)),
+                      ResultTable::cell(est.seconds, 2)});
+      }
     }
+    regs.print();
+    regs.write_csv("fig13_p100_registers.csv");
+
+    // §VIII-A: hardware FP64 atomicAdd ablation.
+    ResultTable atomics("§VIII-A — native vs emulated FP64 atomics (csp, OP, P100)",
+                        {"atomics", "seconds", "speedup"});
+    auto p100_native = simt::p100();
+    auto p100_emulated = simt::p100();
+    p100_emulated.native_fp64_atomics = false;
+    const double t_native = estimate_paper_scale(
+        sim_config(p100_native, Scheme::kOverParticles, "csp", scale), "csp",
+        scale).seconds;
+    const double t_emulated = estimate_paper_scale(
+        sim_config(p100_emulated, Scheme::kOverParticles, "csp", scale), "csp",
+        scale).seconds;
+    atomics.add_row({"emulated (CAS)", ResultTable::cell(t_emulated, 2),
+                     ResultTable::cell(1.0, 2)});
+    atomics.add_row({"native atomicAdd", ResultTable::cell(t_native, 2),
+                     ResultTable::cell(t_emulated / t_native, 2)});
+    atomics.print();
+    atomics.write_csv("fig13_p100_atomics.csv");
+
+    std::printf(
+        "\npaper: OP 3.64x faster than OE on csp; 125 GB/s (~25%% util); 87%%\n"
+        "of kernel time on memory dependencies; capping to 64 regs helps K20X\n"
+        "1.6x but *hurts* P100 1.07x (model reproduces the K20X direction;\n"
+        "see EXPERIMENTS.md for the P100 deviation); native FP64 atomics worth\n"
+        "1.20x on P100.\n");
+    return 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fig13_p100: %s\n", e.what());
+    return 1;
   }
-  regs.print();
-  regs.write_csv("fig13_p100_registers.csv");
-
-  // §VIII-A: hardware FP64 atomicAdd ablation.
-  ResultTable atomics("§VIII-A — native vs emulated FP64 atomics (csp, OP, P100)",
-                      {"atomics", "seconds", "speedup"});
-  auto p100_native = simt::p100();
-  auto p100_emulated = simt::p100();
-  p100_emulated.native_fp64_atomics = false;
-  const double t_native = estimate_paper_scale(
-      sim_config(p100_native, Scheme::kOverParticles, "csp", scale), "csp",
-      scale).seconds;
-  const double t_emulated = estimate_paper_scale(
-      sim_config(p100_emulated, Scheme::kOverParticles, "csp", scale), "csp",
-      scale).seconds;
-  atomics.add_row({"emulated (CAS)", ResultTable::cell(t_emulated, 2),
-                   ResultTable::cell(1.0, 2)});
-  atomics.add_row({"native atomicAdd", ResultTable::cell(t_native, 2),
-                   ResultTable::cell(t_emulated / t_native, 2)});
-  atomics.print();
-  atomics.write_csv("fig13_p100_atomics.csv");
-
-  std::printf(
-      "\npaper: OP 3.64x faster than OE on csp; 125 GB/s (~25%% util); 87%%\n"
-      "of kernel time on memory dependencies; capping to 64 regs helps K20X\n"
-      "1.6x but *hurts* P100 1.07x (model reproduces the K20X direction;\n"
-      "see EXPERIMENTS.md for the P100 deviation); native FP64 atomics worth\n"
-      "1.20x on P100.\n");
-  return 0;
 }

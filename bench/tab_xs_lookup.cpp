@@ -86,60 +86,65 @@ MicroResult micro_lookup(const MaterialXs& xs, XsLookup mode,
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli(argc, argv);
-  BenchScale scale;
-  scale.reps = 3;
-  if (!BenchScale::parse(cli, &scale)) return 0;
-  const std::string csv =
-      banner("tab_xs_lookup", "§VI-A XS lookup strategies", scale);
+  try {
+    CliParser cli(argc, argv);
+    BenchScale scale;
+    scale.reps = 3;
+    if (!BenchScale::parse(cli, &scale)) return 0;
+    const std::string csv =
+        banner("tab_xs_lookup", "§VI-A XS lookup strategies", scale);
 
-  constexpr XsLookup kModes[] = {XsLookup::kBinarySearch,
-                                 XsLookup::kCachedLinear};
+    constexpr XsLookup kModes[] = {XsLookup::kBinarySearch,
+                                   XsLookup::kCachedLinear};
 
-  ResultTable table("§VI-A — cross-section lookup strategy (Over Particles)",
-                    {"problem", "strategy", "seconds", "binary/this"});
-  for (const std::string name : {"csp", "scatter"}) {
-    double binary_seconds = 0.0;
-    for (const XsLookup mode : kModes) {
-      SimulationConfig cfg;
-      cfg.deck = scale.deck(name);
-      cfg.lookup = mode;
-      const double seconds = best_seconds(cfg, scale.reps);
-      if (mode == XsLookup::kBinarySearch) binary_seconds = seconds;
-      table.add_row({name, to_string(mode), ResultTable::cell(seconds, 3),
-                     ResultTable::cell(binary_seconds / seconds, 3)});
+    ResultTable table("§VI-A — cross-section lookup strategy (Over Particles)",
+                      {"problem", "strategy", "seconds", "binary/this"});
+    for (const std::string name : {"csp", "scatter"}) {
+      double binary_seconds = 0.0;
+      for (const XsLookup mode : kModes) {
+        SimulationConfig cfg;
+        cfg.deck = scale.deck(name);
+        cfg.lookup = mode;
+        const double seconds = best_seconds(cfg, scale.reps);
+        if (mode == XsLookup::kBinarySearch) binary_seconds = seconds;
+        table.add_row({name, to_string(mode), ResultTable::cell(seconds, 3),
+                       ResultTable::cell(binary_seconds / seconds, 3)});
+      }
     }
-  }
-  table.print();
-  table.write_csv(csv);
+    table.print();
+    table.write_csv(csv);
 
-  // Isolated lookup microbench: one capture+scatter pair per energy of a
-  // correlated collision-style walk.
-  const std::shared_ptr<const MaterialXs> xs =
-      shared_material_xs(scale.deck("csp").xs);
-  const std::vector<double> energies = energy_walk(xs->capture, 1u << 18);
-  ResultTable micro("§VI-A — isolated lookup (capture+scatter pair, "
-                    "collision-style energy walk)",
-                    {"strategy", "ns/lookup", "steps/lookup", "checksum"});
-  std::vector<double> sums;
-  for (const XsLookup mode : kModes) {
-    const MicroResult r = micro_lookup(*xs, mode, energies, scale.reps);
-    micro.add_row({to_string(mode), ResultTable::cell(r.ns_per_lookup, 2),
-                   ResultTable::cell(r.steps_per_lookup, 3),
-                   ResultTable::cell_full(r.sum)});
-    sums.push_back(r.sum);
-  }
-  micro.print();
-  micro.write_csv("tab_xs_lookup_micro.csv");
+    // Isolated lookup microbench: one capture+scatter pair per energy of a
+    // correlated collision-style walk.
+    const std::shared_ptr<const MaterialXs> xs =
+        shared_material_xs(scale.deck("csp").xs);
+    const std::vector<double> energies = energy_walk(xs->capture, 1u << 18);
+    ResultTable micro("§VI-A — isolated lookup (capture+scatter pair, "
+                      "collision-style energy walk)",
+                      {"strategy", "ns/lookup", "steps/lookup", "checksum"});
+    std::vector<double> sums;
+    for (const XsLookup mode : kModes) {
+      const MicroResult r = micro_lookup(*xs, mode, energies, scale.reps);
+      micro.add_row({to_string(mode), ResultTable::cell(r.ns_per_lookup, 2),
+                     ResultTable::cell(r.steps_per_lookup, 3),
+                     ResultTable::cell_full(r.sum)});
+      sums.push_back(r.sum);
+    }
+    micro.print();
+    micro.write_csv("tab_xs_lookup_micro.csv");
 
-  std::printf(
-      "\npaper: cached linear search 1.3x faster than binary search on csp\n"
-      "(collisions change energy slowly, so the walk stays in cache).\n");
-  if (sums.front() != sums.back()) {
-    std::printf("FAIL: the strategies' checksums differ — they must locate "
-                "the same bin, so the values must be bit-identical\n");
+    std::printf(
+        "\npaper: cached linear search 1.3x faster than binary search on csp\n"
+        "(collisions change energy slowly, so the walk stays in cache).\n");
+    if (sums.front() != sums.back()) {
+      std::printf("FAIL: the strategies' checksums differ — they must locate "
+                  "the same bin, so the values must be bit-identical\n");
+      return 1;
+    }
+    std::printf("PASS: both strategies' checksums are bit-identical\n");
+    return 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tab_xs_lookup: %s\n", e.what());
     return 1;
   }
-  std::printf("PASS: both strategies' checksums are bit-identical\n");
-  return 0;
 }

@@ -312,15 +312,13 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
                 config.deadline, std::chrono::steady_clock::now() +
                                      options_.policy.max_run_wall);
           }
-          std::shared_ptr<const World> world =
-              options_.reuse_worlds
-                  ? cache_.acquire(config.deck, job.fingerprint,
-                                   &outcome.world_cache_hit)
-                  : build_world(config.deck);
+          std::shared_ptr<const World> world = cache_.acquire(
+              config.deck, job.fingerprint, &outcome.world_cache_hit);
           Simulation sim(std::move(config), std::move(world));
           outcome.result = sim.run();
           outcome.config = sim.config();
-          outcome.ok = true;
+          outcome.ok = outcome.result.budget.conserved(1e-9);
+          if (!outcome.ok) outcome.error = "energy not conserved";
         } catch (const TimeoutError& e) {
           outcome.timed_out = true;
           outcome.error = e.what();

@@ -60,9 +60,8 @@ struct EngineOptions {
   std::int32_t workers = 0;
   /// OpenMP threads per job; 0 = logical cpus / workers (>= 1).
   std::int32_t threads_per_job = 0;
-  /// Share Worlds between jobs with identical geometry.
-  bool reuse_worlds = true;
-  /// World cache byte budget / eviction policy.
+  /// Byte budget / eviction policy of the WorldCache every job's World
+  /// comes through (jobs with identical geometry share one).
   WorldCacheOptions cache;
   /// Deadline policy (see QueuePolicy).  max_run_wall reaches each job
   /// through SimulationConfig::deadline.
@@ -85,13 +84,15 @@ struct JobOutcome {
   std::uint64_t job_id = 0;
   std::string label;
   SimulationConfig config;     ///< as executed (threads budget filled in)
-  RunResult result;            ///< default-constructed when !ok
+  RunResult result;            ///< default-constructed when the run threw
   double seconds = 0.0;        ///< wall clock including world acquisition
   /// Seconds between run() start and a worker taking the job (0 when the
   /// job never reached a worker).
   double queue_wait_seconds = 0.0;
   bool world_cache_hit = false;
   std::int32_t worker = -1;    ///< which worker ran it (-1: never ran)
+  /// The run finished and its result conserves energy; a finished run
+  /// that does not fails with "energy not conserved" (result kept).
   bool ok = false;
   /// Subset of !ok: a client cancel (SimulationConfig::cancel) stopped it
   /// (the run threw CancelledError).  Counted and traced as cancelled, not
@@ -102,7 +103,7 @@ struct JobOutcome {
   /// distinct from plain failure so a serving layer can report
   /// `timed_out` and a client can retry with a longer budget.
   bool timed_out = false;
-  std::string error;           ///< exception message when !ok
+  std::string error;           ///< why !ok (exception message)
 
   /// Events over `seconds` — the row's wall rate including world
   /// acquisition, the one events/s every front-end prints.
@@ -148,10 +149,13 @@ class BatchEngine {
   /// engine lock, so implementations need no locking of their own).
   using CompletionCallback = std::function<void(const JobOutcome&)>;
 
-  /// Run every job to completion and return the aggregated report.
-  /// Workers start jobs in submission order.  Job ids must be unique
-  /// within the submission.  Safe to call repeatedly; the world cache
-  /// persists across runs.
+  /// Run every job to completion and return the aggregated report: ONE
+  /// row per job, in submission order, each labelled before it is counted,
+  /// traced and passed to `on_complete` (ok, failed — energy not conserved
+  /// included — timed_out or cancelled).  Workers start jobs in submission
+  /// order.  Job ids must be unique within the submission.  A job's
+  /// SimulationConfig::cancel is honoured between timesteps.  Safe to call
+  /// repeatedly; the world cache persists across runs.
   BatchReport run(std::vector<Job> jobs,
                   const CompletionCallback& on_complete = {});
 

@@ -74,4 +74,19 @@ class TimingHooks {
   std::uint64_t start_ = 0;
 };
 
+/// The one profiling rule both schemes share: the phase probes run exactly
+/// when a profiler is attached (Simulation attaches one iff
+/// SimulationConfig::profile).  Calls `body(make_hooks)`, where
+/// `make_hooks(thread)` returns a TimingHooks for that thread or a NoHooks.
+/// TimingHooks is stateful (one in-flight phase start per instance), so
+/// every parallel region constructs its own through make_hooks.
+template <class Body>
+auto with_phase_hooks(PhaseProfiler* profiler, Body&& body) {
+  if (profiler != nullptr) {
+    return body(
+        [profiler](std::int32_t t) { return TimingHooks(profiler, t); });
+  }
+  return body([](std::int32_t) { return NoHooks{}; });
+}
+
 }  // namespace neutral

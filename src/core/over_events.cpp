@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include "core/hooks.h"
 #include "core/step.h"
 #include "core/tally.h"
 #include "runtime/timer.h"
@@ -78,32 +79,13 @@ inline void store_fs(OverEventsWorkspace& ws, std::size_t i,
 
 /// Parallel masked foreach over the whole particle list.  Every kernel
 /// visits all particles and checks the mask — the gather pattern the paper
-/// describes (§V-B "particles are gathered from memory").
-///
-/// The simd variant requests vectorisation with `omp for simd`; the scalar
-/// variant compiles with auto-vectorisation disabled so the Fig 8
-/// comparison measures a genuinely unvectorised baseline.
+/// describes (§V-B "particles are gathered from memory").  No `simd`
+/// clause: the handlers branch and deposit into shared tallies, so the
+/// iterations are not independent across vector lanes.
 template <class MakeHooks, class Body>
-void masked_foreach_simd(std::int64_t n,
-                         aligned_vector<Padded<EventCounters>>& counters,
-                         MakeHooks make_hooks, Body body) {
-#pragma omp parallel
-  {
-    const std::int32_t t = omp_get_thread_num();
-    EventCounters& ec = counters[static_cast<std::size_t>(t)].value;
-    auto hooks = make_hooks(t);
-#pragma omp for simd schedule(static)
-    for (std::int64_t i = 0; i < n; ++i) body(i, ec, t, hooks);
-  }
-}
-
-template <class MakeHooks, class Body>
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("no-tree-vectorize")))
-#endif
-void masked_foreach_scalar(std::int64_t n,
-                           aligned_vector<Padded<EventCounters>>& counters,
-                           MakeHooks make_hooks, Body body) {
+void masked_foreach(std::int64_t n,
+                    aligned_vector<Padded<EventCounters>>& counters,
+                    MakeHooks make_hooks, Body body) {
 #pragma omp parallel
   {
     const std::int32_t t = omp_get_thread_num();
@@ -114,21 +96,10 @@ void masked_foreach_scalar(std::int64_t n,
   }
 }
 
-template <bool Simd, class MakeHooks, class Body>
-void masked_foreach(std::int64_t n,
-                    aligned_vector<Padded<EventCounters>>& counters,
-                    MakeHooks make_hooks, Body body) {
-  if constexpr (Simd) {
-    masked_foreach_simd(n, counters, make_hooks, body);
-  } else {
-    masked_foreach_scalar(n, counters, make_hooks, body);
-  }
-}
-
 template <class View, class MakeHooks>
 EventCounters drive(const View& v, const TransportContext& ctx, double dt_s,
-                    const OverEventsOptions& opt, OverEventsWorkspace& ws,
-                    OverEventsKernelTimes* times, MakeHooks make_hooks) {
+                    OverEventsWorkspace& ws, OverEventsKernelTimes* times,
+                    MakeHooks make_hooks) {
   NEUTRAL_REQUIRE(ws.size() == v.size(),
                   "workspace must be sized to the particle container");
   const auto n = static_cast<std::int64_t>(v.size());
@@ -229,34 +200,22 @@ EventCounters drive(const View& v, const TransportContext& ctx, double dt_s,
                        : 0;
     }
     if (in_flight == 0) break;
-    if (opt.simd_event_search) {
-      masked_foreach<true>(n, counters, make_hooks, search);
-    } else {
-      masked_foreach<false>(n, counters, make_hooks, search);
-    }
+    masked_foreach(n, counters, make_hooks, search);
     if (times != nullptr) {
       times->event_search += timer.seconds();
       ++times->iterations;
     }
 
     timer.restart();
-    if (opt.simd_collisions) {
-      masked_foreach<true>(n, counters, make_hooks, collide);
-    } else {
-      masked_foreach<false>(n, counters, make_hooks, collide);
-    }
+    masked_foreach(n, counters, make_hooks, collide);
     if (times != nullptr) times->collisions += timer.seconds();
 
     timer.restart();
-    if (opt.simd_facets) {
-      masked_foreach<true>(n, counters, make_hooks, cross);
-    } else {
-      masked_foreach<false>(n, counters, make_hooks, cross);
-    }
+    masked_foreach(n, counters, make_hooks, cross);
     if (times != nullptr) times->facets += timer.seconds();
 
     timer.restart();
-    masked_foreach<false>(n, counters, make_hooks, census);
+    masked_foreach(n, counters, make_hooks, census);
     if (times != nullptr) times->census += timer.seconds();
 
     // Kernel 5: the separate tally loop (§VI-G) — drains the deposits the
@@ -271,37 +230,22 @@ EventCounters drive(const View& v, const TransportContext& ctx, double dt_s,
   return total;
 }
 
-/// Pick the hooks policy: per-thread TimingHooks when profiling (TimingHooks
-/// is stateful — one in-flight phase start per instance — so every parallel
-/// region constructs its own through make_hooks), NoHooks otherwise.
-template <class View>
-EventCounters dispatch(const View& v, const TransportContext& ctx, double dt_s,
-                       const OverEventsOptions& opt, OverEventsWorkspace& ws,
-                       OverEventsKernelTimes* times) {
-  if (opt.profile && ctx.profiler != nullptr) {
-    PhaseProfiler* profiler = ctx.profiler;
-    return drive(v, ctx, dt_s, opt, ws, times, [profiler](std::int32_t t) {
-      return TimingHooks(profiler, t);
-    });
-  }
-  return drive(v, ctx, dt_s, opt, ws, times,
-               [](std::int32_t) { return NoHooks{}; });
-}
-
 }  // namespace
 
 EventCounters over_events_step(const SoaView& v, const TransportContext& ctx,
-                               double dt_s, const OverEventsOptions& opt,
-                               OverEventsWorkspace& ws,
+                               double dt_s, OverEventsWorkspace& ws,
                                OverEventsKernelTimes* times) {
-  return dispatch(v, ctx, dt_s, opt, ws, times);
+  return with_phase_hooks(ctx.profiler, [&](auto make_hooks) {
+    return drive(v, ctx, dt_s, ws, times, make_hooks);
+  });
 }
 
 EventCounters over_events_step(const AosView& v, const TransportContext& ctx,
-                               double dt_s, const OverEventsOptions& opt,
-                               OverEventsWorkspace& ws,
+                               double dt_s, OverEventsWorkspace& ws,
                                OverEventsKernelTimes* times) {
-  return dispatch(v, ctx, dt_s, opt, ws, times);
+  return with_phase_hooks(ctx.profiler, [&](auto make_hooks) {
+    return drive(v, ctx, dt_s, ws, times, make_hooks);
+  });
 }
 
 }  // namespace neutral

@@ -10,10 +10,13 @@
 //   4. census         — park particles that reached the end of the step;
 //   5. tally drain    — the separate atomic loop (§VI-G workaround).
 //
-// Properties the paper measures (§V-B, §VII-A): tight vectorisable loops;
-// flight state streamed through per-particle arrays instead of registers;
-// each kernel visits the whole particle list and masks on the event type
-// (gathers); one barrier per kernel instead of one per timestep.
+// Properties the paper measures (§V-B, §VII-A): one tight loop per event
+// kind; flight state streamed through per-particle arrays instead of
+// registers; each kernel visits the whole particle list and masks on the
+// event type (gathers); one barrier per kernel instead of one per timestep.
+// The paper split the kernels so they could vectorise (§VI-G, Fig 8); with
+// gcc 12 none of them does (every masked loop branches into the step.h
+// handlers), so they run as plain static-scheduled OpenMP loops.
 //
 // The physics is the same step.h code the Over Particles scheme runs, so
 // both schemes sample identical histories.
@@ -28,18 +31,7 @@
 
 namespace neutral {
 
-struct OverEventsOptions {
-  /// Per-kernel `omp simd` toggles — the Fig 8 vectorisation experiment.
-  bool simd_event_search = true;
-  bool simd_collisions = true;
-  bool simd_facets = true;
-  /// Drive the step.h phase probes with per-thread TimingHooks (requires
-  /// ctx.profiler) so RunResult::phases covers the breadth-first scheme
-  /// too.  Set by the Simulation layer from SimulationConfig::profile.
-  bool profile = false;
-};
-
-/// Wall seconds accumulated per kernel over a timestep (Fig 8 rows).
+/// Wall seconds accumulated per kernel over a timestep.
 struct OverEventsKernelTimes {
   double event_search = 0.0;
   double collisions = 0.0;
@@ -79,14 +71,13 @@ class OverEventsWorkspace {
 inline constexpr std::uint8_t kNoEvent = 255;
 
 /// Advance every particle one full timestep, breadth-first.  Kernel times
-/// are accumulated into `times` when non-null.
+/// are accumulated into `times` when non-null; the step.h phase probes run
+/// when ctx.profiler is set.
 EventCounters over_events_step(const SoaView& v, const TransportContext& ctx,
-                               double dt_s, const OverEventsOptions& opt,
-                               OverEventsWorkspace& ws,
+                               double dt_s, OverEventsWorkspace& ws,
                                OverEventsKernelTimes* times);
 EventCounters over_events_step(const AosView& v, const TransportContext& ctx,
-                               double dt_s, const OverEventsOptions& opt,
-                               OverEventsWorkspace& ws,
+                               double dt_s, OverEventsWorkspace& ws,
                                OverEventsKernelTimes* times);
 
 }  // namespace neutral

@@ -16,18 +16,14 @@
 
 namespace neutral {
 
-struct OverParticlesOptions {
-  SchedulePolicy schedule = SchedulePolicy::statics();
-  /// Enable §VI-A phase profiling (requires ctx.profiler != nullptr).
-  bool profile = false;
-};
-
-/// Advance every particle in `v` through one timestep of length `dt_s`.
-/// Returns the aggregated event counters.  The caller is responsible for
-/// merging privatized tallies afterwards (see EnergyTally::merge_each_step).
+/// Advance every particle in `v` through one timestep of length `dt_s`,
+/// histories distributed by `schedule` (Fig 4); the step.h phase probes run
+/// when ctx.profiler is set.  Returns the aggregated event counters.  The
+/// caller is responsible for merging privatized tallies afterwards (see
+/// EnergyTally::merge_each_step).
 EventCounters over_particles_step(const AosView& v, const TransportContext& ctx,
-                                  double dt_s, const OverParticlesOptions& opt);
+                                  double dt_s, const SchedulePolicy& schedule);
 EventCounters over_particles_step(const SoaView& v, const TransportContext& ctx,
-                                  double dt_s, const OverParticlesOptions& opt);
+                                  double dt_s, const SchedulePolicy& schedule);
 
 }  // namespace neutral

@@ -140,11 +140,9 @@ StepResult Simulation::step() {
   StepResult result;
   WallTimer timer;
   if (config_.scheme == Scheme::kOverParticles) {
-    OverParticlesOptions opt;
-    opt.schedule = config_.schedule;
-    opt.profile = config_.profile;
     result.counters = bank_.with_view([&](const auto& view) {
-      return over_particles_step(view, ctx_, config_.deck.dt_s, opt);
+      return over_particles_step(view, ctx_, config_.deck.dt_s,
+                                 config_.schedule);
     });
   } else {
     // The bank never changes size, so the flight-state workspace is built
@@ -153,11 +151,9 @@ StepResult Simulation::step() {
       workspace_ = std::make_unique<OverEventsWorkspace>(bank_.size());
       note_bank_peak();
     }
-    OverEventsOptions opt = config_.over_events;
-    opt.profile = config_.profile;
     result.counters = bank_.with_view([&](const auto& view) {
-      return over_events_step(view, ctx_, config_.deck.dt_s, opt,
-                              *workspace_, &result.kernel_times);
+      return over_events_step(view, ctx_, config_.deck.dt_s, *workspace_,
+                              &result.kernel_times);
     });
   }
   if (tally_.merge_each_step()) tally_.merge();

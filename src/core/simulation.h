@@ -58,9 +58,9 @@ struct SimulationConfig {
   SchedulePolicy schedule = SchedulePolicy::statics();
   /// OpenMP thread count; 0 keeps the ambient setting.
   std::int32_t threads = 0;
-  /// Enable §VI-A phase profiling (Over Particles only).
+  /// Enable §VI-A phase profiling: Simulation attaches a PhaseProfiler,
+  /// and both schemes drive the step.h phase probes into it.
   bool profile = false;
-  OverEventsOptions over_events;
   /// Cooperative wall-clock deadline: step() checks it at timestep
   /// boundaries (never inside the hot tracking loop) and
   /// throw TimeoutError once it passes.  The batch engine stamps this from
@@ -98,7 +98,7 @@ struct RunResult {
   /// Over Events flight-state workspace.
   std::uint64_t peak_bank_bytes = 0;
   /// §VI-A phase profile; all-zero unless the run profiled
-  /// (SimulationConfig::profile on a scheme with probes).
+  /// (SimulationConfig::profile).
   PhaseProfiler::Report phases;
 
   /// Events per second — the throughput figure the harness reports.

@@ -12,7 +12,6 @@
 #include <set>
 #include <utility>
 
-#include "batch/executor.h"
 #include "batch/sweep.h"
 #include "io/deck_io.h"
 #include "obs/exporter.h"
@@ -50,8 +49,8 @@ Fields refused_reply(const std::string& message) {
   return Fields{{"ok", "0"}, {"refused", "1"}, {"error", message}};
 }
 
-/// The protocol's row status vocabulary for one run_sweep row or engine
-/// job (the engine labels the aborts a client cancel caused as cancelled).
+/// The protocol's row status vocabulary for one engine row (the engine
+/// labels the aborts a client cancel caused as cancelled).
 std::string outcome_status(const JobOutcome& outcome) {
   if (outcome.ok) return "ok";
   if (outcome.timed_out) return "timed_out";
@@ -952,20 +951,22 @@ void NeutralServer::execute(const std::shared_ptr<Submission>& sub) {
     if (!sub->label.empty() && sweep_jobs.size() == 1) {
       sweep_jobs.front().label = sub->label;
     }
+    // Every job of the submission shares one cooperative cancel flag, so a
+    // client `cancel` stops in-flight work at the next timestep boundary.
     const auto max_queue_wait = engine_.options().policy.max_queue_wait;
-    if (max_queue_wait.count() > 0) {
-      for (Job& job : sweep_jobs) job.deadline = sub->accepted + max_queue_wait;
+    for (Job& job : sweep_jobs) {
+      if (max_queue_wait.count() > 0) {
+        job.deadline = sub->accepted + max_queue_wait;
+      }
+      job.config.cancel = sub->cancel.get();
     }
     {
       MutexLock lock(mutex_);
       sub->jobs_total = sweep_jobs.size();
     }
 
-    // Every job of the submission shares one cooperative cancel flag, so a
-    // client `cancel` stops in-flight work at the next timestep boundary.
-    const BatchReport report = batch::run_sweep(
-        engine_, std::move(sweep_jobs), sub->cancel.get(),
-        [&](const JobOutcome& outcome) {
+    const BatchReport report = engine_.run(
+        std::move(sweep_jobs), [&](const JobOutcome& outcome) {
           {
             MutexLock lock(mutex_);
             sub->events.push_back(Event{outcome.label,

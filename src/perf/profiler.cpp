@@ -76,8 +76,8 @@ void PhaseProfiler::reset() {
 std::string format_grind_table(const PhaseProfiler::Report& report,
                                double ghz) {
   if (report.total_visits() == 0 || ghz <= 0.0) {
-    return "(no phase probes recorded — profile an over-particles run to "
-           "collect §VI-A grind times)\n";
+    return "(no phase probes recorded — run with profiling on to collect "
+           "§VI-A grind times)\n";
   }
   std::string out = "\n== §VI-A phase profile ==\n";
   char line[160];

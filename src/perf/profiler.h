@@ -123,8 +123,8 @@ class ScopedPhase {
 /// (cycles_per_visit / ghz) and share of profiled cycles.  `ghz` is usually
 /// PhaseProfiler::tsc_ghz().  Shared by `neutral --profile`, the batch
 /// sweep table and bench_transport so all three agree.  Returns a
-/// one-line note instead when the report holds no visits (profiling off,
-/// or a scheme without phase probes).
+/// one-line note instead when the report holds no visits (profiling off)
+/// or the TSC rate is unknown.
 std::string format_grind_table(const PhaseProfiler::Report& report,
                                double ghz);
 

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "batch/engine.h"
-#include "batch/executor.h"
 #include "batch/sweep.h"
 #include "batch/world_cache.h"
 #include "core/simulation.h"
@@ -665,8 +664,7 @@ TEST(Engine, EverySweepRowIsCountedOnceWithItsEvents) {
   options.threads_per_job = 1;
   options.metrics = &registry;
   BatchEngine engine(options);
-  const BatchReport report =
-      batch::run_sweep(engine, batch::expand_sweep(spec));
+  const BatchReport report = engine.run(batch::expand_sweep(spec));
   ASSERT_EQ(report.completed(), 4u);
 
   EventCounters rows;

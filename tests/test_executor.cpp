@@ -1,17 +1,19 @@
-// Tests for the one sweep executor (batch::run_sweep) and the rules every
-// front-end shares through it: the tally-mode default, one row per sweep
-// job in sweep order, per-row failure isolation, and client cancels.
+// Tests for how every front-end runs a sweep (BatchEngine::run on the
+// expanded jobs) and the rules they share through it: the tally-mode
+// default, one row per sweep job in sweep order, per-row failure isolation
+// labelled once for row, callback and metrics alike, and client cancels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "batch/engine.h"
-#include "batch/executor.h"
 #include "batch/sweep.h"
 #include "core/simulation.h"
+#include "obs/metrics.h"
 
 namespace neutral {
 namespace {
@@ -58,14 +60,14 @@ TEST(TallyDefault, OneRuleForEveryFrontEnd) {
             TallyMode::kDeferredAtomic);
 }
 
-TEST(RunSweep, EveryRowMatchesTheReferenceRun) {
+TEST(SweepRows, EveryRowMatchesTheReferenceRun) {
   const std::vector<Job> jobs = batch::expand_sweep(two_job_spec());
   ASSERT_EQ(jobs.size(), 2u);
 
   EngineOptions options;
   options.workers = 2;
   BatchEngine engine(options);
-  const BatchReport report = batch::run_sweep(engine, jobs);
+  const BatchReport report = engine.run(jobs);
   ASSERT_EQ(report.jobs.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const JobOutcome& row = report.jobs[i];
@@ -85,27 +87,52 @@ TEST(RunSweep, EveryRowMatchesTheReferenceRun) {
   }
 }
 
-TEST(RunSweep, AFailingJobFailsOnlyItsOwnRow) {
+TEST(SweepRows, AFailingJobFailsOnlyItsOwnRow) {
   batch::SweepSpec spec = two_job_spec();
   spec.axes.schemes.clear();
   spec.axes.particles = {300, 0};  // an empty bank cannot run
-  BatchEngine engine;
-  const BatchReport report =
-      batch::run_sweep(engine, batch::expand_sweep(spec));
+  obs::MetricsRegistry registry;
+  EngineOptions options;
+  options.metrics = &registry;
+  BatchEngine engine(options);
+  std::vector<JobOutcome> notified;  // serialised callback: no lock
+  const BatchReport report = engine.run(
+      batch::expand_sweep(spec),
+      [&](const JobOutcome& outcome) { notified.push_back(outcome); });
   ASSERT_EQ(report.jobs.size(), 2u);
   EXPECT_TRUE(report.jobs[0].ok) << report.jobs[0].error;
   EXPECT_FALSE(report.jobs[1].ok);
   EXPECT_FALSE(report.jobs[1].error.empty());
   EXPECT_EQ(report.failed(), 1u);
+
+  // The row, the completion callback and the outcome counters tell the
+  // same story: the label is decided once, before the row is recorded.
+  ASSERT_EQ(notified.size(), report.jobs.size());
+  for (const JobOutcome& row : report.jobs) {
+    const auto seen = std::find_if(
+        notified.begin(), notified.end(),
+        [&row](const JobOutcome& o) { return o.job_id == row.job_id; });
+    ASSERT_NE(seen, notified.end()) << row.label;
+    EXPECT_EQ(seen->ok, row.ok) << row.label;
+    EXPECT_EQ(seen->error, row.error) << row.label;
+  }
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  const auto counter = [&snap](const char* name) {
+    const obs::MetricValue* m = snap.find(name);
+    return m == nullptr ? ~std::uint64_t{0} : m->counter;
+  };
+  EXPECT_EQ(counter("neutral_jobs_ok_total"), report.completed());
+  EXPECT_EQ(counter("neutral_jobs_failed_total"), report.failed());
 }
 
-TEST(RunSweep, AClientCancelReportsCancelledRows) {
+TEST(SweepRows, AClientCancelReportsCancelledRows) {
   const std::atomic<bool> cancel{true};
+  std::vector<Job> jobs = batch::expand_sweep(two_job_spec());
+  for (Job& job : jobs) job.config.cancel = &cancel;
   BatchEngine engine;
   std::size_t notified_cancelled = 0;  // serialised callback: no lock
-  const BatchReport report = batch::run_sweep(
-      engine, batch::expand_sweep(two_job_spec()), &cancel,
-      [&](const JobOutcome& outcome) {
+  const BatchReport report =
+      engine.run(std::move(jobs), [&](const JobOutcome& outcome) {
         notified_cancelled += outcome.cancelled ? 1 : 0;
       });
   ASSERT_EQ(report.jobs.size(), 2u);

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "batch/engine.h"
-#include "batch/executor.h"
 #include "core/simulation.h"
 #include "io/deck_io.h"
 #include "net/client.h"
@@ -138,8 +137,8 @@ TEST(NetServer, LoopbackDeckMatchesInProcessRunExactly) {
 
 TEST(NetServer, MatrixSchemesLayoutsAllBitIdentical) {
   // Every scheme x layout combination submitted over loopback must return
-  // the same checksum/population/tally as the executor's in-process row
-  // (batch::run_sweep).  The tally mode is NAMED atomic so it is never
+  // the same checksum/population/tally as the engine's in-process row
+  // (BatchEngine::run).  The tally mode is NAMED atomic so it is never
   // defaulted, and the rows must agree on it.
   TestServer server;
   NeutralClient client = server.connect();
@@ -155,7 +154,7 @@ TEST(NetServer, MatrixSchemesLayoutsAllBitIdentical) {
       config.tally_mode = TallyMode::kAtomic;
       config.threads = 1;
       const batch::BatchReport local =
-          batch::run_sweep(local_engine, {batch::make_job(0, config)});
+          local_engine.run({batch::make_job(0, config)});
       const batch::JobOutcome& want = local.jobs.front();
       ASSERT_TRUE(want.ok) << want.error;
 

@@ -580,27 +580,33 @@ TEST(Profiler, GrindTableFormatsReport) {
 
 TEST(Profiler, ProfilingNeverMovesGoldenChecksums) {
   // Acceptance criterion: with profiling enabled, golden-deck checksums
-  // stay bit-identical — probes read the TSC and nothing else.
-  SimulationConfig config;
-  config.deck = load_deck(std::string(NEUTRAL_GOLDEN_DIR) +
-                          "/golden_csp.params");
-  config.threads = 1;
+  // stay bit-identical — probes read the TSC and nothing else — and both
+  // schemes drive the probes (one rule: a profiler is attached iff
+  // SimulationConfig::profile).
+  for (const Scheme scheme : {Scheme::kOverParticles, Scheme::kOverEvents}) {
+    SCOPED_TRACE(to_string(scheme));
+    SimulationConfig config;
+    config.deck = load_deck(std::string(NEUTRAL_GOLDEN_DIR) +
+                            "/golden_csp.params");
+    config.scheme = scheme;
+    config.threads = 1;
 
-  config.profile = false;
-  Simulation plain(config);
-  const RunResult baseline = plain.run();
-  EXPECT_EQ(baseline.phases.total_visits(), 0u);
+    config.profile = false;
+    Simulation plain(config);
+    const RunResult baseline = plain.run();
+    EXPECT_EQ(baseline.phases.total_visits(), 0u);
 
-  config.profile = true;
-  Simulation profiled(config);
-  const RunResult observed = profiled.run();
+    config.profile = true;
+    Simulation profiled(config);
+    const RunResult observed = profiled.run();
 
-  EXPECT_EQ(baseline.tally_checksum, observed.tally_checksum);
-  EXPECT_EQ(baseline.population, observed.population);
-  EXPECT_EQ(baseline.counters.total_events(),
-            observed.counters.total_events());
-  // And the profiled run actually collected phase data.
-  EXPECT_GT(observed.phases.total_visits(), 0u);
+    EXPECT_EQ(baseline.tally_checksum, observed.tally_checksum);
+    EXPECT_EQ(baseline.population, observed.population);
+    EXPECT_EQ(baseline.counters.total_events(),
+              observed.counters.total_events());
+    // And the profiled run actually collected phase data.
+    EXPECT_GT(observed.phases.total_visits(), 0u);
+  }
 }
 
 }  // namespace

@@ -228,18 +228,6 @@ INSTANTIATE_TEST_SUITE_P(
 // Over Events internals
 // ---------------------------------------------------------------------------
 
-TEST(OverEvents, SimdTogglesDoNotChangePhysics) {
-  SimulationConfig simd;
-  simd.deck = test_deck();
-  simd.scheme = Scheme::kOverEvents;
-  simd.layout = Layout::kSoA;
-  SimulationConfig scalar = simd;
-  scalar.over_events.simd_event_search = false;
-  scalar.over_events.simd_collisions = false;
-  scalar.over_events.simd_facets = false;
-  expect_same_physics(run_with(simd), run_with(scalar));
-}
-
 TEST(OverEvents, KernelTimesCoverIterations) {
   SimulationConfig cfg;
   cfg.deck = test_deck(200);

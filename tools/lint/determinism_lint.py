@@ -14,7 +14,7 @@ free of hidden nondeterminism, so this checker bans, in `src/`:
       timestamp, physics may not.  steady_clock is allowed everywhere:
       deadlines and timers never feed a tally.
   R3  unordered-container iteration in the reduction paths (src/core,
-      src/mesh, src/xs, src/rng, src/tally, src/batch/executor*):
+      src/mesh, src/xs, src/rng, src/tally):
       hash-order is pointer/seed dependent, so a loop over an
       unordered_map that deposits into a tally or folds a reduction
       reorders float adds between runs.  Enforced bluntly — the
@@ -44,7 +44,6 @@ SRC = REPO / "src"
 
 # Rule -> (regex, allowed-path predicate, message).
 REDUCTION_DIRS = ("core", "mesh", "xs", "rng", "tally")
-REDUCTION_BATCH = ("executor",)
 
 
 def rel(path: Path) -> str:
@@ -52,12 +51,7 @@ def rel(path: Path) -> str:
 
 
 def in_reduction_paths(path: Path) -> bool:
-    parts = path.relative_to(SRC).parts
-    if parts[0] in REDUCTION_DIRS:
-        return True
-    return parts[0] == "batch" and any(
-        parts[-1].startswith(stem) for stem in REDUCTION_BATCH
-    )
+    return path.relative_to(SRC).parts[0] in REDUCTION_DIRS
 
 
 def strip_comments(text: str) -> str:
