@@ -85,10 +85,8 @@ int main(int argc, char** argv) {
     NEUTRAL_REQUIRE(max_connections > 0, "--max-connections must be > 0");
     NEUTRAL_REQUIRE(max_inflight > 0, "--max-inflight must be > 0");
     options.port = static_cast<std::uint16_t>(port_raw);
-    options.engine.policy.max_queue_wait =
-        std::chrono::milliseconds(queue_wait_ms);
-    options.engine.policy.max_run_wall =
-        std::chrono::milliseconds(run_wall_ms);
+    options.max_queue_wait = std::chrono::milliseconds(queue_wait_ms);
+    options.engine.max_run_wall = std::chrono::milliseconds(run_wall_ms);
     options.max_connections = static_cast<std::size_t>(max_connections);
     options.max_inflight_per_connection =
         static_cast<std::size_t>(max_inflight);

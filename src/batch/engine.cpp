@@ -42,7 +42,7 @@ struct EngineMetrics {
         &m->counter("neutral_jobs_failed_total",
                     "jobs that failed (excluding timed-out and cancelled)");
     jobs_timed_out = &m->counter("neutral_jobs_timed_out_total",
-                                 "jobs that hit a QueuePolicy deadline");
+                                 "jobs that hit a start or run deadline");
     jobs_cancelled = &m->counter("neutral_jobs_cancelled_total",
                                  "jobs a client cancel stopped");
     job_wall = &m->histogram("neutral_job_wall_seconds",
@@ -209,9 +209,8 @@ BatchEngine::BatchEngine(EngineOptions options)
     : options_(with_cache_metrics(options)),
       hw_concurrency_(probe_host().logical_cpus),
       cache_(options_.cache) {
-  NEUTRAL_REQUIRE(options_.policy.max_queue_wait.count() >= 0 &&
-                      options_.policy.max_run_wall.count() >= 0,
-                  "queue policy durations must be non-negative");
+  NEUTRAL_REQUIRE(options_.max_run_wall.count() >= 0,
+                  "max_run_wall must be non-negative");
 }
 
 std::pair<std::int32_t, std::int32_t> BatchEngine::thread_budget(
@@ -247,18 +246,14 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
   obs::TraceLog* const trace = options_.trace;
   WallTimer wall;
 
-  // Every job is submitted and queued at once: stamp the queue-wait
-  // deadline and trace both events before any worker starts.
+  // Every job is submitted and queued at once: trace both events before
+  // any worker starts.
   const auto submitted_at = std::chrono::steady_clock::now();
   std::unordered_set<std::uint64_t> ids;
   ids.reserve(jobs.size());
   for (Job& job : jobs) {
     NEUTRAL_REQUIRE(ids.insert(job.id).second,
                     "duplicate job id in batch submission");
-    if (options_.policy.max_queue_wait.count() > 0) {
-      job.deadline = std::min(job.deadline,
-                              submitted_at + options_.policy.max_queue_wait);
-    }
     if (trace != nullptr) {
       obs::TraceEvent event;
       event.job_id = job.id;
@@ -297,7 +292,7 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
       }
       WallTimer timer;
       if (std::chrono::steady_clock::now() > job.deadline) {
-        // Expired before it started (max_queue_wait): completes as
+        // Expired before it started (Job::deadline): completes as
         // timed_out without wasting the pool on a result nobody is waiting
         // for.
         outcome.timed_out = true;
@@ -307,10 +302,10 @@ BatchReport BatchEngine::run(std::vector<Job> jobs,
           SimulationConfig config = job.config;
           if (config.threads <= 0) config.threads = threads_per_job;
           if (options_.profile) config.profile = true;
-          if (options_.policy.max_run_wall.count() > 0) {
+          if (options_.max_run_wall.count() > 0) {
             config.deadline = std::min(
-                config.deadline, std::chrono::steady_clock::now() +
-                                     options_.policy.max_run_wall);
+                config.deadline,
+                std::chrono::steady_clock::now() + options_.max_run_wall);
           }
           std::shared_ptr<const World> world = cache_.acquire(
               config.deck, job.fingerprint, &outcome.world_cache_hit);

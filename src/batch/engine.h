@@ -42,19 +42,6 @@ class TraceLog;
 
 namespace neutral::batch {
 
-/// Deadline policy for long-lived deployments (neutrald).  Zero means
-/// unbounded — the fork-join CLI default, where waits are known finite.
-struct QueuePolicy {
-  /// Bounds how long a job may wait before a worker starts it: run()
-  /// caps each Job::deadline at its start + this, and an expired job
-  /// completes as timed_out without running.
-  std::chrono::milliseconds max_queue_wait{0};
-  /// Bounds one job's running wall clock.  Enforced through the
-  /// cooperative SimulationConfig::deadline (checked at timestep
-  /// boundaries); an expired run completes as timed_out.
-  std::chrono::milliseconds max_run_wall{0};
-};
-
 struct EngineOptions {
   /// Worker threads; 0 = min(logical cpus, job count).
   std::int32_t workers = 0;
@@ -63,9 +50,12 @@ struct EngineOptions {
   /// Byte budget / eviction policy of the WorldCache every job's World
   /// comes through (jobs with identical geometry share one).
   WorldCacheOptions cache;
-  /// Deadline policy (see QueuePolicy).  max_run_wall reaches each job
-  /// through SimulationConfig::deadline.
-  QueuePolicy policy;
+  /// Bounds one job's running wall clock.  Enforced through the
+  /// cooperative SimulationConfig::deadline (checked at timestep
+  /// boundaries); an expired run completes as timed_out.  Zero means
+  /// unbounded — the fork-join CLI default.  (A job's start deadline is
+  /// its own Job::deadline.)
+  std::chrono::milliseconds max_run_wall{0};
   /// Optional registry: queue-wait, cache, per-outcome and per-event series
   /// land there (src/obs/metrics.h).  Also forwarded to cache.metrics when
   /// that is unset.  Null = unobserved, no overhead beyond nullptr tests.
@@ -98,8 +88,8 @@ struct JobOutcome {
   /// (the run threw CancelledError).  Counted and traced as cancelled, not
   /// as failed.
   bool cancelled = false;
-  /// Subset of !ok: the job hit a QueuePolicy deadline — expired before
-  /// it started (max_queue_wait) or aborted mid-run (max_run_wall).  Kept
+  /// Subset of !ok: the job hit a deadline — expired before it started
+  /// (Job::deadline) or aborted mid-run (max_run_wall).  Kept
   /// distinct from plain failure so a serving layer can report
   /// `timed_out` and a client can retry with a longer budget.
   bool timed_out = false;
@@ -129,7 +119,7 @@ struct BatchReport {
   [[nodiscard]] std::size_t failed() const;
   /// Subset of failed(): jobs a client cancel stopped.
   [[nodiscard]] std::size_t cancelled() const;
-  /// Subset of failed(): jobs that hit a QueuePolicy deadline.
+  /// Subset of failed(): jobs that hit a deadline.
   [[nodiscard]] std::size_t timed_out() const;
   /// Sum of per-job transport events over the batch wall clock — the
   /// node-throughput figure batching exists to maximise.

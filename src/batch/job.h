@@ -29,9 +29,8 @@ struct Job {
   std::uint64_t fingerprint = 0;
   /// Absolute deadline by which the job must START running; a worker
   /// reaching an expired job completes it as timed_out without running it.
-  /// time_point::max() = none.  The engine caps this at run() start +
-  /// QueuePolicy::max_queue_wait; an earlier submitter deadline (neutrald
-  /// stamps its accept time + the wait) wins.
+  /// time_point::max() = none.  The engine honours it as given; neutrald
+  /// stamps its accept time + ServerOptions::max_queue_wait.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
 };

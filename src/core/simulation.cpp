@@ -124,7 +124,7 @@ void Simulation::check_interrupt() const {
   // thread wrote before flipping the flag (an error message, a shutdown
   // reason) is visible here.  Cost is irrelevant — this runs once per
   // timestep, not per event — and it keeps the determinism lint's rule
-  // simple: relaxed ordering lives only in the metrics shards.
+  // simple: relaxed ordering lives only in the metric cells.
   if (config_.cancel != nullptr &&
       config_.cancel->load(std::memory_order_acquire)) {
     throw CancelledError("run cancelled");

@@ -64,7 +64,7 @@ struct SimulationConfig {
   /// Cooperative wall-clock deadline: step() checks it at timestep
   /// boundaries (never inside the hot tracking loop) and
   /// throw TimeoutError once it passes.  The batch engine stamps this from
-  /// QueuePolicy::max_run_wall so a long-lived service bounds every run;
+  /// EngineOptions::max_run_wall so a long-lived service bounds every run;
   /// time_point::max() (the default) disables the check entirely.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();

@@ -1,131 +1,13 @@
 #include "net/frame.h"
 
-#include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
+#include <utility>
 
+#include "obs/json.h"
 #include "util/error.h"
 
 namespace neutral::net {
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-class Cursor {
- public:
-  explicit Cursor(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (at_ < text_.size() &&
-           (text_[at_] == ' ' || text_[at_] == '\t' || text_[at_] == '\r' ||
-            text_[at_] == '\n')) {
-      ++at_;
-    }
-  }
-
-  [[nodiscard]] bool done() const { return at_ >= text_.size(); }
-  [[nodiscard]] char peek() const {
-    NEUTRAL_REQUIRE(!done(), "malformed frame: truncated");
-    return text_[at_];
-  }
-
-  void expect(char c) {
-    NEUTRAL_REQUIRE(!done() && text_[at_] == c,
-                    std::string("malformed frame: expected '") + c + "'");
-    ++at_;
-  }
-
-  /// Parse a JSON string literal (cursor on the opening quote).
-  std::string string_literal() {
-    expect('"');
-    std::string out;
-    while (true) {
-      NEUTRAL_REQUIRE(!done(), "malformed frame: unterminated string");
-      const char c = text_[at_++];
-      if (c == '"') return out;
-      NEUTRAL_REQUIRE(static_cast<unsigned char>(c) >= 0x20,
-                      "malformed frame: raw control byte in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      NEUTRAL_REQUIRE(!done(), "malformed frame: truncated escape");
-      const char e = text_[at_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          NEUTRAL_REQUIRE(at_ + 4 <= text_.size(),
-                          "malformed frame: truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[at_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              NEUTRAL_REQUIRE(false, "malformed frame: bad \\u escape digit");
-          }
-          NEUTRAL_REQUIRE(code < 0xD800 || code > 0xDFFF,
-                          "malformed frame: surrogate escapes unsupported");
-          // Encode the code point as UTF-8 (payloads are byte strings; the
-          // encoder only ever emits \u00xx control bytes).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          NEUTRAL_REQUIRE(false, std::string("malformed frame: unsupported "
-                                             "escape '\\") +
-                                     e + "'");
-      }
-    }
-  }
-
- private:
-  const std::string& text_;
-  std::size_t at_ = 0;
-};
-
-}  // namespace
 
 std::string encode_frame(const Fields& fields) {
   std::string out = "{";
@@ -134,9 +16,9 @@ std::string encode_frame(const Fields& fields) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    append_escaped(out, key);
+    out += obs::json_escape(key);
     out += "\":\"";
-    append_escaped(out, value);
+    out += obs::json_escape(value);
     out += '"';
   }
   out += "}\n";
@@ -144,39 +26,22 @@ std::string encode_frame(const Fields& fields) {
 }
 
 Fields decode_frame(const std::string& line) {
-  Fields fields;
-  Cursor cur(line);
-  cur.skip_ws();
-  cur.expect('{');
-  cur.skip_ws();
-  if (!cur.done() && cur.peek() == '}') {
-    cur.expect('}');
-  } else {
-    while (true) {
-      cur.skip_ws();
-      NEUTRAL_REQUIRE(!cur.done() && cur.peek() == '"',
-                      "malformed frame: keys and values must be strings");
-      std::string key = cur.string_literal();
-      cur.skip_ws();
-      cur.expect(':');
-      cur.skip_ws();
-      NEUTRAL_REQUIRE(!cur.done() && cur.peek() == '"',
-                      "malformed frame: values must be strings (no nested "
-                      "objects, arrays or numbers)");
-      std::string value = cur.string_literal();
-      NEUTRAL_REQUIRE(fields.emplace(std::move(key), std::move(value)).second,
-                      "malformed frame: duplicate key");
-      cur.skip_ws();
-      if (!cur.done() && cur.peek() == ',') {
-        cur.expect(',');
-        continue;
-      }
-      cur.expect('}');
-      break;
-    }
+  obs::JsonValue doc;
+  try {
+    doc = obs::parse_json(line);
+  } catch (const Error& e) {
+    throw Error(std::string("malformed frame: ") + e.what());
   }
-  cur.skip_ws();
-  NEUTRAL_REQUIRE(cur.done(), "malformed frame: trailing bytes after '}'");
+  NEUTRAL_REQUIRE(doc.is(obs::JsonValue::Type::kObject),
+                  "malformed frame: not a JSON object");
+  Fields fields;
+  for (auto& [key, value] : doc.object) {
+    NEUTRAL_REQUIRE(value.is(obs::JsonValue::Type::kString),
+                    "malformed frame: values must be strings (no nested "
+                    "objects, arrays or numbers)");
+    NEUTRAL_REQUIRE(fields.emplace(key, std::move(value.string)).second,
+                    "malformed frame: duplicate key");
+  }
   return fields;
 }
 

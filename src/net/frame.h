@@ -9,12 +9,15 @@
 // printed with %.17g (round-trips IEEE doubles exactly) and re-parsed with
 // strtod, which is what makes loopback results bit-comparable.
 //
-// decode_frame is deliberately strict — no nested objects, arrays,
-// numbers, booleans, duplicate keys, or trailing bytes — because a served
-// queue must reject garbage at the boundary instead of guessing.  Any
-// deviation throws neutral::Error with a reason; the server answers with
-// an error frame and drops the connection (a desynced stream cannot be
-// re-framed reliably).
+// Both directions use the repository's one JSON codec (obs/json.h).
+// decode_frame is deliberately strict — it accepts one JSON object of
+// string values only: no nested objects, arrays, numbers, booleans,
+// duplicate keys, or trailing bytes, and parse_json's string rules (no raw
+// control bytes, no surrogate escapes) — because a served queue must
+// reject garbage at the boundary instead of guessing.  Any deviation
+// throws neutral::Error starting "malformed frame:"; the server answers
+// with an error frame and drops the connection (a desynced stream cannot
+// be re-framed reliably).
 #pragma once
 
 #include <cstdint>

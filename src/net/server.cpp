@@ -10,11 +10,11 @@
 #include <cstdio>
 #include <cstring>
 #include <set>
+#include <sstream>
 #include <utility>
 
 #include "batch/sweep.h"
 #include "io/deck_io.h"
-#include "obs/exporter.h"
 #include "obs/trace.h"
 #include "runtime/host_info.h"
 #include "util/errno_string.h"
@@ -47,6 +47,60 @@ Fields error_reply(const std::string& message) {
 /// retry" apart from a hard failure.
 Fields refused_reply(const std::string& message) {
   return Fields{{"ok", "0"}, {"refused", "1"}, {"error", message}};
+}
+
+/// Inbound bounds on a scrape: request line bytes, header block bytes and
+/// header block lines.
+constexpr std::size_t kMaxHttpBlock = 8192;
+constexpr std::size_t kMaxHeaderLines = 128;
+
+std::string http_response(const std::string& status,
+                          const std::string& body) {
+  std::string out = "HTTP/1.0 " + status + "\r\n";
+  out += "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n";
+  out += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+  out += "Connection: close\r\n\r\n";
+  out += body;
+  return out;
+}
+
+/// The reply to the scrape request buffered in `in`, or "" while its
+/// header block is still incomplete.  Never waits unboundedly: a request
+/// line over kMaxHttpBlock answers 413, and a header block over
+/// kMaxHttpBlock bytes or kMaxHeaderLines lines answers 431.
+std::string scrape_reply(const std::string& in,
+                         const obs::MetricsRegistry& metrics) {
+  const std::size_t line_end = in.find('\n');
+  if (std::min(line_end, in.size()) > kMaxHttpBlock) {
+    return http_response("413 Payload Too Large", "request line too long\n");
+  }
+  if (line_end == std::string::npos) return "";
+  const std::size_t headers = line_end + 1;
+  std::size_t lines = 0;
+  for (std::size_t at = headers;;) {
+    const std::size_t nl = in.find('\n', at);
+    if (std::min(nl, in.size()) - headers > kMaxHttpBlock ||
+        lines > kMaxHeaderLines) {
+      return http_response("431 Request Header Fields Too Large",
+                           "header block too large\n");
+    }
+    if (nl == std::string::npos) return "";
+    if (nl == at || (nl == at + 1 && in[at] == '\r')) break;  // blank line
+    ++lines;
+    at = nl + 1;
+  }
+  // "GET <path> HTTP/1.x"
+  std::istringstream request_line(in.substr(0, line_end));
+  std::string method;
+  std::string path;
+  request_line >> method >> path;
+  if (method != "GET") {
+    return http_response("405 Method Not Allowed", "only GET is supported\n");
+  }
+  if (path != "/metrics" && path != "/") {
+    return http_response("404 Not Found", "try /metrics\n");
+  }
+  return http_response("200 OK", metrics.snapshot().prometheus_text());
 }
 
 /// The protocol's row status vocabulary for one engine row (the engine
@@ -91,6 +145,8 @@ NeutralServer::NeutralServer(ServerOptions options)
                  ? nullptr
                  : std::make_unique<obs::TraceLog>(options_.trace_path)),
       engine_(served(options_.engine, &metrics_, trace_.get())) {
+  NEUTRAL_REQUIRE(options_.max_queue_wait.count() >= 0,
+                  "max_queue_wait must be non-negative");
   submissions_total_ = &metrics_.counter(
       "neutral_submissions_total", "submissions accepted by the daemon");
   submissions_refused_ = &metrics_.counter(
@@ -112,7 +168,6 @@ NeutralServer::NeutralServer(ServerOptions options)
 
 NeutralServer::~NeutralServer() {
   request_shutdown();
-  if (exporter_ != nullptr) exporter_->stop();
   if (executor_.joinable()) executor_.join();
 }
 
@@ -122,9 +177,9 @@ std::uint16_t NeutralServer::start() {
       std::make_unique<TcpListener>(options_.host, options_.port);
   port_ = listener_->port();
   if (options_.metrics_port != 0) {
-    exporter_ = std::make_unique<obs::MetricsExporter>(
-        &metrics_, options_.host, options_.metrics_port);
-    metrics_port_ = exporter_->start();
+    metrics_listener_ =
+        std::make_unique<TcpListener>(options_.host, options_.metrics_port);
+    metrics_port_ = metrics_listener_->port();
     log("metrics on http://" + options_.host + ":" +
         std::to_string(metrics_port_) + "/metrics");
   }
@@ -152,7 +207,7 @@ void NeutralServer::log(const std::string& line) {
 void NeutralServer::trace_connection(const char* event,
                                      const Connection& conn,
                                      const std::string& detail) {
-  if (trace_ == nullptr) return;
+  if (trace_ == nullptr || conn.scrape) return;
   obs::TraceEvent span;
   span.event = event;
   span.job_id = conn.id;
@@ -173,18 +228,23 @@ void NeutralServer::serve() {
   try {
     set_nonblocking(listener_->fd());
     poller_.add(listener_->fd(), /*read=*/true, /*write=*/false);
+    if (metrics_listener_ != nullptr) {
+      set_nonblocking(metrics_listener_->fd());
+      poller_.add(metrics_listener_->fd(), /*read=*/true, /*write=*/false);
+    }
     poller_.add(wake_.fd(), /*read=*/true, /*write=*/false);
     event_loop();
     poller_.remove(listener_->fd());
+    if (metrics_listener_ != nullptr) poller_.remove(metrics_listener_->fd());
     poller_.remove(wake_.fd());
   } catch (const std::exception& e) {
     log(std::string("event loop failed: ") + e.what());
     request_shutdown();
   }
   listener_->close();
+  if (metrics_listener_ != nullptr) metrics_listener_->close();
   teardown_connections();
   if (executor_.joinable()) executor_.join();
-  if (exporter_ != nullptr) exporter_->stop();
   log("neutrald stopped");
 }
 
@@ -198,7 +258,11 @@ void NeutralServer::event_loop() {
         continue;
       }
       if (ev.fd == listener_->fd()) {
-        accept_ready();
+        accept_ready(*listener_, /*scrape=*/false);
+        continue;
+      }
+      if (metrics_listener_ != nullptr && ev.fd == metrics_listener_->fd()) {
+        accept_ready(*metrics_listener_, /*scrape=*/true);
         continue;
       }
       const auto it = connections_.find(ev.fd);
@@ -244,13 +308,9 @@ int NeutralServer::next_timeout_ms() const {
   return static_cast<int>(std::min<long long>(ms, 60'000));
 }
 
-void NeutralServer::note_connections_open() {
-  conn_open_->set(static_cast<std::int64_t>(connections_.size()));
-}
-
-void NeutralServer::accept_ready() {
+void NeutralServer::accept_ready(const TcpListener& listener, bool scrape) {
   while (true) {
-    const int fd = ::accept4(listener_->fd(), nullptr, nullptr,
+    const int fd = ::accept4(listener.fd(), nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -265,14 +325,16 @@ void NeutralServer::accept_ready() {
       continue;
     }
     if (connections_.size() >= options_.max_connections) {
-      // Best-effort structured refusal (the socket is fresh, so the tiny
-      // frame virtually always fits the send buffer), then close.
-      const std::string frame = encode_frame(refused_reply(
-          "refused: server at max connections (" +
-          std::to_string(options_.max_connections) + ")"));
-      (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+      // Best-effort structured refusal to a client (the socket is fresh, so
+      // the tiny frame virtually always fits the send buffer), then close.
+      if (!scrape) {
+        const std::string frame = encode_frame(refused_reply(
+            "refused: server at max connections (" +
+            std::to_string(options_.max_connections) + ")"));
+        (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+        conn_refused_->add();
+      }
       ::close(fd);
-      conn_refused_->add();
       log("connection refused (max_connections)");
       continue;
     }
@@ -288,13 +350,17 @@ void NeutralServer::accept_ready() {
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
+    conn->scrape = scrape;
     conn->inflight = std::make_shared<std::atomic<std::int64_t>>(0);
     poller_.add(fd, /*read=*/true, /*write=*/false);
-    conn_total_->add();
+    if (!scrape) {
+      conn_total_->add();
+      conn_open_->add(1);
+    }
     trace_connection("conn_open", *conn, "");
-    log("connection #" + std::to_string(conn->id) + " open");
+    log(std::string(scrape ? "scrape" : "connection") + " #" +
+        std::to_string(conn->id) + " open");
     connections_.emplace(fd, std::move(conn));
-    note_connections_open();
   }
 }
 
@@ -310,9 +376,9 @@ void NeutralServer::close_connection(Connection& conn,
   log("connection #" + std::to_string(conn.id) + " closed (" + reason + ")");
   // Park the object until the end of the loop pass: callers up the stack
   // still hold a reference to it.
+  if (!conn.scrape) conn_open_->add(-1);
   graveyard_.push_back(std::move(it->second));
   connections_.erase(it);
-  note_connections_open();
 }
 
 void NeutralServer::disconnect_slow_reader(Connection& conn,
@@ -447,7 +513,24 @@ void NeutralServer::maybe_close_after_eof(Connection& conn) {
   if (conn.outbuf.empty()) close_connection(conn, "eof");
 }
 
+void NeutralServer::answer_scrape(Connection& conn) {
+  if (conn.closed || conn.close_after_flush) return;
+  std::string reply = scrape_reply(conn.inbuf, metrics_);
+  if (reply.empty()) {
+    if (conn.read_eof) close_connection(conn, "scrape ended mid-request");
+    return;
+  }
+  conn.inbuf.clear();
+  conn.close_after_flush = true;  // flush() closes once the reply is out
+  conn.outbuf += reply;
+  send_queued(conn);
+}
+
 void NeutralServer::process_input(Connection& conn) {
+  if (conn.scrape) {
+    answer_scrape(conn);
+    return;
+  }
   // One request at a time, in arrival order.  While a watcher streams, the
   // rest of the input stays buffered — the protocol is serial per
   // connection, exactly as the thread-per-connection design was.
@@ -671,7 +754,7 @@ void NeutralServer::teardown_connections() {
   }
   connections_.clear();
   graveyard_.clear();
-  note_connections_open();
+  conn_open_->set(0);
 }
 
 // ---------------------------------------------------------------------------
@@ -952,11 +1035,11 @@ void NeutralServer::execute(const std::shared_ptr<Submission>& sub) {
       sweep_jobs.front().label = sub->label;
     }
     // Every job of the submission shares one cooperative cancel flag, so a
-    // client `cancel` stops in-flight work at the next timestep boundary.
-    const auto max_queue_wait = engine_.options().policy.max_queue_wait;
+    // client `cancel` stops in-flight work at the next timestep boundary,
+    // and one start deadline counted from the daemon accepting it.
     for (Job& job : sweep_jobs) {
-      if (max_queue_wait.count() > 0) {
-        job.deadline = sub->accepted + max_queue_wait;
+      if (options_.max_queue_wait.count() > 0) {
+        job.deadline = sub->accepted + options_.max_queue_wait;
       }
       job.config.cancel = sub->cancel.get();
     }

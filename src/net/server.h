@@ -40,27 +40,37 @@
 // retry with backoff (see "overload semantics" in the README).
 //
 // Concurrency model: ONE epoll event loop (net/poller.h) owns every
-// connection — non-blocking sockets, per-connection bounded in/out
-// buffers, no thread per connection and nothing detached, so shutdown is
-// deterministic: the loop closes every registered fd and serve() joins
-// the executor before returning.  Slow readers cannot wedge the daemon:
-// replies buffer up to ServerOptions::max_outbound_bytes and then the
-// connection is dropped (likewise when a non-empty buffer makes no
-// progress for write_stall_timeout).  Admission control refuses work
+// socket — the protocol listener, the optional /metrics listener and every
+// connection accepted on either: non-blocking sockets, per-connection
+// bounded in/out buffers, no thread per connection and nothing detached,
+// so shutdown is deterministic: the loop closes every registered fd and
+// serve() joins the executor before returning.  Between submissions the
+// daemon has two threads: the loop and the executor.  Slow readers cannot
+// wedge the daemon: replies buffer up to ServerOptions::max_outbound_bytes
+// and then the connection is dropped (likewise when a non-empty buffer
+// makes no progress for write_stall_timeout).  Admission control refuses work
 // early — max_connections at accept, per-connection in-flight caps and
 // the max_pending_submissions bound at submit — instead of queueing
 // towards a timeout.
 //
+// Scrapes: a connection accepted on the metrics listener speaks just
+// enough HTTP/1.0 for curl and Prometheus — GET /metrics (or /) answers
+// the registry's text exposition, then the loop closes it.  Scrapes share
+// the loop's buffers, slow-reader policy and max_connections bound, but
+// they are not client connections: they never see a JSON frame and are
+// not counted in the connection series.
+//
 // Execution model: submissions queue FIFO and one executor thread drains
 // them, so concurrent clients share the node the same way one CLI sweep
 // does (the engine's worker pool parallelises; the executor serialises).
-// Deadlines come from EngineOptions::policy: max_queue_wait bounds the
-// wait from the daemon accepting a submission to a worker starting each of
-// its jobs (time spent behind earlier submissions included), max_run_wall
-// bounds each run — an expired job completes as `timed_out` and the
-// daemon keeps serving.  A client `cancel` flips the submission's
-// cooperative flag (SimulationConfig::cancel), stopping in-flight work at
-// the next timestep boundary.
+// Deadlines: ServerOptions::max_queue_wait bounds the wait from the daemon
+// accepting a submission to a worker starting each of its jobs (time
+// spent behind earlier submissions included; the server stamps each job's
+// Job::deadline), and EngineOptions::max_run_wall bounds each run — an
+// expired job completes as `timed_out` and the daemon keeps serving.  A
+// client `cancel` flips the submission's cooperative flag
+// (SimulationConfig::cancel), stopping in-flight work at the next
+// timestep boundary.
 #pragma once
 
 #include <atomic>
@@ -85,7 +95,6 @@
 
 namespace neutral::obs {
 class TraceLog;
-class MetricsExporter;
 }  // namespace neutral::obs
 
 namespace neutral::net {
@@ -94,9 +103,13 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral; read the bound port back from start().
   std::uint16_t port = 0;
-  /// Engine shared by every connection (QueuePolicy deadlines ride
-  /// here).  threads_per_job 0 leaves one logical cpu to the event loop.
+  /// Engine shared by every connection (max_run_wall rides here).
+  /// threads_per_job 0 leaves one logical cpu to the event loop.
   batch::EngineOptions engine;
+  /// Bounds how long a submission's jobs may wait, from the daemon
+  /// accepting the submission until a worker starts each one; a job past
+  /// it completes as timed_out without running.  Zero = unbounded.
+  std::chrono::milliseconds max_queue_wait{0};
   /// Reject frames longer than this (deck/spec payload bound); also the
   /// per-connection inbound buffer bound.
   std::size_t max_frame_bytes = 4u << 20;
@@ -126,9 +139,9 @@ struct ServerOptions {
   /// Per-request log lines on stdout.
   bool verbose = false;
   /// When non-zero, start() also binds a plain-HTTP Prometheus
-  /// text-exposition listener on (host, metrics_port) serving GET /metrics
-  /// from the server's registry.  0 = no exporter (the `metrics` frame op
-  /// still works).
+  /// text-exposition listener on (host, metrics_port); the event loop
+  /// answers GET /metrics there from the server's registry.  0 = no
+  /// listener (the `metrics` frame op still works).
   std::uint16_t metrics_port = 0;
   /// When non-empty, open a JSONL TraceLog there and record every job's
   /// lifecycle spans plus connection open/close spans (src/obs/trace.h).
@@ -171,7 +184,7 @@ class NeutralServer {
   [[nodiscard]] const ServerOptions& options() const { return options_; }
   /// The daemon-lifetime registry every layer publishes into.
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  /// Bound Prometheus port (0 when no exporter was requested).  Valid
+  /// Bound Prometheus port (0 when no listener was requested).  Valid
   /// after start().
   [[nodiscard]] std::uint16_t metrics_port() const { return metrics_port_; }
 
@@ -238,6 +251,7 @@ class NeutralServer {
     bool read_eof = false;         ///< peer half-closed; close once done
     bool closed = false;           ///< fd released, entry awaiting reap
     bool stalled = false;          ///< outbuf non-empty and kernel full
+    bool scrape = false;           ///< accepted on the metrics listener
     std::chrono::steady_clock::time_point stall_since{};
     std::optional<Watcher> watcher;
     /// Shared with each of this connection's submissions (see
@@ -247,9 +261,13 @@ class NeutralServer {
 
   // --- event loop (loop thread only) ---
   void event_loop();
-  void accept_ready();
+  /// Accept every pending connection on `listener`; `scrape` marks those
+  /// taken from the metrics listener.
+  void accept_ready(const TcpListener& listener, bool scrape);
   void drain_readable(Connection& conn);
   void process_input(Connection& conn);
+  /// Answer a scrape once its header block is complete, then close.
+  void answer_scrape(Connection& conn);
   /// Dispatch one decoded request; returns false when the connection is
   /// winding down (shutdown op).
   bool dispatch_line(Connection& conn, const Fields& request);
@@ -273,7 +291,6 @@ class NeutralServer {
   /// epoll timeout to the nearest watcher/stall deadline (-1 = none).
   [[nodiscard]] int next_timeout_ms() const;
   void teardown_connections();
-  void note_connections_open();
 
   // --- request handlers ---
   Fields handle_submit(Connection& conn, const Fields& request)
@@ -307,7 +324,7 @@ class NeutralServer {
   batch::BatchEngine engine_;
   std::uint16_t port_ = 0;
   std::unique_ptr<TcpListener> listener_;
-  std::unique_ptr<obs::MetricsExporter> exporter_;
+  std::unique_ptr<TcpListener> metrics_listener_;
   std::uint16_t metrics_port_ = 0;
 
   // Event-loop state (loop thread only, between start() and serve() end).

@@ -5,7 +5,6 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -114,16 +113,6 @@ void TcpStream::set_read_timeout(std::chrono::milliseconds timeout) {
   }
 }
 
-void TcpStream::set_write_timeout(std::chrono::milliseconds timeout) {
-  NEUTRAL_REQUIRE(valid(), "set_write_timeout on a closed stream");
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-  if (::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv) != 0) {
-    fail_errno("setsockopt(SO_SNDTIMEO)");
-  }
-}
-
 ReadStatus TcpStream::read_line(std::string& line, std::size_t max_bytes) {
   NEUTRAL_REQUIRE(valid(), "read_line on a closed stream");
   while (true) {
@@ -224,27 +213,6 @@ void TcpListener::close() {
     ::close(fd_);
     fd_ = -1;
   }
-}
-
-std::optional<TcpStream> TcpListener::accept(
-    std::chrono::milliseconds timeout) {
-  NEUTRAL_REQUIRE(fd_ >= 0, "accept on a closed listener");
-  pollfd pfd{fd_, POLLIN, 0};
-  const int rc = ::poll(&pfd, 1, static_cast<int>(timeout.count()));
-  if (rc == 0) return std::nullopt;
-  if (rc < 0) {
-    if (errno == EINTR) return std::nullopt;
-    fail_errno("poll");
-  }
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) {
-    if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
-        errno == EWOULDBLOCK) {
-      return std::nullopt;
-    }
-    fail_errno("accept");
-  }
-  return TcpStream(client);
 }
 
 void set_nonblocking(int fd) {

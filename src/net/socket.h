@@ -1,16 +1,15 @@
 // Thin RAII wrappers over POSIX TCP sockets.
 //
-// The blocking TcpStream/TcpListener pair serves the *client* side
-// (NeutralClient, tests, the metrics exporter), where a thread per
-// conversation is the natural shape: reads carry timeouts so loops can
-// poll a stop flag instead of wedging in a syscall, and writes use
+// The blocking TcpStream serves the *client* side (NeutralClient, tests),
+// where a thread per conversation is the natural shape: reads carry
+// timeouts so a client cannot wedge in a syscall, and writes use
 // MSG_NOSIGNAL so a peer that vanished mid-reply surfaces as an Error
 // instead of killing the process with SIGPIPE.
 //
 // neutrald's serving path is different: it runs a non-blocking epoll event
-// loop (net/poller.h, net/server.cpp) over raw fds it owns, so the only
-// extra affordances it needs from here are the listener's fd() and the
-// set_nonblocking() helper below.
+// loop (net/poller.h, net/server.cpp) over raw fds it owns — protocol and
+// /metrics listeners alike — so the only affordances it needs from here
+// are TcpListener's bind, its fd() and the set_nonblocking() helper below.
 //
 // Loopback and real interfaces look identical from here; tests bind
 // 127.0.0.1 port 0 and read the ephemeral port back from the listener.
@@ -18,7 +17,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace neutral::net {
@@ -49,11 +47,6 @@ class TcpStream {
 
   /// Bound any single blocking read; zero restores "wait forever".
   void set_read_timeout(std::chrono::milliseconds timeout);
-
-  /// Bound any single blocking write; zero restores "wait forever".  A
-  /// server sets this so a peer that stops reading cannot pin a handler
-  /// thread in send() forever (the expired write throws Error).
-  void set_write_timeout(std::chrono::milliseconds timeout);
 
   /// Read up to the next '\n' (stripped, along with a preceding '\r') into
   /// `line`.  Throws Error on socket errors or when a line exceeds
@@ -89,11 +82,6 @@ class TcpListener {
   /// The listening fd, for event-loop registration (epoll).  The listener
   /// keeps ownership; callers must not close it.
   [[nodiscard]] int fd() const { return fd_; }
-
-  /// Wait up to `timeout` for a connection; nullopt on timeout — the
-  /// accept loop's chance to check its stop flag.  Throws on socket
-  /// errors.
-  std::optional<TcpStream> accept(std::chrono::milliseconds timeout);
 
   void close();
 

@@ -49,6 +49,11 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 
 namespace {
 
+/// Nesting bound: parse_value recurses once per open array/object, so an
+/// untrusted document (a neutrald frame) must not pick the stack depth.
+/// Every document the repository writes nests a handful of levels.
+constexpr int kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -65,7 +70,9 @@ class Parser {
     throw Error("JSON parse error at byte " + std::to_string(pos_) + ": " +
                 what);
   }
-  void require(bool ok, const std::string& what) const {
+  /// `what` is a literal: a message built per call would allocate on
+  /// every byte of a large string.
+  void require(bool ok, const char* what) const {
     if (!ok) fail(what);
   }
   void skip_ws() {
@@ -80,7 +87,7 @@ class Parser {
     return text_[pos_];
   }
   void expect(char c) {
-    require(peek() == c, std::string("expected '") + c + "'");
+    if (peek() != c) fail(std::string("expected '") + c + "'");
     ++pos_;
   }
   bool consume_literal(const char* lit) {
@@ -95,8 +102,17 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ >= kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.type = JsonValue::Type::kString;
@@ -177,6 +193,8 @@ class Parser {
       require(pos_ < text_.size(), "unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
+      require(static_cast<unsigned char>(c) >= 0x20,
+              "raw control byte in string");
       if (c != '\\') {
         out += c;
         continue;
@@ -208,8 +226,10 @@ class Parser {
               fail("bad \\u escape");
             }
           }
-          // Our writers only emit \u00xx for control bytes; decode the
-          // BMP code point as UTF-8.
+          // Our writers only emit \u00xx for control bytes; decode a BMP
+          // code point as UTF-8 and refuse the surrogate halves.
+          require(code < 0xD800 || code > 0xDFFF,
+                  "surrogate \\u escapes unsupported");
           if (code < 0x80) {
             out += static_cast<char>(code);
           } else if (code < 0x800) {
@@ -240,8 +260,9 @@ class Parser {
     const std::string token = text_.substr(start, pos_ - start);
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
-    require(end != nullptr && *end == '\0' && end != token.c_str(),
-            "bad number '" + token + "'");
+    if (end == nullptr || *end != '\0' || end == token.c_str()) {
+      fail("bad number '" + token + "'");
+    }
     JsonValue v;
     v.type = JsonValue::Type::kNumber;
     v.number = value;
@@ -250,6 +271,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

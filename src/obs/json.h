@@ -36,7 +36,8 @@ struct JsonValue {
 };
 
 /// Parse one complete JSON document.  Throws neutral::Error (with position)
-/// on malformed input or trailing garbage.
+/// on malformed input or trailing garbage.  Strings may hold no raw
+/// control byte and no surrogate \u escape; nesting is bounded.
 JsonValue parse_json(const std::string& text);
 
 }  // namespace neutral::obs

@@ -38,13 +38,6 @@ const char* type_name(MetricType t) {
 
 }  // namespace
 
-std::size_t metric_shard() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t shard =
-      next.fetch_add(1, std::memory_order_relaxed) & (kMetricShards - 1);
-  return shard;
-}
-
 Histogram::Histogram(Options options) {
   NEUTRAL_REQUIRE(options.first_bound > 0.0,
                   "histogram first_bound must be positive");
@@ -56,12 +49,7 @@ Histogram::Histogram(Options options) {
     bounds_.push_back(bound);
     bound *= 2.0;
   }
-  // count + finite buckets + overflow, rounded up to whole cache lines so
-  // each shard's region starts on its own line.
-  const std::size_t cells = 1 + bounds_.size() + 1;
-  const std::size_t per_line = kCacheLine / sizeof(std::atomic<std::uint64_t>);
-  stride_ = (cells + per_line - 1) / per_line * per_line;
-  cells_ = aligned_vector<std::atomic<std::uint64_t>>(kMetricShards * stride_);
+  buckets_ = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
 }
 
 std::size_t Histogram::bucket_of(double v) const noexcept {
@@ -71,29 +59,11 @@ std::size_t Histogram::bucket_of(double v) const noexcept {
   return bounds_.size();  // +Inf overflow
 }
 
-std::uint64_t Histogram::count() const noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < kMetricShards; ++s) {
-    total += cells_[s * stride_].load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Histogram::sum() const noexcept {
-  double total = 0.0;
-  for (const auto& shard : sums_) {
-    total += shard.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> counts(bounds_.size() + 1, 0);
-  for (std::size_t s = 0; s < kMetricShards; ++s) {
-    const std::atomic<std::uint64_t>* cells = &cells_[s * stride_];
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      counts[b] += cells[1 + b].load(std::memory_order_relaxed);
-    }
+  std::vector<std::uint64_t> counts;
+  counts.reserve(buckets_.size());
+  for (const auto& cell : buckets_) {
+    counts.push_back(cell.load(std::memory_order_relaxed));
   }
   return counts;
 }

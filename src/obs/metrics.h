@@ -1,21 +1,23 @@
 // Low-overhead process metrics: counters, gauges, log-bucket histograms.
 //
-// The serving stack (queue, engine, world cache, neutrald) needs liveness
-// numbers — queue depth, cache hit rate, per-outcome job counts — without
-// perturbing the transport loops it observes.  Hot-path increments touch a
-// per-thread cache-line-padded shard with a relaxed atomic add, so worker
-// threads never contend on a metrics line; reads (snapshots) sum the shards.
+// The serving stack (engine, world cache, neutrald) needs liveness
+// numbers — cache hit rate, per-outcome job counts, queue waits — without
+// perturbing the transport loops it observes.  Every write happens once per
+// job, world acquisition or connection, never per transport event, and
+// each writer already holds its owner's lock (the engine's recorder mutex,
+// the world cache's mutex) or runs on neutrald's event-loop thread.  So a
+// metric cell is one relaxed atomic: writers never contend on it, and reads
+// (snapshots) load it directly.
 //
 // Everything is registered by name in a MetricsRegistry, and a snapshot can
-// render either Prometheus text exposition (for the --metrics-port HTTP
-// listener) or a flat name->value map (for the neutrald `metrics` frame op).
+// render either Prometheus text exposition (for neutrald's --metrics-port
+// HTTP listener) or a flat name->value map (for the `metrics` frame op).
 //
 // Instrumented code holds plain pointers that may be null — "no registry"
 // is the fast path and costs one predictable branch, mirroring the
 // PhaseProfiler contract in src/perf/profiler.h.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -24,23 +26,13 @@
 #include <utility>
 #include <vector>
 
-#include "util/aligned.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace neutral::obs {
 
-/// Number of padded shards per counter/histogram.  Power of two; threads
-/// hash onto shards round-robin, so up to 16 writers proceed without any
-/// shared line.
-inline constexpr std::size_t kMetricShards = 16;
-
-/// This thread's shard index (assigned round-robin on first use).
-std::size_t metric_shard() noexcept;
-
-/// Monotonic counter.  add() is wait-free and contention-free across up to
-/// kMetricShards concurrent writers; value() sums the shards (exact once
-/// writers quiesce, monotone under load).
+/// Monotonic counter: one atomic cell.  add() is wait-free; value() is one
+/// load (exact once writers quiesce, monotone under load).
 ///
 /// Memory-ordering contract (the only place in the tree where
 /// memory_order_relaxed is permitted — the determinism lint enforces
@@ -48,7 +40,7 @@ std::size_t metric_shard() noexcept;
 ///
 ///  - Atomicity and per-object modification-order coherence are unaffected
 ///    by the ordering argument: each fetch_add is indivisible and each
-///    load returns some fully committed value of that shard — never a torn
+///    load returns some fully committed value of the cell — never a torn
 ///    word, never a value that later "decreases".  A single scraper thread
 ///    therefore sees every counter monotone across successive snapshots.
 ///  - EXACTNESS after quiescence comes from a happens-before edge that is
@@ -56,32 +48,28 @@ std::size_t metric_shard() noexcept;
 ///    join (engine teardown), or via an acquire/release mutex pair (e.g.
 ///    the engine's report mutex, the server's submission mutex) that the
 ///    reader also passes through.  Any such edge sequences the writer's
-///    relaxed add before the reader's relaxed load, so the sum over shards
-///    is exact.  test_tsan_stress asserts this end-to-end under TSan.
-///  - UNDER LOAD (scraper racing live writers) no cross-shard ordering is
-///    promised: a snapshot may include shard A's newest add but not shard
-///    B's older one.  That is acceptable for liveness metrics and is why
-///    no seq_cst/acquire fence is bought here — the whole point of the
-///    padded shards is that transport workers never pay for observation.
+///    relaxed add before the reader's relaxed load, so the value is exact.
+///    test_tsan_stress asserts this end-to-end under TSan.
+///  - UNDER LOAD (scraper racing live writers) no cross-metric ordering is
+///    promised: a snapshot may include one counter's newest add but not
+///    another's older one.  That is acceptable for liveness metrics and is
+///    why no seq_cst/acquire fence is bought here — observation must not
+///    order the threads it observes.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    shards_[metric_shard()].value.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_) {
-      total += shard.value.load(std::memory_order_relaxed);
-    }
-    return total;
+    return value_.load(std::memory_order_relaxed);
   }
 
  private:
-  std::array<Padded<std::atomic<std::uint64_t>>, kMetricShards> shards_{};
+  std::atomic<std::uint64_t> value_{0};
 };
 
-/// Instantaneous signed value (queue depth, resident bytes).  Gauges are
-/// updated under their owner's lock already, so one atomic suffices.
+/// Instantaneous signed value (resident bytes, open connections).  Same
+/// relaxed contract as Counter.
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
@@ -99,8 +87,9 @@ class Gauge {
 };
 
 /// Fixed log-2-bucket histogram: bucket b spans up to first_bound * 2^b,
-/// plus a +Inf overflow bucket.  Same padded-shard scheme as Counter:
-/// observe() touches only this thread's shard.
+/// plus a +Inf overflow bucket.  One atomic count, one atomic per bucket
+/// and one atomic sum, each under Counter's relaxed contract (a snapshot
+/// racing observe() may see the count without the bucket).
 class Histogram {
  public:
   struct Options {
@@ -112,27 +101,28 @@ class Histogram {
   explicit Histogram(Options options);
 
   void observe(double v) noexcept {
-    const std::size_t shard = metric_shard();
-    std::atomic<std::uint64_t>* cells = &cells_[shard * stride_];
-    cells[0].fetch_add(1, std::memory_order_relaxed);
-    cells[1 + bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-    sums_[shard].value.fetch_add(v, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
   }
 
   [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  [[nodiscard]] std::uint64_t count() const noexcept;
-  [[nodiscard]] double sum() const noexcept;
+  [[nodiscard]] std::uint64_t count() const noexcept {
+    return count_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] double sum() const noexcept {
+    return sum_.load(std::memory_order_relaxed);
+  }
   /// Per-bucket counts, bounds().size() + 1 entries (last is +Inf).
   [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
   [[nodiscard]] std::size_t bucket_of(double v) const noexcept;
 
  private:
   std::vector<double> bounds_;
-  std::size_t stride_ = 0;  ///< uint64 cells per shard, cache-line multiple
-  // Layout per shard: [count][bucket 0]...[bucket n (+Inf)], shards
-  // back-to-back in one aligned block so each starts on its own line.
-  aligned_vector<std::atomic<std::uint64_t>> cells_;
-  std::array<Padded<std::atomic<double>>, kMetricShards> sums_{};
+  std::atomic<std::uint64_t> count_{0};
+  /// bounds_.size() + 1 cells, the last the +Inf overflow.
+  std::vector<std::atomic<std::uint64_t>> buckets_;
+  std::atomic<double> sum_{0.0};
 };
 
 enum class MetricType { kCounter, kGauge, kHistogram };

@@ -104,8 +104,8 @@ class CostEngine {
   }
 
   [[nodiscard]] static std::int64_t scaled_cache_bytes(const SimtConfig& cfg) {
-    if (!cfg.scale_cache_to_deck) return cfg.device.memory.cache_bytes;
-    // Preserve the paper-scale cache:footprint ratio on shrunken decks.
+    // Scale the modelled cache by (deck cells / paper cells) so a
+    // laptop-scale deck keeps the paper-scale cache:footprint ratio.
     const double paper_cells = 4000.0 * 4000.0;
     const double deck_cells =
         static_cast<double>(cfg.deck.nx) * static_cast<double>(cfg.deck.ny);

@@ -41,9 +41,6 @@ struct SimtConfig {
   std::int32_t regs_per_thread = 0;
   /// Threads to run (CPU devices); 0 = all contexts of all units.
   std::int32_t threads = 0;
-  /// Scale the modelled cache capacity by (deck cells / paper cells) so a
-  /// laptop-scale deck keeps the paper-scale cache:footprint ratio.
-  bool scale_cache_to_deck = true;
   /// Fixed per-iteration costs (kernel launches/barriers) are charged as if
   /// the deck ran this many particles, i.e. scaled by
   /// min(1, n_particles/amortize_to_particles).  Combined with

@@ -357,12 +357,11 @@ TEST(Engine, JobsStartInSubmissionOrder) {
 }
 
 TEST(Engine, QueueWaitDeadlineExpiresQueuedJobs) {
-  // One worker held by a slow job: the jobs behind it overstay
-  // max_queue_wait and must complete as timed_out without running.
+  // One worker held by a slow job: the jobs behind it overstay their
+  // start deadline and must complete as timed_out without running.
   EngineOptions options;
   options.workers = 1;
   options.threads_per_job = 1;
-  options.policy.max_queue_wait = std::chrono::milliseconds(40);
   BatchEngine engine(options);
 
   SimulationConfig slow = tiny_config(2000);
@@ -372,6 +371,9 @@ TEST(Engine, QueueWaitDeadlineExpiresQueuedJobs) {
   for (std::uint64_t id = 1; id <= 3; ++id) {
     jobs.push_back(batch::make_job(id, tiny_config(50)));
   }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(40);
+  for (Job& job : jobs) job.deadline = deadline;
 
   const BatchReport report = engine.run(std::move(jobs));
   ASSERT_EQ(report.jobs.size(), 4u);
@@ -395,7 +397,7 @@ TEST(Engine, RunWallDeadlineTimesOutOnlyTheOverrunningJob) {
   EngineOptions options;
   options.workers = 1;
   options.threads_per_job = 1;
-  options.policy.max_run_wall = std::chrono::milliseconds(50);
+  options.max_run_wall = std::chrono::milliseconds(50);
   BatchEngine engine(options);
 
   SimulationConfig slow = tiny_config(2000);

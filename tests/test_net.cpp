@@ -1,8 +1,8 @@
 // Tests for the TCP front-end (src/net/): frame codec strictness, loopback
 // round-trips that must be bit-identical to in-process runs for every
-// scheme x layout combination, deadline expiry under a
-// QueuePolicy, malformed-frame rejection, cooperative cancellation, and
-// concurrent clients sharing one world cache.
+// scheme x layout combination, deadline expiry (run wall and queue wait),
+// malformed-frame rejection, cooperative cancellation, concurrent clients
+// sharing one world cache, and /metrics scrapes served by the event loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,6 +62,7 @@ class TestServer {
   }
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] NeutralServer& server() { return *server_; }
   [[nodiscard]] NeutralClient connect() const {
     return NeutralClient("127.0.0.1", port_);
   }
@@ -213,7 +214,7 @@ TEST(NetServer, SweepSpecExpandsServerSide) {
 
 TEST(NetServer, RunWallDeadlineTimesOutAndServerKeepsServing) {
   ServerOptions options;
-  options.engine.policy.max_run_wall = std::chrono::milliseconds(60);
+  options.engine.max_run_wall = std::chrono::milliseconds(60);
   TestServer server(options);
   NeutralClient client = server.connect();
 
@@ -312,6 +313,36 @@ TEST(NetServer, CancelBeforeStartSkipsExecution) {
   EXPECT_TRUE(result.rows.empty());  // never expanded, never ran
 }
 
+TEST(NetServer, ResultWithTimeoutAnswersPendingAndKeepsServing) {
+  // One worker held by a long submission: a quick one queued behind it
+  // cannot finish, so a bounded `result` answers pending — and the
+  // connection keeps serving until the real result arrives.
+  ServerOptions options;
+  options.engine.workers = 1;
+  TestServer server(options);
+  NeutralClient client = server.connect();
+
+  SubmitRequest slow;
+  slow.deck_text = format_deck(tiny_deck(2000, 2000));
+  slow.threads = 1;
+  const std::uint64_t hog = client.submit(slow);
+  SubmitRequest quick;
+  quick.deck_text = format_deck(tiny_deck(100, 1));
+  quick.threads = 1;
+  const std::uint64_t id = client.submit(quick);
+
+  EXPECT_FALSE(client.try_result(id, 50).has_value());
+  EXPECT_NO_THROW(client.ping());
+  EXPECT_EQ(client.status(id).at("state"), "queued");
+
+  client.cancel(hog);
+  const RemoteResult result = client.try_result(id, 60000).value();
+  EXPECT_EQ(result.status, "ok") << result.error;
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_GT(result.rows[0].events, 0u);
+  EXPECT_EQ(client.wait(hog).status, "cancelled");
+}
+
 TEST(NetServer, QueueWaitCountsTimeSpentBehindEarlierSubmissions) {
   // max_queue_wait counts from the daemon accepting a submission: quick
   // submissions stuck behind a slow one past the bound come back
@@ -319,7 +350,7 @@ TEST(NetServer, QueueWaitCountsTimeSpentBehindEarlierSubmissions) {
   // only when the slow one is gone.
   ServerOptions options;
   options.engine.workers = 1;
-  options.engine.policy.max_queue_wait = std::chrono::milliseconds(100);
+  options.max_queue_wait = std::chrono::milliseconds(100);
   TestServer server(options);
   NeutralClient client = server.connect();
 
@@ -784,6 +815,123 @@ TEST(NetServer, MetricsOpReportsQueueCacheAndOutcomeSeries) {
   Fields cached = client.metrics();
   EXPECT_EQ(field_u64(cached, "neutral_world_cache_hits_total"), 1u);
   EXPECT_EQ(field_u64(cached, "neutral_jobs_ok_total"), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// /metrics scrapes, answered by the event loop
+// ---------------------------------------------------------------------------
+
+/// A loopback port that was free a moment ago: metrics_port 0 means "no
+/// metrics listener", so a test cannot ask the server for an ephemeral one.
+std::uint16_t free_port() { return net::TcpListener("127.0.0.1", 0).port(); }
+
+/// One HTTP exchange on a fresh connection.  The server answers an
+/// oversized request and closes with part of it still unread, which can
+/// surface client-side as a reset once the status line is through — keep
+/// whatever arrived before it.
+std::string http_exchange(std::uint16_t port, const std::string& request) {
+  net::TcpStream stream = net::TcpStream::connect("127.0.0.1", port);
+  stream.set_read_timeout(std::chrono::milliseconds(5000));
+  std::string response;
+  try {
+    stream.write_all(request);
+    std::string line;
+    while (stream.read_line(line, 1u << 20) == net::ReadStatus::kLine) {
+      response += line;
+      response += "\n";
+    }
+  } catch (const Error&) {
+  }
+  return response;
+}
+
+TEST(NetServer, ServesPrometheusTextOverHttp) {
+  ServerOptions options;
+  options.metrics_port = free_port();
+  TestServer server(options);
+  server.server().metrics().counter("neutral_scraped_total", "scrapes").add(5);
+  const std::uint16_t port = server.server().metrics_port();
+  ASSERT_EQ(port, options.metrics_port);
+
+  const std::string ok =
+      http_exchange(port, "GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n");
+  EXPECT_NE(ok.find("200 OK"), std::string::npos);
+  EXPECT_NE(ok.find("text/plain; version=0.0.4"), std::string::npos);
+  EXPECT_NE(ok.find("neutral_scraped_total 5"), std::string::npos);
+
+  const std::string missing =
+      http_exchange(port, "GET /bogus HTTP/1.0\r\n\r\n");
+  EXPECT_NE(missing.find("404"), std::string::npos);
+
+  const std::string wrong_method =
+      http_exchange(port, "POST /metrics HTTP/1.0\r\n\r\n");
+  EXPECT_NE(wrong_method.find("405"), std::string::npos);
+
+  // Scrapes are not client connections: after three of them the
+  // connection series still count none.
+  const std::string after = http_exchange(port, "GET / HTTP/1.0\r\n\r\n");
+  EXPECT_NE(after.find("\nneutral_connections_total 0\n"), std::string::npos);
+  EXPECT_NE(after.find("\nneutral_connections_open 0\n"), std::string::npos);
+}
+
+TEST(NetServer, OversizedRequestsGet413And431NotUnboundedReads) {
+  // A request line or header block longer than the 8 KiB cap is answered
+  // 413 (request line) or 431 (header block: 8 KiB or 128 lines) instead of
+  // being buffered without limit, and scrapes keep working afterwards.
+  ServerOptions options;
+  options.metrics_port = free_port();
+  TestServer server(options);
+  server.server().metrics().counter("neutral_scraped_total", "scrapes").add(1);
+  const std::uint16_t port = server.server().metrics_port();
+
+  const std::string long_line =
+      "GET /" + std::string(16 * 1024, 'a') + " HTTP/1.0\r\n\r\n";
+  EXPECT_NE(http_exchange(port, long_line).find("413 Payload Too Large"),
+            std::string::npos);
+
+  const std::string big_header =
+      "GET /metrics HTTP/1.0\r\nX-Junk: " + std::string(16 * 1024, 'b') +
+      "\r\n\r\n";
+  EXPECT_NE(http_exchange(port, big_header)
+                .find("431 Request Header Fields Too Large"),
+            std::string::npos);
+
+  std::string many_headers = "GET /metrics HTTP/1.0\r\n";
+  for (int i = 0; i < 200; ++i) {
+    many_headers += "X-H" + std::to_string(i) + ": v\r\n";
+  }
+  many_headers += "\r\n";
+  EXPECT_NE(http_exchange(port, many_headers)
+                .find("431 Request Header Fields Too Large"),
+            std::string::npos);
+
+  const std::string ok = http_exchange(port, "GET /metrics HTTP/1.0\r\n\r\n");
+  EXPECT_NE(ok.find("200 OK"), std::string::npos);
+  EXPECT_NE(ok.find("neutral_scraped_total 1"), std::string::npos);
+}
+
+TEST(NetServer, ScrapeIsAnsweredWhileASubmissionRuns) {
+  ServerOptions options;
+  options.metrics_port = free_port();
+  TestServer server(options);
+  NeutralClient client = server.connect();
+
+  SubmitRequest slow;
+  slow.deck_text = format_deck(tiny_deck(2000, 2000));
+  slow.threads = 1;
+  const std::uint64_t id = client.submit(slow);
+  while (client.status(id).at("state") == "queued") {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const std::string scrape = http_exchange(
+      server.server().metrics_port(), "GET /metrics HTTP/1.0\r\n\r\n");
+  EXPECT_NE(scrape.find("200 OK"), std::string::npos);
+  EXPECT_NE(scrape.find("\nneutral_submissions_pending 1\n"),
+            std::string::npos);
+  EXPECT_EQ(client.status(id).at("state"), "running");
+
+  client.cancel(id);
+  EXPECT_EQ(client.wait(id).status, "cancelled");
 }
 
 }  // namespace

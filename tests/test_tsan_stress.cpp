@@ -8,14 +8,14 @@
 // between healthy neighbours, a canceller thread flips a cooperative
 // cancel flag mid-run, and a scraper thread loops
 // MetricsRegistry::snapshot() the whole time.  Under ThreadSanitizer this
-// covers the relaxed-ordering counter shards racing a live scraper,
+// covers the relaxed-ordering metric cells racing a live scraper,
 // concurrent TraceLog writes, and the failed-job bookkeeping.
 //
 // The final assertion is counter EXACTNESS, not approximation: after every
 // client joins (the join is the happens-before edge — see the ordering
 // contract on obs::Counter), each registry total must equal the sum of the
 // corresponding outcomes accumulated from the returned BatchReports.  A
-// lost update anywhere in the sharded counters, or a snapshot tearing a
+// lost update anywhere in the counters, or a snapshot tearing a
 // word, fails the test in every tier (plain, ASan, TSan).
 #include <gtest/gtest.h>
 
@@ -114,7 +114,7 @@ TEST(TsanStress, ConcurrentSubmitWatchCancelWithLiveScraper) {
   std::atomic<bool> stop_scraper{false};
 
   // The scraper races every writer for the whole test: snapshots must stay
-  // monotone per counter (per-shard coherence) and never tear.
+  // monotone per counter (per-cell coherence) and never tear.
   std::thread scraper([&] {
     std::uint64_t last_ok = 0;
     while (!stop_scraper.load()) {
@@ -185,7 +185,7 @@ TEST(TsanStress, ConcurrentSubmitWatchCancelWithLiveScraper) {
   EXPECT_EQ(watched.load(), submitted.load());
 
   // Joining the clients established the happens-before edge the Counter
-  // contract requires, so the relaxed shards must now sum EXACTLY to the
+  // contract requires, so the relaxed cells must now read EXACTLY the
   // report-derived ground truth.
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(counter_value(snap, "neutral_jobs_ok_total"), totals.ok.load());

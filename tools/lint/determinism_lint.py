@@ -20,8 +20,8 @@ free of hidden nondeterminism, so this checker bans, in `src/`:
       reorders float adds between runs.  Enforced bluntly — the
       listed files may not mention unordered_map/unordered_set at all
       (none do today; ordered or indexed containers serve there).
-  R4  memory_order_relaxed outside src/obs/metrics.h/.cpp — the sharded
-      metric counters are the one audited relaxed-ordering site (their
+  R4  memory_order_relaxed outside src/obs/metrics.h/.cpp — the metric
+      cells are the one audited relaxed-ordering site (their
       happens-before contract is documented on obs::Counter); everything
       else uses acquire/release or seq_cst so the next reader does not
       have to re-derive a memory-model argument.
@@ -114,7 +114,7 @@ RULES = [
         re.compile(r"memory_order_relaxed"),
         lambda path: rel(path)
         in ("src/obs/metrics.h", "src/obs/metrics.cpp"),
-        "memory_order_relaxed outside the audited metrics shards "
+        "memory_order_relaxed outside the audited metric cells "
         "(contract: obs::Counter in src/obs/metrics.h)",
     ),
 ]
